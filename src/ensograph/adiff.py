@@ -117,8 +117,9 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
@@ -171,7 +172,14 @@ def div(a, b):
 
 
 def matmul(a, b):
-    """Batched matrix product [.., m, k] @ [.., k, n] with leading broadcast."""
+    """Batched matrix product [.., m, k] @ [.., k, n] with leading broadcast.
+
+    A 2-D left operand gets its gradient as one 2-D GEMM whose contraction
+    runs over every batch axis as well as the inner one, so no per-batch
+    product is built and then summed away. The right operand, and a left
+    operand with batch axes, take the batched rule g @ b^T, a^T @ g,
+    reduced over any broadcast axes.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands need at least 2 dimensions")
@@ -181,11 +189,21 @@ def matmul(a, b):
 
     def _bw(g):
         if a.requires_grad:
-            _accum(a, _sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+            if a.ndim == 2:
+                # [m, (.., n)] @ [(.., n), k]
+                ga = _columns(g).T @ _columns(b.data)
+            else:
+                ga = _sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            _accum(a, ga)
         if b.requires_grad:
             _accum(b, _sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _from_op(data, (a, b), _bw)
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """[.., r, c] -> [(.., c), r]: every column of every batch matrix as one row."""
+    return np.swapaxes(x, -1, -2).reshape(-1, x.shape[-2])
 
 
 # ----------------------------------------------------------------- unary ops
@@ -260,12 +278,41 @@ def tail(x, n):
     return _from_op(data, (x,), _bw)
 
 
+def _im2col(x: np.ndarray, K: int, dilation: int, T_out: int) -> np.ndarray:
+    """[B, C, N, T] -> [B, C*K, N*T_out]; row c*K + k is channel c shifted by k*dilation."""
+    B, C, N, _ = x.shape
+    if K == 1:
+        return x.reshape(B, C, N * T_out)
+    cols = np.stack([x[..., k * dilation: k * dilation + T_out] for k in range(K)], axis=2)
+    return cols.reshape(B, C * K, N * T_out)
+
+
+def _col2im(cols: np.ndarray, shape, K: int, dilation: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add [B, C*K, N*T_out] back onto [B, C, N, T]."""
+    if K == 1:
+        return cols.reshape(shape)
+    B, C, N, T = shape
+    T_out = T - dilation * (K - 1)
+    cols = cols.reshape(B, C, K, N, T_out)
+    out = np.zeros(shape, dtype=cols.dtype)
+    for k in range(K):
+        out[..., k * dilation: k * dilation + T_out] += cols[:, :, k]
+    return out
+
+
 def dilated_conv1d(x, kernel, dilation=1):
     """Valid-only temporal convolution along the last axis.
 
     x is [B, C_in, N, T], kernel [C_out, C_in, 1, K]; the output keeps the
     node axis and shrinks time to T - dilation*(K-1). No padding, so every
     output depends only on real inputs.
+
+    Computed as im2col: the K shifted windows are stacked on the channel
+    axis and one GEMM of [C_out, C_in*K] with [B, C_in*K, N*T_out] gives the
+    output; for K == 1 the column matrix is a reshape view of x. The column
+    matrix is not kept on the tape: the backward pass rebuilds it for the
+    kernel gradient, B products of [C_out, N*T_out] with [N*T_out, C_in*K]
+    summed over the batch (only [B, C_out, C_in*K] is materialised).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4 or kernel.data.shape[2] != 1:
@@ -281,26 +328,17 @@ def dilated_conv1d(x, kernel, dilation=1):
         raise ValueError(
             f"time axis too short: T={T}, K={K}, dilation={dilation} needs T >= {dilation * (K - 1) + 1}"
         )
-    k2 = kernel.data[:, :, 0, :]  # [Co, Ci, K]
-    out = np.zeros((B, Co, N, T_out), dtype=np.result_type(x.data, kernel.data))
-    for kk in range(K):
-        xs = x.data[..., kk * dilation: kk * dilation + T_out]
-        out += np.einsum("oc,bcnt->bont", k2[:, :, kk], xs, optimize=True)
+    w = kernel.data.reshape(Co, Ci * K)
+    out = np.matmul(w, _im2col(x.data, K, dilation, T_out)).reshape(B, Co, N, T_out)
 
     def _bw(g):
+        g = g.reshape(B, Co, N * T_out)
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for kk in range(K):
-                gx[..., kk * dilation: kk * dilation + T_out] += np.einsum(
-                    "oc,bont->bcnt", k2[:, :, kk], g, optimize=True
-                )
-            _accum(x, gx)
+            _accum(x, _col2im(np.matmul(w.T, g), x.data.shape, K, dilation))
         if kernel.requires_grad:
-            gk = np.zeros_like(kernel.data)
-            for kk in range(K):
-                xs = x.data[..., kk * dilation: kk * dilation + T_out]
-                gk[:, :, 0, kk] = np.einsum("bont,bcnt->oc", g, xs, optimize=True)
-            _accum(kernel, gk)
+            cols = _im2col(x.data, K, dilation, T_out)
+            gk = np.matmul(g, np.swapaxes(cols, -1, -2)).sum(axis=0)
+            _accum(kernel, gk.reshape(kernel.data.shape))
 
     return _from_op(out, (x, kernel), _bw)
 
@@ -331,7 +369,7 @@ def _reduce(x, axes, mean):
         for a in sorted(axes):
             ge = np.expand_dims(ge, a)
         ge = np.broadcast_to(ge, x.data.shape)
-        _accum(x, ge / count if mean else ge.copy())
+        _accum(x, ge / count if mean else ge)
 
     return _from_op(np.asarray(data), (x,), _bw)
 

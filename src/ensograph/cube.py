@@ -166,8 +166,10 @@ def load_cube(meta_path) -> SstCube:
     meta_path = Path(meta_path)
     try:
         header = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed cube header {meta_path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError(f"cube header {meta_path} is not a JSON object")
     for key in ("format_version", "start_year", "start_month", "n_time",
                 "lats", "lons", "missing_value", "units"):
         if key not in header:
@@ -176,12 +178,21 @@ def load_cube(meta_path) -> SstCube:
         raise ValidationError(f"unsupported format_version {header['format_version']}")
     if header["units"] != "degC":
         raise ValidationError(f"unsupported units {header['units']!r}")
+    for key in ("start_year", "start_month", "n_time"):
+        if type(header[key]) is not int:
+            raise ValidationError(f"cube header field {key!r} must be an integer, got {header[key]!r}")
+    for key in ("lats", "lons"):
+        if not isinstance(header[key], list):
+            raise ValidationError(f"cube header field {key!r} must be a list, got {header[key]!r}")
+    sentinel = header["missing_value"]
+    if type(sentinel) not in (int, float):
+        raise ValidationError(f"cube header field 'missing_value' must be a number, got {sentinel!r}")
     try:
         grid = GridSpec(tuple(header["lats"]), tuple(header["lons"]))
-        start = check_ym((int(header["start_year"]), int(header["start_month"])))
-    except ValueError as exc:
+        start = check_ym((header["start_year"], header["start_month"]))
+    except (TypeError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
-    n_time = int(header["n_time"])
+    n_time = header["n_time"]
     if n_time < 1:
         raise ValidationError(f"n_time must be >= 1, got {n_time}")
 
@@ -193,7 +204,7 @@ def load_cube(meta_path) -> SstCube:
             f"({n_time} x {grid.n_lat} x {grid.n_lon} float32), found {len(raw)}"
         )
     flat = np.frombuffer(raw, dtype="<f4")
-    sentinel = np.float32(header["missing_value"])
+    sentinel = np.float32(sentinel)
     missing = flat.view("<u4") == sentinel.view("<u4")
     values = flat.copy().reshape(n_time, grid.n_lat, grid.n_lon)
     missing = missing.reshape(values.shape)

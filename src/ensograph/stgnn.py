@@ -203,15 +203,10 @@ def temporal_block(x, filter_w, filter_b, gate_w, gate_b, dilation: int) -> Tens
     return adiff.mul(filt, gate)
 
 
-def _node_mix(a: Tensor, h: Tensor) -> Tensor:
-    """out[b,c,i,t] = sum_j a[i,j] h[b,c,j,t]."""
-    ht = adiff.transpose(h, (0, 1, 3, 2))
-    mixed = adiff.matmul(ht, adiff.transpose(a, (1, 0)))
-    return adiff.transpose(mixed, (0, 1, 3, 2))
-
-
 def _check_row_stochastic(a: Tensor):
     sums = a.data.sum(axis=1)
+    if not np.all(np.isfinite(sums)):
+        raise NumericalError("non-finite adjacency row sum entering mix-hop propagation")
     worst = float(np.max(np.abs(sums - 1.0)))
     if worst > 1e-4:
         raise ValueError(f"adjacency is not row-stochastic (row sum off by {worst:.2e})")
@@ -222,7 +217,7 @@ def _mixprop(h: Tensor, a_norm: Tensor, beta: float, ws: list[Tensor], b: Tensor
     out = adiff.dilated_conv1d(h, ws[0], 1)
     state = h
     for j in range(1, len(ws)):
-        state = adiff.add(adiff.mul(h, beta), adiff.mul(_node_mix(a_norm, state), 1.0 - beta))
+        state = adiff.add(adiff.mul(h, beta), adiff.mul(adiff.matmul(a_norm, state), 1.0 - beta))
         out = adiff.add(out, adiff.dilated_conv1d(state, ws[j], 1))
     return adiff.add(out, _bias(b, ws[0].shape[0]))
 
@@ -383,6 +378,8 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[:cut].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError("checkpoint header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {header.get('format_version')}")
     try:
@@ -392,30 +389,46 @@ def load_checkpoint(path) -> Checkpoint:
 
     expected = {name: shape for name, shape, _ in param_shapes(config)}
     records = header.get("tensors", [])
-    got = {r["name"]: tuple(r["shape"]) for r in records}
+    try:
+        got = {r["name"]: tuple(r["shape"]) for r in records}
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint tensor record lacks field {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"malformed checkpoint tensor record: {exc}") from exc
     if got != expected:
         raise ValidationError("checkpoint tensors do not match the stored config")
+    try:
+        input_scale = float(header["input_scale"])
+        seed = int(header["seed"])
+        bp = header.get("base_period")
+        gd = header.get("grid")
+        nd = header.get("nodes")
+        base_period = tuple(bp) if bp else None
+        grid = GridSpec(tuple(gd["lats"]), tuple(gd["lons"])) if gd else None
+        nodes = [(int(i), int(j)) for i, j in nd] if nd else None
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint header lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed checkpoint header field: {exc}") from exc
 
     body = raw[cut + 1:]
-    need = sum(int(np.prod(r["shape"])) for r in records) * 4
+    need = sum(int(np.prod(expected[r["name"]])) for r in records) * 4
     if len(body) != need:
         raise ValidationError(f"checkpoint payload is {len(body)} bytes, expected {need}")
     tensors = {}
     offset = 0
     for r in records:
-        count = int(np.prod(r["shape"]))
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(r["shape"])
+        shape = expected[r["name"]]
+        count = int(np.prod(shape))
+        arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
         tensors[r["name"]] = Tensor(arr.copy(), requires_grad=True)
         offset += count * 4
-    bp = header.get("base_period")
-    gd = header.get("grid")
-    nd = header.get("nodes")
     return Checkpoint(
         params=ModelParams(tensors),
         config=config,
-        input_scale=float(header["input_scale"]),
-        seed=int(header["seed"]),
-        base_period=tuple(bp) if bp else None,
-        grid=GridSpec(tuple(gd["lats"]), tuple(gd["lons"])) if gd else None,
-        nodes=[(int(i), int(j)) for i, j in nd] if nd else None,
+        input_scale=input_scale,
+        seed=seed,
+        base_period=base_period,
+        grid=grid,
+        nodes=nodes,
     )

@@ -80,7 +80,7 @@ def test_sigmoid_is_stable_at_large_inputs():
 
 def test_matmul_values_against_numpy():
     rng = np.random.default_rng(0)
-    for sa, sb in (((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))):
+    for sa, sb in (((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5)), ((4, 4), (2, 3, 4, 5))):
         a, b = rng.standard_normal(sa), rng.standard_normal(sb)
         np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, a @ b, rtol=1e-13)
 
@@ -211,16 +211,28 @@ def test_batched_matmul_grad_check():
     for f in (lambda: reduce_sum(matmul(a, b)), lambda: reduce_sum(matmul(a, bb))):
         for r in grad_check(f, {"a": a, "b": b, "bb": bb}):
             assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
+    # a 2-D operand broadcast over both batch axes of a 4-D one, on either side
+    m = _t(rng, 4, 4)
+    h = _t(rng, 2, 3, 4, 2)
+    w = _t(rng, 2, 3)
+    weigh_l = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=False)
+    weigh_r = Tensor(rng.standard_normal((2, 3, 4, 3)), requires_grad=False)
+    for f in (lambda: reduce_sum(mul(matmul(m, h), weigh_l)), lambda: reduce_sum(mul(matmul(h, w), weigh_r))):
+        for r in grad_check(f, {"m": m, "h": h, "w": w}):
+            assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
 
 
 def test_dilated_conv_grad_check():
-    rng = np.random.default_rng(7)
-    x = _t(rng, 2, 3, 4, 7)
-    w = _t(rng, 2, 3, 1, 2)
-    weigh = Tensor(rng.standard_normal((2, 2, 4, 5)), requires_grad=False)
-    f = lambda: reduce_sum(mul(dilated_conv1d(x, w, dilation=2), weigh))
-    for r in grad_check(f, {"x": x, "w": w}):
-        assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
+    # (K, dilation, T): K = 1 is the reshape-view path, K = T the skip conv's shape
+    for seed, (K, dilation, T) in enumerate(((2, 2, 7), (1, 1, 3), (3, 2, 7), (4, 1, 4))):
+        rng = np.random.default_rng(7 + seed)
+        x = _t(rng, 2, 3, 4, T)
+        w = _t(rng, 2, 3, 1, K)
+        T_out = T - dilation * (K - 1)
+        weigh = Tensor(rng.standard_normal((2, 2, 4, T_out)), requires_grad=False)
+        f = lambda: reduce_sum(mul(dilated_conv1d(x, w, dilation=dilation), weigh))
+        for r in grad_check(f, {"x": x, "w": w}):
+            assert r.passed, f"K={K} d={dilation} T={T} {r.name}: rel err {r.max_rel_err:.2e}"
 
 
 def test_tail_gradient_zero_pads_the_front():

@@ -244,6 +244,43 @@ def test_eval_grid_mismatch_exits_2(workdir, tmp_path, capsys):
     assert "different grid" in capsys.readouterr().err
 
 
+def _tampered_checkpoint(tmp_path, edit):
+    config = tiny_config(n_nodes=12, horizon=4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, init_params(config), config, 1.0, 0,
+                    grid=small_grid(), nodes=region_nodes(small_grid(), ONI_BOX))
+    raw = path.read_bytes()
+    cut = raw.find(b"\n")
+    header = json.loads(raw[:cut])
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + raw[cut:])
+    return path
+
+
+def _eval_exit_code(workdir, ckpt):
+    return main(["eval", "--data", str(workdir / "cube.json"),
+                 "--checkpoint", str(ckpt), "--test-period", "1908:1909"])
+
+
+def test_eval_checkpoint_without_input_scale_exits_2(workdir, tmp_path, capsys):
+    ckpt = _tampered_checkpoint(tmp_path, lambda h: h.pop("input_scale"))
+    assert _eval_exit_code(workdir, ckpt) == 2
+    assert "input_scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["name", "shape"])
+def test_eval_checkpoint_tensor_record_without_field_exits_2(workdir, tmp_path, capsys, field):
+    ckpt = _tampered_checkpoint(tmp_path, lambda h: h["tensors"][3].pop(field))
+    assert _eval_exit_code(workdir, ckpt) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_non_dict_grid_exits_2(workdir, tmp_path, capsys):
+    ckpt = _tampered_checkpoint(tmp_path, lambda h: h.update(grid=[[-2.0, 0.0], [190.0]]))
+    assert _eval_exit_code(workdir, ckpt) == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_exits_4(workdir, tmp_path):
     assert main(["eval", "--data", str(workdir / "cube.json"),
                  "--checkpoint", str(tmp_path / "none.ckpt")]) == 4

@@ -134,6 +134,26 @@ def test_load_rejects_header_problems(tmp_path):
     with pytest.raises(ValidationError):
         load_cube(path)
 
+    path.write_text("5")
+    with pytest.raises(ValidationError, match="JSON object"):
+        load_cube(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_time", "12x"),
+    ("n_time", None),
+    ("n_time", 1.5),
+    ("lats", 5.0),
+])
+def test_load_rejects_mistyped_header_field(tmp_path, field, value):
+    cube = random_sst(np.random.default_rng(4), n_time=4)
+    path = save_cube(cube, tmp_path / "c.json")
+    header = json.loads(path.read_text())
+    header[field] = value
+    path.write_text(json.dumps(header))
+    with pytest.raises(ValidationError, match=field):
+        load_cube(path)
+
 
 def test_climatology_matches_brute_force():
     rng = np.random.default_rng(7)

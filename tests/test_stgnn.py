@@ -212,6 +212,17 @@ def test_mixhop_rejects_non_row_stochastic():
         mixhop_conv(h, bad, bad, 0.05, ws, b, ws, b)
 
 
+def test_mixhop_rejects_nan_adjacency():
+    h = Tensor(np.zeros((1, 2, 3, 2)))
+    eye = np.eye(3)
+    nan = eye.copy()
+    nan[1, 2] = np.nan
+    ws = [Tensor(np.zeros((2, 2, 1, 1)))]
+    b = Tensor(np.zeros(2))
+    with pytest.raises(NumericalError, match="mix-hop"):
+        mixhop_conv(h, Tensor(nan), Tensor(eye), 0.05, ws, b, ws, b)
+
+
 # ------------------------------------------------------------------ forward
 
 def test_forward_output_shape():
@@ -418,3 +429,8 @@ def test_checkpoint_rejects_tampering(tmp_path):
     p4.write_bytes(b"\xff\xfe\x00\n" + raw[cut + 1:])
     with pytest.raises(ValidationError):
         load_checkpoint(p4)
+
+    p5 = tmp_path / "list.bin"
+    p5.write_bytes(b"[1, 2]\n" + raw[cut + 1:])
+    with pytest.raises(ValidationError, match="JSON object"):
+        load_checkpoint(p5)
