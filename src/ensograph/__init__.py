@@ -21,7 +21,7 @@ from .cube import (
 )
 from .errors import EnsographError, NumericalError, ValidationError
 from .graph import GraphLearnConfig, correlation_graph, export_edges, learn_adjacency, normalize, topk_sparsify
-from .grid import NINO34_BOX, ONI_BOX, GridSpec, RegionBox, node_weights, region_nodes
+from .grid import ONI_BOX, GridSpec, RegionBox, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, oni, running_mean
 from .samples import SampleSet, make_samples
 from .skill import (
@@ -29,9 +29,7 @@ from .skill import (
     classify_events,
     forecast_index,
     pearson,
-    persistence_baseline,
     rmse,
-    skill_table,
     table_from_forecasts,
 )
 from .stgnn import (
@@ -40,7 +38,6 @@ from .stgnn import (
     forward,
     init_params,
     load_checkpoint,
-    predict_oni,
     save_checkpoint,
 )
 from .synth import SynthConfig, generate
@@ -56,7 +53,6 @@ __all__ = [
     "LeadForecast",
     "ModelConfig",
     "ModelParams",
-    "NINO34_BOX",
     "NumericalError",
     "ONI_BOX",
     "RegionBox",
@@ -88,14 +84,11 @@ __all__ = [
     "normalize",
     "oni",
     "pearson",
-    "persistence_baseline",
-    "predict_oni",
     "region_nodes",
     "rmse",
     "running_mean",
     "save_checkpoint",
     "save_cube",
-    "skill_table",
     "split_by_years",
     "table_from_forecasts",
     "topk_sparsify",

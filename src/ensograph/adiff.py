@@ -263,19 +263,40 @@ def reshape(x, shape):
     return _from_op(data, (x,), lambda g: _accum(x, np.reshape(g, x.data.shape)))
 
 
-def tail(x, n):
-    """Last n entries along the final axis."""
+def narrow(x, axis, start, stop):
+    """Entries start:stop along one axis, as a view of x.
+
+    The gradient is zero outside the slice.
+    """
     x = as_tensor(x)
-    if not 1 <= n <= x.data.shape[-1]:
-        raise ValueError(f"tail of {n} from axis of length {x.data.shape[-1]}")
-    data = np.ascontiguousarray(x.data[..., -n:])
+    if not -x.ndim <= axis < x.ndim:
+        raise ValueError(f"axis {axis} out of range for ndim {x.ndim}")
+    axis %= x.ndim
+    if not 0 <= start < stop <= x.data.shape[axis]:
+        raise ValueError(f"narrow {start}:{stop} of axis {axis} with length {x.data.shape[axis]}")
+    index = (slice(None),) * axis + (slice(start, stop),)
 
     def _bw(g):
         full = np.zeros_like(x.data)
-        full[..., -n:] = g
+        full[index] = g
         _accum(x, full)
 
-    return _from_op(data, (x,), _bw)
+    return _from_op(x.data[index], (x,), _bw)
+
+
+def concat(xs, axis):
+    """Join tensors along one axis; each input's gradient is its slice of g."""
+    xs = [as_tensor(x) for x in xs]
+    data = np.concatenate([x.data for x in xs], axis=axis)
+    axis %= data.ndim
+    bounds = np.cumsum([0] + [x.data.shape[axis] for x in xs])
+
+    def _bw(g):
+        for x, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
+            if x.requires_grad:
+                _accum(x, g[(slice(None),) * axis + (slice(lo, hi),)])
+
+    return _from_op(data, xs, _bw)
 
 
 def _im2col(x: np.ndarray, K: int, dilation: int, T_out: int) -> np.ndarray:

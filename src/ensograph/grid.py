@@ -88,7 +88,6 @@ class RegionBox:
 # average SST anomalies over this box; they differ only in the smoothing
 # window applied afterwards (3 vs 5 months).
 ONI_BOX = RegionBox(-5.0, 5.0, 190.0, 240.0)
-NINO34_BOX = ONI_BOX
 
 
 def region_nodes(grid: GridSpec, box: RegionBox) -> list[NodeId]:

@@ -49,15 +49,6 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def persistence_baseline(index: IndexSeries, lead: int) -> IndexSeries:
-    """Forecast every month as the index observed `lead` months earlier."""
-    if lead < 1:
-        raise ValueError("lead must be >= 1")
-    if len(index) <= lead:
-        raise ValueError(f"series of {len(index)} months cannot persist {lead} ahead")
-    return IndexSeries(add_months(index.start, lead), index.values[:-lead].copy(), k=index.k)
-
-
 def classify_events(index: IndexSeries, threshold: float = 0.5, min_run: int = 5):
     """Warm/cold events: runs of months at or beyond +-threshold.
 
@@ -229,26 +220,6 @@ def forecast_index(
             persistence=observed.values[persist_idx],
         )
     return out
-
-
-def skill_table(
-    params: ModelParams | None,
-    config: ModelConfig,
-    anoms: AnomalyCube,
-    *,
-    box: RegionBox = ONI_BOX,
-    leads=(1, 3, 6),
-    k: int = 3,
-    weighting: str = "coslat",
-    input_scale: float = 1.0,
-    predictor=None,
-) -> SkillTable:
-    """Correlation and RMSE per lead for the model and for persistence."""
-    forecasts = forecast_index(
-        params, config, anoms, box=box, leads=leads, k=k,
-        weighting=weighting, input_scale=input_scale, predictor=predictor,
-    )
-    return table_from_forecasts(forecasts)
 
 
 def table_from_forecasts(forecasts: dict[int, LeadForecast]) -> SkillTable:

@@ -2,11 +2,13 @@
 
 Architecture, per forward pass: a 1x1 channel projection lifts the input
 window [B, 1, N, w] to the residual width, then each layer applies a gated
-dilated temporal convolution (tanh filter x sigmoid gate, valid-only, so
-time shrinks and no padding leaks), a mix-hop graph convolution over the
-adjacency learned from node embeddings (run along both edge directions and
-summed), a residual add, and a full-width skip projection. The relu'd skip
-sum feeds two 1x1 stages that emit one channel per lead: [B, H, N].
+dilated temporal convolution (one conv whose first half of output channels
+is the tanh filter and second half the sigmoid gate; valid-only, so time
+shrinks and no padding leaks), a mix-hop graph convolution over the
+adjacency learned from node embeddings (the layer input and its hops along
+both edge directions, concatenated on the channel axis and projected by one
+1x1 conv), a residual add, and a full-width skip projection. The relu'd
+skip sum feeds two 1x1 stages that emit one channel per lead: [B, H, N].
 
 Temporal receptive field is 1 + sum(dilation_l * (K - 1)); configs whose
 receptive field exceeds the input window are rejected outright.
@@ -27,7 +29,7 @@ from .errors import NumericalError, ValidationError
 from .graph import GraphLearnConfig, learn_adjacency, normalize, topk_sparsify
 from .grid import GridSpec
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -127,9 +126,6 @@ class ModelParams:
     def zero_grad(self):
         for t in self._tensors.values():
             t.zero_grad()
-
-    def n_values(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
 
 
 def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -145,18 +141,14 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
         ("start_b", (cr,), 1),
     ]
     for l in range(config.layers):
-        shapes += [
-            (f"l{l}_filter_w", (cc, cr, 1, K), cr * K),
-            (f"l{l}_filter_b", (cc,), cr * K),
-            (f"l{l}_gate_w", (cc, cr, 1, K), cr * K),
-            (f"l{l}_gate_b", (cc,), cr * K),
-        ]
-        for direction in ("fwd", "bwd"):
-            for j in range(D + 1):
-                shapes.append((f"l{l}_mix_{direction}_w{j}", (cr, cc, 1, 1), cc))
-            shapes.append((f"l{l}_mix_{direction}_b", (cr,), cc))
         t_out = lengths[l + 1]
         shapes += [
+            # filter rows first, then gate rows
+            (f"l{l}_tcn_w", (2 * cc, cr, 1, K), cr * K),
+            (f"l{l}_tcn_b", (2 * cc,), cr * K),
+            # fan_in of one hop block, so each block starts on the per-hop bound
+            (f"l{l}_mix_w", (cr, (2 * D + 1) * cc, 1, 1), cc),
+            (f"l{l}_mix_b", (cr,), cc),
             (f"l{l}_skip_w", (cs, cr, 1, t_out), cr * t_out),
             (f"l{l}_skip_b", (cs,), cr * t_out),
         ]
@@ -196,10 +188,18 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor:
     return adiff.add(out, _bias(b, w.shape[0]))
 
 
-def temporal_block(x, filter_w, filter_b, gate_w, gate_b, dilation: int) -> Tensor:
-    """Gated temporal convolution: tanh(filter) * sigmoid(gate)."""
-    filt = adiff.tanh(_conv(x, filter_w, filter_b, dilation))
-    gate = adiff.sigmoid(_conv(x, gate_w, gate_b, dilation))
+def temporal_block(x, w, b, dilation: int) -> Tensor:
+    """Gated temporal convolution: tanh(filter) * sigmoid(gate).
+
+    One conv with kernel [2C, C_in, 1, K] computes both; its first C output
+    channels are the filter, the last C the gate.
+    """
+    rows = w.shape[0]
+    if rows % 2:
+        raise ValueError(f"gated conv needs an even number of output channels, got {rows}")
+    y = _conv(x, w, b, dilation)
+    filt = adiff.tanh(adiff.narrow(y, 1, 0, rows // 2))
+    gate = adiff.sigmoid(adiff.narrow(y, 1, rows // 2, rows))
     return adiff.mul(filt, gate)
 
 
@@ -212,26 +212,26 @@ def _check_row_stochastic(a: Tensor):
         raise ValueError(f"adjacency is not row-stochastic (row sum off by {worst:.2e})")
 
 
-def _mixprop(h: Tensor, a_norm: Tensor, beta: float, ws: list[Tensor], b: Tensor) -> Tensor:
-    _check_row_stochastic(a_norm)
-    out = adiff.dilated_conv1d(h, ws[0], 1)
-    state = h
-    for j in range(1, len(ws)):
-        state = adiff.add(adiff.mul(h, beta), adiff.mul(adiff.matmul(a_norm, state), 1.0 - beta))
-        out = adiff.add(out, adiff.dilated_conv1d(state, ws[j], 1))
-    return adiff.add(out, _bias(b, ws[0].shape[0]))
-
-
-def mixhop_conv(h, a_fwd, a_bwd, beta, w_fwd, b_fwd, w_bwd, b_bwd) -> Tensor:
-    """Mix-hop propagation along both edge directions, summed.
+def mixhop_conv(h, a_fwd, a_bwd, beta, depth: int, w, b) -> Tensor:
+    """Mix-hop propagation along both edge directions, projected once.
 
     Hop j keeps beta of the layer input and propagates the rest:
-    h0 = h, hj = beta*h + (1-beta)*(A @ hj-1); output sums hj @ Wj.
-    Both adjacencies must be row-stochastic.
+    h0 = h, hj = beta*h + (1-beta)*(A @ hj-1). The states
+    [h, fwd hops 1..depth, bwd hops 1..depth] are concatenated on the
+    channel axis and w [C_out, (2*depth+1)*C, 1, 1] projects them, so the
+    output is the sum of one 1x1 conv per state. Both adjacencies must be
+    row-stochastic.
     """
-    fwd = _mixprop(h, a_fwd, beta, w_fwd, b_fwd)
-    bwd = _mixprop(h, a_bwd, beta, w_bwd, b_bwd)
-    return adiff.add(fwd, bwd)
+    _check_row_stochastic(a_fwd)
+    _check_row_stochastic(a_bwd)
+    kept = adiff.mul(h, beta)
+    states = [h]
+    for a in (a_fwd, a_bwd):
+        state = h
+        for _ in range(depth):
+            state = adiff.add(kept, adiff.mul(adiff.matmul(a, state), 1.0 - beta))
+            states.append(state)
+    return _conv(adiff.concat(states, 1), w, b)
 
 
 def _check_finite(t: Tensor, layer: int, stage: str):
@@ -256,21 +256,12 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     h = _conv(x, params["start_w"], params["start_b"])
     skip = None
     for l in range(config.layers):
-        t = temporal_block(
-            h,
-            params[f"l{l}_filter_w"], params[f"l{l}_filter_b"],
-            params[f"l{l}_gate_w"], params[f"l{l}_gate_b"],
-            config.dilations[l],
-        )
+        t = temporal_block(h, params[f"l{l}_tcn_w"], params[f"l{l}_tcn_b"], config.dilations[l])
         _check_finite(t, l, "temporal")
-        g = mixhop_conv(
-            t, a_fwd, a_bwd, config.beta,
-            [params[f"l{l}_mix_fwd_w{j}"] for j in range(config.mixhop_depth + 1)],
-            params[f"l{l}_mix_fwd_b"],
-            [params[f"l{l}_mix_bwd_w{j}"] for j in range(config.mixhop_depth + 1)],
-            params[f"l{l}_mix_bwd_b"],
-        )
-        h = adiff.add(g, adiff.tail(h, t.shape[-1]))
+        g = mixhop_conv(t, a_fwd, a_bwd, config.beta, config.mixhop_depth,
+                        params[f"l{l}_mix_w"], params[f"l{l}_mix_b"])
+        T = h.shape[-1]
+        h = adiff.add(g, adiff.narrow(h, -1, T - t.shape[-1], T))
         _check_finite(h, l, "residual")
         s = _conv(h, params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
         skip = s if skip is None else adiff.add(skip, s)
@@ -311,21 +302,6 @@ def predicted_index(node_preds: np.ndarray, observed_tail, weights: np.ndarray, 
             window.append(pred_means[l - 1] if l >= 1 else observed_tail[l - 1])
         out[n - 1] = np.mean(window)
     return out
-
-
-def predict_oni(node_preds, last_observed: float, weights, k: int = 3) -> np.ndarray:
-    """ONI forecasts for leads 1..H-1 from one sample's node predictions.
-
-    The 3-month windows use the observed area mean as lead 0, so each
-    forecast mixes one observation in at lead 1 and is fully model-driven
-    from lead 3 on.
-    """
-    if k != 3:
-        raise ValueError("predict_oni is defined for k=3")
-    node_preds = np.asarray(node_preds)
-    if node_preds.ndim != 2 or node_preds.shape[0] < 2:
-        raise ValueError("node_preds must be [H, N] with H >= 2")
-    return predicted_index(node_preds, [float(last_observed)], weights, k)
 
 
 # ------------------------------------------------------------- persistence

@@ -22,7 +22,7 @@ from ensograph.cube import SstCube, save_cube, split_by_years
 from ensograph.graph import learn_adjacency, topk_sparsify
 from ensograph.grid import ONI_BOX, GridSpec, region_nodes
 from ensograph.samples import make_samples
-from ensograph.skill import forecast_index, skill_table, table_from_forecasts
+from ensograph.skill import forecast_index, table_from_forecasts
 from ensograph.stgnn import ModelConfig, forward, init_params
 from ensograph.synth import SynthConfig, generate
 from ensograph.train import TrainConfig, train
@@ -90,7 +90,12 @@ def _op_cases(rng):
     t3 = leaf(rng.standard_normal((2, 3, 4)))
     linear("transpose", lambda: adiff.transpose(t3, (2, 0, 1)), (4, 2, 3), {"x": t3})
     linear("reshape", lambda: adiff.reshape(t3, (3, 8)), (3, 8), {"x": t3})
-    linear("tail", lambda: adiff.tail(t3, 2), (2, 3, 2), {"x": t3})
+    linear("narrow_axis1", lambda: adiff.narrow(t3, 1, 1, 3), (2, 2, 4), {"x": t3})
+    linear("narrow_last", lambda: adiff.narrow(t3, -1, 2, 4), (2, 3, 2), {"x": t3})
+    w1 = leaf(rng.standard_normal((2, 1, 4)))
+    w2 = leaf(rng.standard_normal((2, 2, 4)))
+    linear("concat", lambda: adiff.concat([t3, w1, w2], 1), (2, 6, 4),
+           {"x": t3, "w1": w1, "w2": w2})
 
     cx = leaf(rng.standard_normal((2, 3, 2, 6)))
     ck = leaf(rng.standard_normal((4, 3, 1, 2)))
@@ -308,7 +313,8 @@ def test_alignment_oracle_scores_one():
         state["lo"] = lo + len(batch)
         return samples.node_targets[lo: lo + len(batch)]
 
-    table = skill_table(None, config, anoms, leads=(1, 3, 6), k=3, predictor=oracle)
+    table = table_from_forecasts(forecast_index(None, config, anoms, leads=(1, 3, 6), k=3,
+                                                predictor=oracle))
 
     # independent persistence: centered means correlated against themselves
     series_vals = anoms.values[:, [i for i, _ in nodes], [j for _, j in nodes]]

@@ -8,11 +8,13 @@ from ensograph.adiff import (
     add,
     as_tensor,
     backward,
+    concat,
     dilated_conv1d,
     div,
     grad_check,
     matmul,
     mul,
+    narrow,
     neg,
     reduce_mean,
     reduce_sum,
@@ -20,7 +22,6 @@ from ensograph.adiff import (
     reshape,
     sigmoid,
     sub,
-    tail,
     tanh,
     transpose,
 )
@@ -90,7 +91,11 @@ def test_shape_op_values():
     x = rng.standard_normal((2, 3, 4))
     np.testing.assert_array_equal(transpose(Tensor(x), (2, 0, 1)).data, x.transpose(2, 0, 1))
     np.testing.assert_array_equal(reshape(Tensor(x), (6, 4)).data, x.reshape(6, 4))
-    np.testing.assert_array_equal(tail(Tensor(x), 2).data, x[..., -2:])
+    np.testing.assert_array_equal(narrow(Tensor(x), -1, 2, 4).data, x[..., 2:4])
+    np.testing.assert_array_equal(narrow(Tensor(x), 1, 1, 3).data, x[:, 1:3])
+    y, z = rng.standard_normal((2, 1, 4)), rng.standard_normal((2, 5, 4))
+    np.testing.assert_array_equal(concat([Tensor(x), Tensor(y), Tensor(z)], 1).data,
+                                  np.concatenate([x, y, z], axis=1))
     np.testing.assert_allclose(reduce_sum(Tensor(x)).data, x.sum())
     np.testing.assert_allclose(reduce_sum(Tensor(x), 1).data, x.sum(axis=1))
     np.testing.assert_allclose(reduce_mean(Tensor(x), (0, 2)).data, x.mean(axis=(0, 2)))
@@ -163,6 +168,7 @@ def test_every_op_passes_grad_check():
     m1 = _t(rng, 3, 4)
     m2 = _t(rng, 4, 2)
     mix = Tensor(rng.standard_normal((3, 4)), requires_grad=False)
+    mix_wide = Tensor(rng.standard_normal((3, 12)), requires_grad=False)
 
     cases = {
         "add": lambda: reduce_sum(mul(add(a, b), mix)),
@@ -177,7 +183,8 @@ def test_every_op_passes_grad_check():
         "matmul": lambda: reduce_sum(matmul(m1, m2)),
         "transpose": lambda: reduce_sum(mul(transpose(a, (1, 0)), transpose(mix, (1, 0)))),
         "reshape": lambda: reduce_sum(mul(reshape(a, (4, 3)), reshape(mix, (4, 3)))),
-        "tail": lambda: reduce_sum(tail(a, 2)),
+        "narrow": lambda: reduce_sum(mul(narrow(a, 1, 1, 3), narrow(mix, 1, 0, 2))),
+        "concat": lambda: reduce_sum(mul(concat([a, b, m1], 1), mix_wide)),
         "mean": lambda: reduce_mean(mul(a, b)),
         "sum_axis": lambda: reduce_sum(reduce_sum(mul(a, b), 1)),
     }
@@ -235,10 +242,19 @@ def test_dilated_conv_grad_check():
             assert r.passed, f"K={K} d={dilation} T={T} {r.name}: rel err {r.max_rel_err:.2e}"
 
 
-def test_tail_gradient_zero_pads_the_front():
+def test_narrow_gradient_zero_pads_outside_the_slice():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    backward(reduce_sum(tail(x, 2)))
+    backward(reduce_sum(narrow(x, -1, 1, 3)))
     np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    backward(reduce_sum(narrow(x, 0, 1, 3)))
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        narrow(x, 0, 2, 2)   # empty
+    with pytest.raises(ValueError):
+        narrow(x, 1, 0, 3)   # past the end
+    with pytest.raises(ValueError):
+        narrow(x, 2, 0, 1)   # no such axis
 
 
 def test_relu_subgradient_at_zero_is_zero():

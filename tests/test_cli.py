@@ -1,6 +1,10 @@
 """Command-line behavior: pipelines, exit codes, reproducible outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,30 @@ def test_train_and_eval_outputs_are_byte_identical(workdir, tmp_path, capsys):
                      table.read_bytes()))
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_train_and_eval_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the determinism gate's run (default model, 3 epochs), in fresh processes,
+    # since OpenBLAS reads its thread count once at import
+    assert main(["synth", "--out", str(tmp_path / "cube"), "--months", "120", "--seed", "3"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"train": {"epochs": 3}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        ckpt, table = tmp_path / f"t{threads}.ckpt", tmp_path / f"t{threads}.csv"
+        for args in (["train", "--data", str(tmp_path / "cube.json"), "--out", str(ckpt),
+                      "--train-period", "1900:1907", "--leads", "1,3", "--seed", "5",
+                      "--config", str(cfg)],
+                     ["eval", "--data", str(tmp_path / "cube.json"), "--checkpoint", str(ckpt),
+                      "--test-period", "1908:1909", "--leads", "1,3", "--out", str(table)]):
+            subprocess.run([sys.executable, "-m", "ensograph", *args], env=env, check=True,
+                           capture_output=True, timeout=600)
+        outs.append((ckpt.read_bytes(), table.read_bytes()))
+    assert outs[0][0] == outs[1][0], "checkpoint bytes differ between 1 and 2 BLAS threads"
+    assert outs[0][1] == outs[1][1], "skill table bytes differ between 1 and 2 BLAS threads"
 
 
 def test_train_rejects_bad_config(workdir, tmp_path):

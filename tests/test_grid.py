@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ensograph.grid import (
-    NINO34_BOX,
     ONI_BOX,
     GridSpec,
     RegionBox,
@@ -40,7 +39,6 @@ def test_gridspec_canonicalizes_west_longitudes():
 def test_region_box_canonicalizes_west():
     box = RegionBox(-5.0, 5.0, -170.0, -120.0)
     assert box == ONI_BOX
-    assert NINO34_BOX == ONI_BOX
 
 
 def test_region_box_rejects_inverted():

@@ -17,9 +17,7 @@ from ensograph.skill import (
     export_predictions,
     forecast_index,
     pearson,
-    persistence_baseline,
     rmse,
-    skill_table,
     table_from_forecasts,
 )
 from ensograph.stgnn import init_params
@@ -63,25 +61,6 @@ def test_pearson_rejects_bad_input():
 def test_rmse_hand_values():
     assert rmse([1.0, 2.0], [4.0, 6.0]) == pytest.approx(math.sqrt(12.5), abs=1e-12)
     assert rmse([0.5, -0.5, 2.0], [0.5, -0.5, 2.0]) == 0.0
-
-
-def test_persistence_baseline_shift():
-    idx = IndexSeries((1950, 1), np.arange(6.0), k=3)
-    shifted = persistence_baseline(idx, 2)
-    assert shifted.start == (1950, 3)
-    assert shifted.k == 3
-    np.testing.assert_array_equal(shifted.values, [0.0, 1.0, 2.0, 3.0])
-    # the forecast for March is whatever January observed
-    assert shifted.values[0] == idx.values[0]
-
-
-def test_persistence_baseline_rejects():
-    idx = IndexSeries((1950, 1), np.arange(6.0), k=1)
-    with pytest.raises(ValueError):
-        persistence_baseline(idx, 0)
-    with pytest.raises(ValueError):
-        persistence_baseline(idx, 6)
-    assert len(persistence_baseline(idx, 5)) == 1
 
 
 # ------------------------------------------------------ event classification
@@ -197,10 +176,10 @@ def test_persistence_column_matches_shifted_series_correlation():
     nodes = region_nodes(grid, ONI_BOX)
     config = tiny_config(n_nodes=len(nodes), horizon=7)
     samples = make_samples(anoms, nodes, config.window, config.horizon)
-    table = skill_table(
+    table = table_from_forecasts(forecast_index(
         None, config, anoms, leads=(1, 3, 6), k=3,
         predictor=_oracle_from(samples),
-    )
+    ))
 
     series = area_mean(anoms, nodes, "coslat")
     smoothed = _centered_means(series, 3)
@@ -220,7 +199,7 @@ def test_constant_predictor_yields_nan_correlation():
         return np.zeros((len(batch), config.horizon, len(nodes)), dtype=np.float32)
 
     # k=1 keeps no observed tail in the forecast, so the output is constant
-    table = skill_table(None, config, anoms, leads=(1, 2), k=1, predictor=zeros)
+    table = table_from_forecasts(forecast_index(None, config, anoms, leads=(1, 2), k=1, predictor=zeros))
     series = area_mean(anoms, nodes, "coslat")
     issued = np.arange(40 - config.window - config.horizon + 1) + config.window - 1
     for row in table.rows:
@@ -247,7 +226,7 @@ def test_skill_table_with_untrained_model():
     anoms = random_anoms(np.random.default_rng(8), grid, n_time=40)
     config = tiny_config(n_nodes=12, horizon=4, seed=1)
     params = init_params(config)
-    table = skill_table(params, config, anoms, leads=(1, 3), k=3)
+    table = table_from_forecasts(forecast_index(params, config, anoms, leads=(1, 3), k=3))
     assert [row.lead for row in table.rows] == [1, 3]
     for row in table.rows:
         assert row.n_samples == 40 - config.window - config.horizon + 1

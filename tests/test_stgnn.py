@@ -15,7 +15,6 @@ from ensograph.stgnn import (
     load_checkpoint,
     mixhop_conv,
     param_shapes,
-    predict_oni,
     predicted_index,
     save_checkpoint,
     temporal_block,
@@ -73,11 +72,15 @@ def test_config_accepts_json_shaped_fields():
 def test_param_shapes_wire_up():
     cfg = tiny_config()
     shapes = dict((n, s) for n, s, _ in param_shapes(cfg))
+    assert len(shapes) == 20
     assert shapes["e1"] == (6, 3)
     assert shapes["start_w"] == (4, 1, 1, 1)
-    assert shapes["l0_filter_w"] == (4, 4, 1, 2)
-    assert shapes["l0_mix_fwd_w0"] == (4, 4, 1, 1)
-    assert shapes["l0_mix_fwd_w2"] == (4, 4, 1, 1)
+    # filter and gate rows in one kernel
+    assert shapes["l0_tcn_w"] == (8, 4, 1, 2)
+    assert shapes["l0_tcn_b"] == (8,)
+    # one projection of [h, 2 forward hops, 2 backward hops]
+    assert shapes["l0_mix_w"] == (4, 20, 1, 1)
+    assert shapes["l0_mix_b"] == (4,)
     # skip kernels span the full remaining time axis of their layer
     assert shapes["l0_skip_w"] == (4, 4, 1, 2)
     assert shapes["l1_skip_w"] == (4, 4, 1, 1)
@@ -113,11 +116,10 @@ def test_temporal_block_matches_numpy_reference():
     rng = np.random.default_rng(0)
     B, Ci, Co, N, T, K = 1, 2, 3, 4, 5, 2
     x = rng.standard_normal((B, Ci, N, T))
-    fw = rng.standard_normal((Co, Ci, 1, K))
-    fb = rng.standard_normal(Co)
-    gw = rng.standard_normal((Co, Ci, 1, K))
-    gb = rng.standard_normal(Co)
-    out = temporal_block(Tensor(x), Tensor(fw), Tensor(fb), Tensor(gw), Tensor(gb), 1).data
+    w = rng.standard_normal((2 * Co, Ci, 1, K))
+    b = rng.standard_normal(2 * Co)
+    out = temporal_block(Tensor(x), Tensor(w), Tensor(b), 1).data
+    fw, fb, gw, gb = w[:Co], b[:Co], w[Co:], b[Co:]
 
     def conv(w, b):
         o = np.zeros((B, Co, N, T - K + 1))
@@ -127,16 +129,17 @@ def test_temporal_block_matches_numpy_reference():
 
     ref = np.tanh(conv(fw, fb)) * (1.0 / (1.0 + np.exp(-conv(gw, gb))))
     np.testing.assert_allclose(out, ref, atol=1e-12)
+    with pytest.raises(ValueError, match="even"):
+        temporal_block(Tensor(x), Tensor(w[1:]), Tensor(b[1:]), 1)
 
 
 def test_temporal_block_saturated_gate_passes_filter():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((1, 2, 3, 4))
     fw = rng.standard_normal((2, 2, 1, 2))
-    fb = np.zeros(2)
-    gw = np.zeros((2, 2, 1, 2))
-    gb = np.full(2, 50.0)  # sigmoid(50) = 1
-    out = temporal_block(Tensor(x), Tensor(fw), Tensor(fb), Tensor(gw), Tensor(gb), 1).data
+    w = np.concatenate([fw, np.zeros((2, 2, 1, 2))])
+    b = np.concatenate([np.zeros(2), np.full(2, 50.0)])  # gate rows: sigmoid(50) = 1
+    out = temporal_block(Tensor(x), Tensor(w), Tensor(b), 1).data
     filt = np.zeros((1, 2, 3, 3))
     for kk in range(2):
         filt += np.einsum("oc,bcnt->bont", fw[:, :, 0, kk], x[:, :, :, kk:kk + 3])
@@ -152,6 +155,11 @@ def _mixprop_ref(h, a, beta, ws, b):
     return out + b[None, :, None, None]
 
 
+def _blocks(w, n):
+    """Split a fused mix-hop kernel [O, n*C, 1, 1] into its n per-state kernels."""
+    return np.split(w, n, axis=1)
+
+
 def test_mixhop_matches_numpy_reference():
     rng = np.random.default_rng(2)
     B, C, Co, N, T, D = 2, 3, 4, 5, 2, 2
@@ -161,15 +169,15 @@ def test_mixhop_matches_numpy_reference():
     a_fwd = (raw + np.eye(N)) / (raw + np.eye(N)).sum(axis=1, keepdims=True)
     a_bwd = (raw.T + np.eye(N)) / (raw.T + np.eye(N)).sum(axis=1, keepdims=True)
     beta = 0.3
-    wf = [rng.standard_normal((Co, C, 1, 1)) for _ in range(D + 1)]
-    bf = rng.standard_normal(Co)
-    wb = [rng.standard_normal((Co, C, 1, 1)) for _ in range(D + 1)]
-    bb = rng.standard_normal(Co)
+    w = rng.standard_normal((Co, (2 * D + 1) * C, 1, 1))
+    b = rng.standard_normal(Co)
 
-    out = mixhop_conv(Tensor(h), Tensor(a_fwd), Tensor(a_bwd), beta,
-                      [Tensor(w) for w in wf], Tensor(bf),
-                      [Tensor(w) for w in wb], Tensor(bb)).data
-    ref = _mixprop_ref(h, a_fwd, beta, wf, bf) + _mixprop_ref(h, a_bwd, beta, wb, bb)
+    out = mixhop_conv(Tensor(h), Tensor(a_fwd), Tensor(a_bwd), beta, D, Tensor(w), Tensor(b)).data
+    # the layer input's block acts once; hop blocks follow, forward then backward
+    blocks = _blocks(w, 2 * D + 1)
+    wf = blocks[:D + 1]
+    wb = [np.zeros_like(blocks[0])] + blocks[D + 1:]
+    ref = _mixprop_ref(h, a_fwd, beta, wf, b) + _mixprop_ref(h, a_bwd, beta, wb, np.zeros(Co))
     np.testing.assert_allclose(out, ref, atol=1e-10)
 
 
@@ -178,13 +186,11 @@ def test_mixhop_identity_adjacency_collapses_hops():
     B, C, N, T = 1, 2, 4, 3
     h = rng.standard_normal((B, C, N, T))
     eye = np.eye(N)
-    ws = [rng.standard_normal((C, C, 1, 1)) for _ in range(3)]
+    w = rng.standard_normal((C, 5 * C, 1, 1))
     b = np.zeros(C)
-    zero_ws = [Tensor(np.zeros((C, C, 1, 1))) for _ in range(3)]
-    out = mixhop_conv(Tensor(h), Tensor(eye), Tensor(eye), 0.05,
-                      [Tensor(w) for w in ws], Tensor(b), zero_ws, Tensor(b)).data
+    out = mixhop_conv(Tensor(h), Tensor(eye), Tensor(eye), 0.05, 2, Tensor(w), Tensor(b)).data
     # with A = I every hop state equals h, so the sum collapses to h @ sum(Wj)
-    wsum = ws[0] + ws[1] + ws[2]
+    wsum = sum(_blocks(w, 5))
     ref = np.einsum("oc,bcnt->bont", wsum[:, :, 0, 0], h)
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -195,21 +201,25 @@ def test_mixhop_beta_one_ignores_the_graph():
     h = rng.standard_normal((B, C, N, T))
     raw = np.abs(rng.standard_normal((N, N)))
     a = (raw + np.eye(N)) / (raw + np.eye(N)).sum(axis=1, keepdims=True)
-    ws = [Tensor(rng.standard_normal((C, C, 1, 1))) for _ in range(2)]
-    b = Tensor(np.zeros(C))
-    zeros = [Tensor(np.zeros((C, C, 1, 1))) for _ in range(2)]
-    out_a = mixhop_conv(Tensor(h), Tensor(a), Tensor(np.eye(N)), 1.0, ws, b, zeros, b).data
-    out_i = mixhop_conv(Tensor(h), Tensor(np.eye(N)), Tensor(np.eye(N)), 1.0, ws, b, zeros, b).data
+    a_t = (raw.T + np.eye(N)) / (raw.T + np.eye(N)).sum(axis=1, keepdims=True)
+    w = Tensor(rng.standard_normal((C, 3 * C, 1, 1)))
+    b = Tensor(rng.standard_normal(C))
+    eye = Tensor(np.eye(N))
+    out_a = mixhop_conv(Tensor(h), Tensor(a), Tensor(a_t), 1.0, 1, w, b).data
+    out_i = mixhop_conv(Tensor(h), eye, eye, 1.0, 1, w, b).data
     np.testing.assert_allclose(out_a, out_i, atol=1e-12)
 
 
 def test_mixhop_rejects_non_row_stochastic():
     h = Tensor(np.zeros((1, 2, 3, 2)))
     bad = Tensor(np.full((3, 3), 0.9))
-    ws = [Tensor(np.zeros((2, 2, 1, 1)))]
+    eye = Tensor(np.eye(3))
+    w = Tensor(np.zeros((2, 2, 1, 1)))
     b = Tensor(np.zeros(2))
     with pytest.raises(ValueError, match="row-stochastic"):
-        mixhop_conv(h, bad, bad, 0.05, ws, b, ws, b)
+        mixhop_conv(h, bad, eye, 0.05, 0, w, b)
+    with pytest.raises(ValueError, match="row-stochastic"):
+        mixhop_conv(h, eye, bad, 0.05, 0, w, b)
 
 
 def test_mixhop_rejects_nan_adjacency():
@@ -217,10 +227,10 @@ def test_mixhop_rejects_nan_adjacency():
     eye = np.eye(3)
     nan = eye.copy()
     nan[1, 2] = np.nan
-    ws = [Tensor(np.zeros((2, 2, 1, 1)))]
+    w = Tensor(np.zeros((2, 2, 1, 1)))
     b = Tensor(np.zeros(2))
     with pytest.raises(NumericalError, match="mix-hop"):
-        mixhop_conv(h, Tensor(nan), Tensor(eye), 0.05, ws, b, ws, b)
+        mixhop_conv(h, Tensor(nan), Tensor(eye), 0.05, 0, w, b)
 
 
 # ------------------------------------------------------------------ forward
@@ -260,7 +270,7 @@ def test_forward_flags_non_finite_input():
 def test_forward_flags_non_finite_activations():
     cfg = tiny_config()
     params = init_params(cfg, seed=0)
-    params["l0_filter_w"].data[:] = np.inf
+    params["l0_tcn_w"].data[:] = np.inf
     x = _rand_input(np.random.default_rng(2), cfg)
     with pytest.raises(NumericalError, match="layer 0"):
         forward(params, cfg, x)
@@ -328,12 +338,13 @@ def test_forward_backward_fills_every_parameter():
 # --------------------------------------------------------------- prediction
 
 def test_predict_oni_brute_force():
+    # The ONI forecast: k=3 windows with the observed area mean as lead 0.
     rng = np.random.default_rng(8)
     H, N = 4, 6
     node_preds = rng.standard_normal((H, N))
     weights = np.abs(rng.standard_normal(N)) + 0.1
     last = 0.42
-    out = predict_oni(node_preds, last, weights)
+    out = predicted_index(node_preds, [last], weights, k=3)
     means = node_preds @ weights / weights.sum()  # lead 1..H
     series = np.concatenate([[last], means])      # lead 0..H
     expect = [(series[n - 1] + series[n] + series[n + 1]) / 3.0 for n in range(1, H)]
@@ -343,10 +354,10 @@ def test_predict_oni_brute_force():
 
 def test_predict_oni_validates():
     weights = np.ones(3)
-    with pytest.raises(ValueError):
-        predict_oni(np.zeros((1, 3)), 0.0, weights)  # needs H >= 2
-    with pytest.raises(ValueError):
-        predict_oni(np.zeros((4, 3)), 0.0, weights, k=5)
+    with pytest.raises(ValueError, match="horizon"):
+        predicted_index(np.zeros((1, 3)), [0.0], weights, k=3)  # needs H >= 2
+    with pytest.raises(ValueError, match="trailing observations"):
+        predicted_index(np.zeros((4, 3)), [0.0], weights, k=5)  # one observed lead serves k=3 only
 
 
 def test_predicted_index_k5_uses_two_observed_leads():
@@ -424,6 +435,27 @@ def test_checkpoint_rejects_tampering(tmp_path):
     p3.write_bytes(json.dumps(bad).encode() + b"\n" + raw[cut + 1:])
     with pytest.raises(ValidationError, match="version"):
         load_checkpoint(p3)
+
+    # the records version 1 wrote: filter and gate apart, one kernel per mix-hop state and direction
+    v1_tensors = []
+    for r in header["tensors"]:
+        layer, _, kind = r["name"].partition("_")
+        if kind == "tcn_w":
+            for g in ("filter", "gate"):
+                v1_tensors += [{"name": f"{layer}_{g}_w", "shape": [4, 4, 1, 2]},
+                               {"name": f"{layer}_{g}_b", "shape": [4]}]
+        elif kind == "mix_w":
+            for d in ("fwd", "bwd"):
+                v1_tensors += [{"name": f"{layer}_mix_{d}_w{j}", "shape": [4, 4, 1, 1]} for j in range(3)]
+                v1_tensors.append({"name": f"{layer}_mix_{d}_b", "shape": [4]})
+        elif kind not in ("tcn_b", "mix_b"):
+            v1_tensors.append(r)
+    v1 = dict(header, format_version=1, tensors=v1_tensors)
+    n_values = sum(int(np.prod(r["shape"])) for r in v1_tensors)
+    p6 = tmp_path / "v1.bin"
+    p6.write_bytes(json.dumps(v1).encode() + b"\n" + bytes(4 * n_values))
+    with pytest.raises(ValidationError, match="unsupported checkpoint version 1"):
+        load_checkpoint(p6)
 
     p4 = tmp_path / "garbage.bin"
     p4.write_bytes(b"\xff\xfe\x00\n" + raw[cut + 1:])
