@@ -209,12 +209,8 @@ def _columns(x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------- unary ops
 
 def _stable_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the same function as 1 / (1 + exp(-x)), but tanh saturates instead of overflowing
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def relu(x):

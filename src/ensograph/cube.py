@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import GridSpec
-from .months import Month, add_months, check_ym, format_ym, month_index
+from .months import Month, add_months, check_ym, format_ym
 
 FORMAT_VERSION = 1
 DEFAULT_MISSING = -999.0

@@ -149,10 +149,13 @@ def forecast_index(
 ) -> dict[int, LeadForecast]:
     """Run the model over every test window and align forecasts by lead.
 
+    The model runs on detached copies of `params` that share their buffers,
+    so the forward builds no tape and the caller's tensors are untouched.
     `predictor` overrides the model: it maps inputs [S, w, N] to node
     predictions [S, H, N] (used for oracle and baseline studies). Smoothing
     follows the observed index: centered k-month means labeled by target
-    month, with observed area means filling leads <= 0.
+    month, with observed area means filling leads <= 0; one batched
+    `predicted_index` call computes every window's leads.
     """
     if predictor is None and params is None:
         raise ValueError("either params or a predictor is required")
@@ -183,10 +186,12 @@ def forecast_index(
     observed = running_mean(series, k, anoms.start)
 
     if predictor is None:
+        detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
+
         def predictor(batch):
             scaled = (batch / np.float32(input_scale)).astype(np.float32)
             xb = Tensor(np.ascontiguousarray(scaled.transpose(0, 2, 1)[:, None, :, :]))
-            return forward(params, config, xb).data
+            return forward(detached, config, xb).data
 
     preds = np.concatenate(
         [np.asarray(predictor(samples.inputs[lo: lo + chunk])) for lo in range(0, S, chunk)],
@@ -196,13 +201,9 @@ def forecast_index(
         raise ValueError(f"predictor returned {preds.shape}, expected {(S, config.horizon, len(nodes))}")
 
     # predicted index at every feasible lead for every sample
-    per_lead = np.empty((S, config.horizon - (k - 1 - half)))
-    m_of = np.empty(S, dtype=int)
-    for s in range(S):
-        m = s + config.window - 1  # offset of the last input month
-        m_of[s] = m
-        tail = series[m - half + 1: m + 1] if half else series[m: m]
-        per_lead[s] = predicted_index(preds[s], tail, weights, k)
+    m_of = np.arange(S) + config.window - 1  # offset of the last input month
+    tails = series[m_of[:, None] + np.arange(1 - half, 1)]  # [S, half], lead 0 last
+    per_lead = predicted_index(preds, tails, weights, k)
 
     out: dict[int, LeadForecast] = {}
     for n in leads:

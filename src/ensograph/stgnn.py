@@ -275,33 +275,38 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
 def predicted_index(node_preds: np.ndarray, observed_tail, weights: np.ndarray, k: int) -> np.ndarray:
     """Smoothed index forecasts from per-lead node predictions.
 
-    node_preds is [H, N]; observed_tail holds the area-mean observations at
-    leads <= 0, newest last (so tail[-1] is lead 0). Lead-l area means for
-    l >= 1 come from the predictions. Returns the centered k-month mean
-    labeled at each feasible lead, starting at lead 1.
+    node_preds is [..., H, N]; observed_tail [..., half] holds the area-mean
+    observations at leads <= 0, newest last (so tail[..., -1] is lead 0),
+    with the same leading axes. Lead-l area means for l >= 1 come from the
+    predictions. Returns [..., n_max]: the centered k-month mean labeled at
+    each feasible lead, starting at lead 1. Every leading index is computed
+    at once, as one weighted sum over nodes and one k-wide sliding mean.
     """
     node_preds = np.asarray(node_preds, dtype=np.float64)
     observed_tail = np.atleast_1d(np.asarray(observed_tail, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
-    if node_preds.ndim != 2 or node_preds.shape[1] != weights.size:
+    if node_preds.ndim < 2 or node_preds.shape[-1] != weights.size:
         raise ValueError(f"node_preds {node_preds.shape} does not match {weights.size} weights")
-    H = node_preds.shape[0]
+    if observed_tail.shape[:-1] != node_preds.shape[:-2]:
+        raise ValueError(
+            f"observed_tail {observed_tail.shape} and node_preds {node_preds.shape} "
+            "differ in their leading axes"
+        )
+    H = node_preds.shape[-2]
     half = k // 2
     if k < 1 or k % 2 == 0:
         raise ValueError(f"k must be odd and >= 1, got {k}")
-    if observed_tail.size < half:
-        raise ValueError(f"need {half} trailing observations for k={k}, got {observed_tail.size}")
-    pred_means = node_preds @ weights / weights.sum()  # lead 1..H
+    if observed_tail.shape[-1] < half:
+        raise ValueError(f"need {half} trailing observations for k={k}, got {observed_tail.shape[-1]}")
     n_max = H - (k - 1 - half)
     if n_max < 1:
         raise ValueError(f"horizon {H} too short for k={k} smoothing")
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        window = []
-        for l in range(n - half, n + k - half):
-            window.append(pred_means[l - 1] if l >= 1 else observed_tail[l - 1])
-        out[n - 1] = np.mean(window)
-    return out
+    pred_means = node_preds @ weights / weights.sum()  # lead 1..H
+    # leads 1-half..H, so the window of output lead n starts at position n-1
+    series = np.concatenate(
+        [observed_tail[..., observed_tail.shape[-1] - half:], pred_means], axis=-1
+    )
+    return np.lib.stride_tricks.sliding_window_view(series, k, axis=-1).mean(axis=-1)
 
 
 # ------------------------------------------------------------- persistence

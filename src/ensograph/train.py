@@ -149,11 +149,13 @@ def _batch_tensors(inputs: np.ndarray, targets: np.ndarray, idx: np.ndarray):
 
 def _eval_loss(params, config, tconfig, inputs, targets, chunk=256) -> float:
     lossfn = mae_loss if tconfig.loss == "mae" else mse_loss
+    # detached copies share the buffers, so the validation forward builds no tape
+    detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
     total, count = 0.0, 0
     for lo in range(0, inputs.shape[0], chunk):
         idx = np.arange(lo, min(lo + chunk, inputs.shape[0]))
         xb, yb = _batch_tensors(inputs, targets, idx)
-        loss = lossfn(forward(params, config, xb), yb)
+        loss = lossfn(forward(detached, config, xb), yb)
         total += loss.item() * idx.size
         count += idx.size
     return total / count

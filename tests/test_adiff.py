@@ -73,6 +73,15 @@ def test_nonlinearity_values():
     np.testing.assert_allclose(sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)), rtol=1e-15)
 
 
+@pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-7), (np.float64, 1e-15)])
+def test_sigmoid_matches_logistic_reference(dtype, atol):
+    x = np.linspace(-30.0, 30.0, 601)
+    out = sigmoid(Tensor(x.astype(dtype))).data
+    assert out.dtype == dtype
+    ref = 1.0 / (1.0 + np.exp(-x.astype(dtype).astype(np.float64)))
+    np.testing.assert_allclose(out.astype(np.float64), ref, rtol=0.0, atol=atol)
+
+
 def test_sigmoid_is_stable_at_large_inputs():
     with np.errstate(over="raise"):
         out = sigmoid(Tensor(np.array([-1e4, 1e4]))).data

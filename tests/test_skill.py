@@ -1,13 +1,15 @@
 """Verification metrics, event classification, and forecast alignment."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from ensograph import skill
 from ensograph.errors import ValidationError
 from ensograph.grid import ONI_BOX, region_nodes
-from ensograph.indices import IndexSeries, area_mean, running_mean
+from ensograph.indices import IndexSeries, area_mean
 from ensograph.months import add_months
 from ensograph.samples import make_samples
 from ensograph.skill import (
@@ -20,8 +22,11 @@ from ensograph.skill import (
     rmse,
     table_from_forecasts,
 )
-from ensograph.stgnn import init_params
+from ensograph.stgnn import forward, init_params
+from ensograph.train import TrainConfig
 from helpers import random_anoms, small_grid, tiny_config
+
+train_module = importlib.import_module("ensograph.train")  # the package re-exports a function as `train`
 
 rng = np.random.default_rng(77)
 
@@ -219,6 +224,50 @@ def test_forecast_chunking_is_consistent():
     small = forecast_index(params, config, anoms, leads=(1,), k=1, chunk=5)
     np.testing.assert_allclose(big[1].predicted, small[1].predicted, atol=1e-6)
     np.testing.assert_array_equal(big[1].observed, small[1].observed)
+
+
+def _record_forward(monkeypatch, module):
+    outputs = []
+
+    def recording(params, config, x):
+        out = forward(params, config, x)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(module, "forward", recording)
+    return outputs
+
+
+def _assert_untouched(params):
+    for _, t in params.items():
+        assert t.requires_grad
+        assert not t.grad.any()
+
+
+def test_forecast_index_builds_no_tape(monkeypatch):
+    grid = small_grid()
+    anoms = random_anoms(np.random.default_rng(11), grid, n_time=30)
+    config = tiny_config(n_nodes=12, horizon=4, seed=2)
+    params = init_params(config)
+    outputs = _record_forward(monkeypatch, skill)
+    forecast_index(params, config, anoms, leads=(1, 3), k=3, chunk=8)
+    assert len(outputs) == 3  # 22 windows in batches of 8
+    assert not any(out.requires_grad for out in outputs)
+    _assert_untouched(params)
+
+
+def test_validation_loss_builds_no_tape(monkeypatch):
+    config = tiny_config(n_nodes=5, horizon=2, seed=3)
+    params = init_params(config)
+    data = np.random.default_rng(12)
+    inputs = data.standard_normal((10, config.window, 5)).astype(np.float32)
+    targets = data.standard_normal((10, config.horizon, 5)).astype(np.float32)
+    outputs = _record_forward(monkeypatch, train_module)
+    loss = train_module._eval_loss(params, config, TrainConfig(), inputs, targets, chunk=4)
+    assert np.isfinite(loss)
+    assert len(outputs) == 3
+    assert not any(out.requires_grad for out in outputs)
+    _assert_untouched(params)
 
 
 def test_skill_table_with_untrained_model():

@@ -352,6 +352,35 @@ def test_predict_oni_brute_force():
     assert out.shape == (H - 1,)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_predicted_index_batch_matches_per_window_loop(k):
+    rng = np.random.default_rng(10 + k)
+    S, H, N, half = 7, 6, 5, k // 2
+    node_preds = rng.standard_normal((S, H, N))
+    tails = rng.standard_normal((S, half))
+    weights = np.abs(rng.standard_normal(N)) + 0.1
+    batched = predicted_index(node_preds, tails, weights, k)
+    looped = np.stack([predicted_index(node_preds[s], tails[s], weights, k) for s in range(S)])
+    assert batched.shape == (S, H - (k - 1 - half))
+    np.testing.assert_allclose(batched, looped, rtol=0.0, atol=1e-12)
+    # two leading axes flatten to the same rows
+    stacked = predicted_index(node_preds.reshape(S, 1, H, N), tails.reshape(S, 1, half), weights, k)
+    np.testing.assert_allclose(stacked[:, 0], batched, rtol=0.0, atol=1e-12)
+
+
+def test_predicted_index_without_batch_axis():
+    rng = np.random.default_rng(13)
+    node_preds = rng.standard_normal((5, 3))
+    weights = np.ones(3)
+    tail = np.array([0.1, -0.4])
+    out = predicted_index(node_preds, tail, weights, k=3)
+    series = np.concatenate([[-0.4], node_preds.mean(axis=1)])  # only the newest observation serves k=3
+    np.testing.assert_allclose(out, [series[n - 1: n + 2].mean() for n in range(1, 5)], atol=1e-12)
+    assert out.shape == (4,)
+    with pytest.raises(ValueError, match="leading axes"):
+        predicted_index(np.zeros((2, 5, 3)), tail, weights, k=3)
+
+
 def test_predict_oni_validates():
     weights = np.ones(3)
     with pytest.raises(ValueError, match="horizon"):

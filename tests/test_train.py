@@ -4,7 +4,6 @@ import pytest
 from ensograph.adiff import Tensor
 from ensograph.errors import NumericalError
 from ensograph.samples import SampleSet
-from ensograph.stgnn import init_params
 from ensograph.train import (
     AdamState,
     TrainConfig,
