@@ -3,8 +3,9 @@
 A Tensor wraps an ndarray; differentiable ops link each output to its
 inputs with a closure holding the local gradient rule. backward() walks
 that implicit tape in reverse topological order, summing gradients over
-every path, then clears the tape. float32 is the working precision;
-build float64 tensors for verification-grade finite-difference checks.
+every path and releasing each interior node once its rule has run.
+float32 is the working precision; build float64 tensors for
+verification-grade finite-difference checks.
 """
 
 from __future__ import annotations
@@ -172,38 +173,36 @@ def div(a, b):
 
 
 def matmul(a, b):
-    """Batched matrix product [.., m, k] @ [.., k, n] with leading broadcast.
+    """Contract the last axis of a with the first axis of b.
 
-    A 2-D left operand gets its gradient as one 2-D GEMM whose contraction
-    runs over every batch axis as well as the inner one, so no per-batch
-    product is built and then summed away. The right operand, and a left
-    operand with batch axes, take the batched rule g @ b^T, a^T @ g,
-    reduced over any broadcast axes.
+    [.., k] @ [k, ..] gives a's leading axes followed by b's trailing ones,
+    so one rule serves a channel projection (x [N, B, T, C] @ w [C, C_out]),
+    the node mix (A [N, N] @ x [N, B, T, C]) and a plain 2-D product. The
+    forward and the gradient of a are each one 2-D GEMM on reshape views,
+    [m, k] @ [k, n]. The gradient of b sums one GEMM per slice of a's first
+    axis (a single slice when a is 2-D): one long contraction over every row
+    of a rounds differently with the BLAS thread count, the per-slice sum
+    does not.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands need at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    k = a.data.shape[-1]
+    if b.data.shape[0] != k:
         raise ValueError(f"inner dimensions differ: {a.data.shape} @ {b.data.shape}")
-    data = np.matmul(a.data, b.data)
+    a2, b2 = a.data.reshape(-1, k), b.data.reshape(k, -1)
+    data = (a2 @ b2).reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def _bw(g):
+        g2 = g.reshape(a2.shape[0], b2.shape[1])
         if a.requires_grad:
-            if a.ndim == 2:
-                # [m, (.., n)] @ [(.., n), k]
-                ga = _columns(g).T @ _columns(b.data)
-            else:
-                ga = _sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-            _accum(a, ga)
+            _accum(a, (g2 @ b2.T).reshape(a.data.shape))
         if b.requires_grad:
-            _accum(b, _sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+            lead = a.data.shape[0] if a.ndim > 2 else 1
+            gb = np.matmul(np.swapaxes(a2.reshape(lead, -1, k), 1, 2), g2.reshape(lead, -1, b2.shape[1]))
+            _accum(b, gb.sum(axis=0).reshape(b.data.shape))
 
     return _from_op(data, (a, b), _bw)
-
-
-def _columns(x: np.ndarray) -> np.ndarray:
-    """[.., r, c] -> [(.., c), r]: every column of every batch matrix as one row."""
-    return np.swapaxes(x, -1, -2).reshape(-1, x.shape[-2])
 
 
 # ----------------------------------------------------------------- unary ops
@@ -242,7 +241,7 @@ def abs_(x):
     return _from_op(np.abs(x.data), (x,), lambda g: _accum(x, g * np.sign(x.data)))
 
 
-# ------------------------------------------------------------- shape & conv
+# ---------------------------------------------------------------- shape ops
 
 def transpose(x, axes):
     x = as_tensor(x)
@@ -295,71 +294,6 @@ def concat(xs, axis):
     return _from_op(data, xs, _bw)
 
 
-def _im2col(x: np.ndarray, K: int, dilation: int, T_out: int) -> np.ndarray:
-    """[B, C, N, T] -> [B, C*K, N*T_out]; row c*K + k is channel c shifted by k*dilation."""
-    B, C, N, _ = x.shape
-    if K == 1:
-        return x.reshape(B, C, N * T_out)
-    cols = np.stack([x[..., k * dilation: k * dilation + T_out] for k in range(K)], axis=2)
-    return cols.reshape(B, C * K, N * T_out)
-
-
-def _col2im(cols: np.ndarray, shape, K: int, dilation: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add [B, C*K, N*T_out] back onto [B, C, N, T]."""
-    if K == 1:
-        return cols.reshape(shape)
-    B, C, N, T = shape
-    T_out = T - dilation * (K - 1)
-    cols = cols.reshape(B, C, K, N, T_out)
-    out = np.zeros(shape, dtype=cols.dtype)
-    for k in range(K):
-        out[..., k * dilation: k * dilation + T_out] += cols[:, :, k]
-    return out
-
-
-def dilated_conv1d(x, kernel, dilation=1):
-    """Valid-only temporal convolution along the last axis.
-
-    x is [B, C_in, N, T], kernel [C_out, C_in, 1, K]; the output keeps the
-    node axis and shrinks time to T - dilation*(K-1). No padding, so every
-    output depends only on real inputs.
-
-    Computed as im2col: the K shifted windows are stacked on the channel
-    axis and one GEMM of [C_out, C_in*K] with [B, C_in*K, N*T_out] gives the
-    output; for K == 1 the column matrix is a reshape view of x. The column
-    matrix is not kept on the tape: the backward pass rebuilds it for the
-    kernel gradient, B products of [C_out, N*T_out] with [N*T_out, C_in*K]
-    summed over the batch (only [B, C_out, C_in*K] is materialised).
-    """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 4 or kernel.ndim != 4 or kernel.data.shape[2] != 1:
-        raise ValueError(f"expected x [B,C,N,T] and kernel [O,C,1,K], got {x.data.shape} and {kernel.data.shape}")
-    B, Ci, N, T = x.data.shape
-    Co, Ck, _, K = kernel.data.shape
-    if Ck != Ci:
-        raise ValueError(f"kernel expects {Ck} input channels, x has {Ci}")
-    if dilation < 1:
-        raise ValueError(f"dilation must be >= 1, got {dilation}")
-    T_out = T - dilation * (K - 1)
-    if T_out < 1:
-        raise ValueError(
-            f"time axis too short: T={T}, K={K}, dilation={dilation} needs T >= {dilation * (K - 1) + 1}"
-        )
-    w = kernel.data.reshape(Co, Ci * K)
-    out = np.matmul(w, _im2col(x.data, K, dilation, T_out)).reshape(B, Co, N, T_out)
-
-    def _bw(g):
-        g = g.reshape(B, Co, N * T_out)
-        if x.requires_grad:
-            _accum(x, _col2im(np.matmul(w.T, g), x.data.shape, K, dilation))
-        if kernel.requires_grad:
-            cols = _im2col(x.data, K, dilation, T_out)
-            gk = np.matmul(g, np.swapaxes(cols, -1, -2)).sum(axis=0)
-            _accum(kernel, gk.reshape(kernel.data.shape))
-
-    return _from_op(out, (x, kernel), _bw)
-
-
 # ------------------------------------------------------------------ reduces
 
 def _norm_axes(axes, ndim):
@@ -404,8 +338,10 @@ def reduce_mean(x, axes=None):
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into every reachable tracked tensor.
 
-    The loss must be scalar and still attached to its tape; the tape is
-    freed afterwards, so a second call on the same graph raises.
+    The loss must be scalar and still attached to its tape. Each interior
+    node is released as soon as its own rule has run: its gradient is
+    dropped and its tape links cleared, so only leaves keep .grad and a
+    second call on the same graph raises.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -438,8 +374,9 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
-    for node in topo:
         if node._parents:
+            # every consumer has run, so this gradient is final and no longer needed
+            node.grad = None
             node._parents = ()
             node._backward = None
             node._consumed = True

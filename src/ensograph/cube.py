@@ -58,8 +58,7 @@ class _BaseCube:
             raise ValidationError("cube must cover at least one month")
         if self.missing.shape != self.values.shape:
             raise ValidationError("missing mask shape does not match values")
-        live = self.values[~self.missing]
-        if not np.all(np.isfinite(live)):
+        if not np.all(np.isfinite(self.values) | self.missing):
             raise ValidationError("non-finite value without missing flag")
 
     @property
@@ -87,11 +86,11 @@ class SstCube(_BaseCube):
 
     def _check(self):
         super()._check()
-        live = self.values[~self.missing]
-        if live.size and (live.min() < SST_MIN or live.max() > SST_MAX):
-            bad = live[(live < SST_MIN) | (live > SST_MAX)][0]
+        bad = ((self.values < SST_MIN) | (self.values > SST_MAX)) & ~self.missing
+        if bad.any():
+            first = self.values.flat[np.argmax(bad)]
             raise ValidationError(
-                f"temperature {bad:.3f} degC outside plausible range [{SST_MIN}, {SST_MAX}]"
+                f"temperature {first:.3f} degC outside plausible range [{SST_MIN}, {SST_MAX}]"
             )
 
 

@@ -1,14 +1,22 @@
 """Spatiotemporal graph network forecasting node anomalies at several leads.
 
-Architecture, per forward pass: a 1x1 channel projection lifts the input
-window [B, 1, N, w] to the residual width, then each layer applies a gated
-dilated temporal convolution (one conv whose first half of output channels
-is the tanh filter and second half the sigmoid gate; valid-only, so time
-shrinks and no padding leaks), a mix-hop graph convolution over the
-adjacency learned from node embeddings (the layer input and its hops along
-both edge directions, concatenated on the channel axis and projected by one
-1x1 conv), a residual add, and a full-width skip projection. The relu'd
-skip sum feeds two 1x1 stages that emit one channel per lead: [B, H, N].
+Activations are node-major, [N, B, T, C], from the start projection to the
+head, and every learned stage is one adiff.matmul, which contracts the last
+axis of its left operand with the first axis of its right one: a channel
+projection is x @ w with a 2-D weight [C_in, C_out] plus a [C_out] bias,
+and the node mix is A @ x with an [N, N] adjacency.
+
+Architecture, per forward pass: a channel projection lifts the input window
+(transposed once from [B, 1, N, w] to [N, B, w, 1]) to the residual width,
+then each layer applies a gated dilated temporal convolution (the K dilated
+time slices side by side on the channel axis, projected by one weight whose
+first half of output columns is the tanh filter and second half the sigmoid
+gate; valid-only, so time shrinks and no padding leaks), a mix-hop graph
+convolution over the adjacency learned from node embeddings (the layer
+input and its hops along both edge directions, side by side on the channel
+axis and projected once), a residual add, and a skip projection of the
+whole remaining time axis. The relu'd skip sum feeds two projections that
+emit one channel per lead, [N, B, H], transposed once more to [B, H, N].
 
 Temporal receptive field is 1 + sum(dilation_l * (K - 1)); configs whose
 receptive field exceeds the input window are rejected outright.
@@ -29,7 +37,7 @@ from .errors import NumericalError, ValidationError
 from .graph import GraphLearnConfig, learn_adjacency, normalize, topk_sparsify
 from .grid import GridSpec
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -137,25 +145,27 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     shapes: list[tuple[str, tuple[int, ...], int]] = [
         ("e1", (config.n_nodes, config.graph.embed_dim), 0),
         ("e2", (config.n_nodes, config.graph.embed_dim), 0),
-        ("start_w", (cr, 1, 1, 1), 1),
+        ("start_w", (1, cr), 1),
         ("start_b", (cr,), 1),
     ]
     for l in range(config.layers):
         t_out = lengths[l + 1]
         shapes += [
-            # filter rows first, then gate rows
-            (f"l{l}_tcn_w", (2 * cc, cr, 1, K), cr * K),
+            # row k*cr + c reads channel c of time slice k; filter columns first, then gate
+            (f"l{l}_tcn_w", (K * cr, 2 * cc), cr * K),
             (f"l{l}_tcn_b", (2 * cc,), cr * K),
-            # fan_in of one hop block, so each block starts on the per-hop bound
-            (f"l{l}_mix_w", (cr, (2 * D + 1) * cc, 1, 1), cc),
+            # row s*cc + c reads channel c of state s; fan_in of one hop block,
+            # so each block starts on the per-hop bound
+            (f"l{l}_mix_w", ((2 * D + 1) * cc, cr), cc),
             (f"l{l}_mix_b", (cr,), cc),
-            (f"l{l}_skip_w", (cs, cr, 1, t_out), cr * t_out),
+            # row t*cr + c reads channel c at time t
+            (f"l{l}_skip_w", (t_out * cr, cs), cr * t_out),
             (f"l{l}_skip_b", (cs,), cr * t_out),
         ]
     shapes += [
-        ("end1_w", (ce, cs, 1, 1), cs),
+        ("end1_w", (cs, ce), cs),
         ("end1_b", (ce,), cs),
-        ("end2_w", (config.horizon, ce, 1, 1), ce),
+        ("end2_w", (ce, config.horizon), ce),
         ("end2_b", (config.horizon,), ce),
     ]
     return shapes
@@ -179,27 +189,31 @@ def init_params(config: ModelConfig, seed: int | None = None, dtype=np.float32) 
     return ModelParams(tensors)
 
 
-def _bias(b: Tensor, channels: int) -> Tensor:
-    return adiff.reshape(b, (1, channels, 1, 1))
-
-
-def _conv(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor:
-    out = adiff.dilated_conv1d(x, w, dilation)
-    return adiff.add(out, _bias(b, w.shape[0]))
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return adiff.add(adiff.matmul(x, w), b)
 
 
 def temporal_block(x, w, b, dilation: int) -> Tensor:
-    """Gated temporal convolution: tanh(filter) * sigmoid(gate).
+    """Gated temporal convolution on node-major x [N, B, T, C]: tanh(filter) * sigmoid(gate).
 
-    One conv with kernel [2C, C_in, 1, K] computes both; its first C output
-    channels are the filter, the last C the gate.
+    The K = w.shape[0] / C time slices x[:, :, k*dilation : k*dilation + T_out]
+    are joined on the channel axis, so one matmul with w [K*C, 2*C_out]
+    (row k*C + c) is the dilated convolution. Its first C_out output columns
+    are the filter, the last C_out the gate. Valid-only, so
+    T_out = T - dilation*(K - 1) and the output is [N, B, T_out, C_out].
     """
-    rows = w.shape[0]
-    if rows % 2:
-        raise ValueError(f"gated conv needs an even number of output channels, got {rows}")
-    y = _conv(x, w, b, dilation)
-    filt = adiff.tanh(adiff.narrow(y, 1, 0, rows // 2))
-    gate = adiff.sigmoid(adiff.narrow(y, 1, rows // 2, rows))
+    _, _, T, C = x.shape
+    rows, cols = w.shape
+    if cols % 2:
+        raise ValueError(f"gated conv needs an even number of output channels, got {cols}")
+    K = rows // C
+    t_out = T - dilation * (K - 1)
+    if dilation < 1 or t_out < 1:
+        raise ValueError(f"time axis of {T} does not fit kernel {K} at dilation {dilation}")
+    taps = [adiff.narrow(x, 2, k * dilation, k * dilation + t_out) for k in range(K)]
+    y = _linear(adiff.concat(taps, -1), w, b)
+    filt = adiff.tanh(adiff.narrow(y, -1, 0, cols // 2))
+    gate = adiff.sigmoid(adiff.narrow(y, -1, cols // 2, cols))
     return adiff.mul(filt, gate)
 
 
@@ -213,14 +227,14 @@ def _check_row_stochastic(a: Tensor):
 
 
 def mixhop_conv(h, a_fwd, a_bwd, beta, depth: int, w, b) -> Tensor:
-    """Mix-hop propagation along both edge directions, projected once.
+    """Mix-hop propagation of node-major h [N, B, T, C] along both edge directions, projected once.
 
     Hop j keeps beta of the layer input and propagates the rest:
-    h0 = h, hj = beta*h + (1-beta)*(A @ hj-1). The states
-    [h, fwd hops 1..depth, bwd hops 1..depth] are concatenated on the
-    channel axis and w [C_out, (2*depth+1)*C, 1, 1] projects them, so the
-    output is the sum of one 1x1 conv per state. Both adjacencies must be
-    row-stochastic.
+    h0 = h, hj = beta*h + (1-beta)*(A @ hj-1), where A @ h mixes the node
+    axis. The states [h, fwd hops 1..depth, bwd hops 1..depth] are joined
+    on the channel axis and w [(2*depth+1)*C, C_out] (row s*C + c for
+    state s) projects them, so the output is the sum of one projection per
+    state. Both adjacencies must be row-stochastic.
     """
     _check_row_stochastic(a_fwd)
     _check_row_stochastic(a_bwd)
@@ -231,7 +245,7 @@ def mixhop_conv(h, a_fwd, a_bwd, beta, depth: int, w, b) -> Tensor:
         for _ in range(depth):
             state = adiff.add(kept, adiff.mul(adiff.matmul(a, state), 1.0 - beta))
             states.append(state)
-    return _conv(adiff.concat(states, 1), w, b)
+    return _linear(adiff.concat(states, -1), w, b)
 
 
 def _check_finite(t: Tensor, layer: int, stage: str):
@@ -240,7 +254,11 @@ def _check_finite(t: Tensor, layer: int, stage: str):
 
 
 def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
-    """Full model: [B, 1, N, w] -> per-lead node predictions [B, H, N]."""
+    """Full model: [B, 1, N, w] -> per-lead node predictions [B, H, N].
+
+    One transpose takes the input to node-major [N, B, w, 1] and one takes
+    the head's [N, B, H] back; every stage between runs node-major.
+    """
     x = adiff.as_tensor(x)
     expect = (1, config.n_nodes, config.window)
     if x.ndim != 4 or x.shape[1:] != expect:
@@ -253,23 +271,24 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     a_fwd = normalize(a_sparse)
     a_bwd = normalize(adiff.transpose(a_sparse, (1, 0)))
 
-    h = _conv(x, params["start_w"], params["start_b"])
+    h = _linear(adiff.transpose(x, (2, 0, 3, 1)), params["start_w"], params["start_b"])
     skip = None
     for l in range(config.layers):
         t = temporal_block(h, params[f"l{l}_tcn_w"], params[f"l{l}_tcn_b"], config.dilations[l])
         _check_finite(t, l, "temporal")
         g = mixhop_conv(t, a_fwd, a_bwd, config.beta, config.mixhop_depth,
                         params[f"l{l}_mix_w"], params[f"l{l}_mix_b"])
-        T = h.shape[-1]
-        h = adiff.add(g, adiff.narrow(h, -1, T - t.shape[-1], T))
+        N, B, T, C = h.shape
+        t_out = t.shape[2]
+        h = adiff.add(g, adiff.narrow(h, 2, T - t_out, T))
         _check_finite(h, l, "residual")
-        s = _conv(h, params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
+        s = _linear(adiff.reshape(h, (N, B, t_out * C)), params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
         skip = s if skip is None else adiff.add(skip, s)
 
     out = adiff.relu(skip)
-    out = adiff.relu(_conv(out, params["end1_w"], params["end1_b"]))
-    out = _conv(out, params["end2_w"], params["end2_b"])  # [B, H, N, 1]
-    return adiff.reshape(out, out.shape[:3])
+    out = adiff.relu(_linear(out, params["end1_w"], params["end1_b"]))
+    out = _linear(out, params["end2_w"], params["end2_b"])  # [N, B, H]
+    return adiff.transpose(out, (1, 2, 0))
 
 
 def predicted_index(node_preds: np.ndarray, observed_tail, weights: np.ndarray, k: int) -> np.ndarray:

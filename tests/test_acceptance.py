@@ -23,7 +23,7 @@ from ensograph.graph import learn_adjacency, topk_sparsify
 from ensograph.grid import ONI_BOX, GridSpec, region_nodes
 from ensograph.samples import make_samples
 from ensograph.skill import forecast_index, table_from_forecasts
-from ensograph.stgnn import ModelConfig, forward, init_params
+from ensograph.stgnn import ModelConfig, forward, init_params, temporal_block
 from ensograph.synth import SynthConfig, generate
 from ensograph.train import TrainConfig, train
 from helpers import random_anoms, random_sst, small_grid, tiny_config
@@ -77,8 +77,9 @@ def _op_cases(rng):
     linear("matmul", lambda: adiff.matmul(m1, m2), (3, 5), {"m1": m1, "m2": m2})
 
     b1 = leaf(rng.standard_normal((2, 3, 4)))
-    b2 = leaf(rng.standard_normal((2, 4, 5)))
-    linear("matmul_batched", lambda: adiff.matmul(b1, b2), (2, 3, 5), {"b1": b1, "b2": b2})
+    linear("matmul_lead_axes", lambda: adiff.matmul(b1, m2), (2, 3, 5), {"b1": b1, "m2": m2})
+    b2 = leaf(rng.standard_normal((4, 2, 5)))
+    linear("matmul_trail_axes", lambda: adiff.matmul(m1, b2), (3, 2, 5), {"m1": m1, "b2": b2})
 
     kinked = leaf(_signed_away_from_zero(rng, (3, 4)))
     linear("relu", lambda: adiff.relu(kinked), (3, 4), {"x": kinked})
@@ -97,12 +98,14 @@ def _op_cases(rng):
     linear("concat", lambda: adiff.concat([t3, w1, w2], 1), (2, 6, 4),
            {"x": t3, "w1": w1, "w2": w2})
 
-    cx = leaf(rng.standard_normal((2, 3, 2, 6)))
-    ck = leaf(rng.standard_normal((4, 3, 1, 2)))
-    linear("conv_d1", lambda: adiff.dilated_conv1d(cx, ck, 1), (2, 4, 2, 5),
-           {"x": cx, "k": ck})
-    linear("conv_d2", lambda: adiff.dilated_conv1d(cx, ck, 2), (2, 4, 2, 4),
-           {"x": cx, "k": ck})
+    # the gated temporal conv: K = 2 dilated time slices of node-major [N, B, T, C] into one matmul
+    cx = leaf(rng.standard_normal((2, 2, 6, 3)))
+    ck = leaf(rng.standard_normal((6, 4)))
+    cb = leaf(rng.standard_normal((4,)))
+    linear("temporal_d1", lambda: temporal_block(cx, ck, cb, 1), (2, 2, 5, 2),
+           {"x": cx, "k": ck, "b": cb})
+    linear("temporal_d2", lambda: temporal_block(cx, ck, cb, 2), (2, 2, 4, 2),
+           {"x": cx, "k": ck, "b": cb})
 
     r = leaf(rng.standard_normal((3, 4, 2)))
     cases.append(("reduce_sum", lambda: adiff.reduce_sum(r), {"x": r}))

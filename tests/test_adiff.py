@@ -9,7 +9,6 @@ from ensograph.adiff import (
     as_tensor,
     backward,
     concat,
-    dilated_conv1d,
     div,
     grad_check,
     matmul,
@@ -90,9 +89,12 @@ def test_sigmoid_is_stable_at_large_inputs():
 
 def test_matmul_values_against_numpy():
     rng = np.random.default_rng(0)
-    for sa, sb in (((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5)), ((4, 4), (2, 3, 4, 5))):
+    # the last axis of a against the first of b, as the projections and the node mix use it
+    for sa, sb in (((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((4, 4), (4, 2, 3, 5)), ((5, 2, 3, 4), (4, 6))):
         a, b = rng.standard_normal(sa), rng.standard_normal(sb)
-        np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, a @ b, rtol=1e-13)
+        np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, np.tensordot(a, b, 1), rtol=1e-13)
+    with pytest.raises(ValueError, match="inner dimensions"):
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4))))
 
 
 def test_shape_op_values():
@@ -108,32 +110,6 @@ def test_shape_op_values():
     np.testing.assert_allclose(reduce_sum(Tensor(x)).data, x.sum())
     np.testing.assert_allclose(reduce_sum(Tensor(x), 1).data, x.sum(axis=1))
     np.testing.assert_allclose(reduce_mean(Tensor(x), (0, 2)).data, x.mean(axis=(0, 2)))
-
-
-def test_dilated_conv_value_by_quadruple_loop():
-    rng = np.random.default_rng(2)
-    B, Ci, Co, N, T, K, d = 2, 3, 2, 4, 7, 2, 2
-    x = rng.standard_normal((B, Ci, N, T))
-    w = rng.standard_normal((Co, Ci, 1, K))
-    out = dilated_conv1d(Tensor(x), Tensor(w), dilation=d).data
-    T_out = T - d * (K - 1)
-    assert out.shape == (B, Co, N, T_out)
-    for b in range(B):
-        for o in range(Co):
-            for n in range(N):
-                for t in range(T_out):
-                    acc = 0.0
-                    for c in range(Ci):
-                        for kk in range(K):
-                            acc += w[o, c, 0, kk] * x[b, c, n, t + kk * d]
-                    assert abs(out[b, o, n, t] - acc) < 1e-12
-
-
-def test_dilated_conv_rejects_too_short_input():
-    x = Tensor(np.zeros((1, 1, 1, 2)))
-    w = Tensor(np.zeros((1, 1, 1, 3)))
-    with pytest.raises(ValueError):
-        dilated_conv1d(x, w, dilation=1)
 
 
 # ---------------------------------------------------------------- gradients
@@ -220,35 +196,26 @@ def test_broadcast_gradients_pass_grad_check():
 
 
 def test_batched_matmul_grad_check():
+    # leading axes of a and trailing axes of b both ride along the contraction
     rng = np.random.default_rng(6)
     a = _t(rng, 2, 3, 4)
     b = _t(rng, 4, 5)
-    bb = _t(rng, 2, 4, 5)
-    for f in (lambda: reduce_sum(matmul(a, b)), lambda: reduce_sum(matmul(a, bb))):
-        for r in grad_check(f, {"a": a, "b": b, "bb": bb}):
+    m = _t(rng, 3, 4)
+    bb = _t(rng, 4, 2, 5)
+    weigh_l = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=False)
+    weigh_r = Tensor(rng.standard_normal((3, 2, 5)), requires_grad=False)
+    for f in (lambda: reduce_sum(mul(matmul(a, b), weigh_l)), lambda: reduce_sum(mul(matmul(m, bb), weigh_r))):
+        for r in grad_check(f, {"a": a, "b": b, "m": m, "bb": bb}):
             assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
-    # a 2-D operand broadcast over both batch axes of a 4-D one, on either side
-    m = _t(rng, 4, 4)
-    h = _t(rng, 2, 3, 4, 2)
+    # the node mix's shape: an [N, N] adjacency over a node-major [N, B, T, C] activation
+    adj = _t(rng, 4, 4)
+    h = _t(rng, 4, 2, 3, 2)
     w = _t(rng, 2, 3)
-    weigh_l = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=False)
-    weigh_r = Tensor(rng.standard_normal((2, 3, 4, 3)), requires_grad=False)
-    for f in (lambda: reduce_sum(mul(matmul(m, h), weigh_l)), lambda: reduce_sum(mul(matmul(h, w), weigh_r))):
-        for r in grad_check(f, {"m": m, "h": h, "w": w}):
+    weigh_n = Tensor(rng.standard_normal((4, 2, 3, 2)), requires_grad=False)
+    weigh_c = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=False)
+    for f in (lambda: reduce_sum(mul(matmul(adj, h), weigh_n)), lambda: reduce_sum(mul(matmul(h, w), weigh_c))):
+        for r in grad_check(f, {"adj": adj, "h": h, "w": w}):
             assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
-
-
-def test_dilated_conv_grad_check():
-    # (K, dilation, T): K = 1 is the reshape-view path, K = T the skip conv's shape
-    for seed, (K, dilation, T) in enumerate(((2, 2, 7), (1, 1, 3), (3, 2, 7), (4, 1, 4))):
-        rng = np.random.default_rng(7 + seed)
-        x = _t(rng, 2, 3, 4, T)
-        w = _t(rng, 2, 3, 1, K)
-        T_out = T - dilation * (K - 1)
-        weigh = Tensor(rng.standard_normal((2, 2, 4, T_out)), requires_grad=False)
-        f = lambda: reduce_sum(mul(dilated_conv1d(x, w, dilation=dilation), weigh))
-        for r in grad_check(f, {"x": x, "w": w}):
-            assert r.passed, f"K={K} d={dilation} T={T} {r.name}: rel err {r.max_rel_err:.2e}"
 
 
 def test_narrow_gradient_zero_pads_outside_the_slice():
@@ -318,6 +285,14 @@ def test_backward_requires_scalar_loss():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
         backward(mul(x, x))
+
+
+def test_backward_releases_interior_gradients():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = tanh(x)
+    backward(reduce_sum(mul(y, y)))
+    assert y.grad is None
+    np.testing.assert_allclose(x.grad, 2.0 * np.tanh(x.data) * (1.0 - np.tanh(x.data) ** 2), rtol=1e-15)
 
 
 def test_backward_twice_raises():

@@ -43,8 +43,15 @@ def test_sst_plausibility_gate():
     for bad in (46.0, -6.0):
         v = values.copy()
         v[1, 0, 0] = bad
-        with pytest.raises(ValidationError):
+        v[1, 1, 1] = 50.0
+        with pytest.raises(ValidationError, match=f"temperature {bad:.3f} degC"):
             SstCube(g, (1950, 1), v, missing)
+    # a missing cell's value is not a temperature
+    v = values.copy()
+    v[1, 0, 0] = 46.0
+    flagged = missing.copy()
+    flagged[1, 0, 0] = True
+    SstCube(g, (1950, 1), v, flagged)
     # anomalies carry no such gate
     AnomalyCube(g, (1950, 1), values - 20.0, missing)
 

@@ -1,7 +1,9 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no tape op
+ships without a float64 gradient check in the release gate.
 
-The repository has no linter, so this AST scan keeps unused imports from
-creeping back into the package and the tests.
+The repository has no linter, so these AST scans keep unused imports from
+creeping back into the package and the tests, and keep every public adiff
+function that builds a tape node named in test_acceptance._op_cases.
 """
 
 import ast
@@ -60,3 +62,41 @@ def test_scan_sees_unused_and_used_names():
         "    return np.zeros(b)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "d")]
+
+
+def tape_ops(source: str) -> set[str]:
+    """Public functions of an adiff source that build a tape node."""
+    builders = {"_from_op", "_binary", "_reduce"}
+    return {
+        node.name for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id in builders
+                for c in ast.walk(node))
+    }
+
+
+def gate_checked_ops(source: str) -> set[str]:
+    """Every adiff.<name> the release gate's _op_cases refers to."""
+    cases = next(node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_op_cases")
+    return {node.attr for node in ast.walk(cases)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "adiff"}
+
+
+def test_every_tape_op_has_a_gate_gradient_check():
+    ops = tape_ops((ROOT / "src" / "ensograph" / "adiff.py").read_text())
+    assert {"add", "matmul", "narrow", "concat", "reduce_mean"} <= ops
+    missing = sorted(ops - gate_checked_ops((ROOT / "tests" / "test_acceptance.py").read_text()))
+    assert not missing, f"tape ops with no float64 case in test_acceptance._op_cases: {missing}"
+
+
+def test_tape_op_scan_sees_builders_and_gate_cases():
+    adiff_source = (
+        "def add(a, b):\n    return _binary(a, b, f, g, h)\n"
+        "def total(x):\n    return _reduce(x, None, False)\n"
+        "def _helper(x):\n    return _from_op(x, (), None)\n"
+        "def backward(loss):\n    return None\n"
+    )
+    assert tape_ops(adiff_source) == {"add", "total"}
+    gate_source = "def _op_cases(rng):\n    return [adiff.add(1, 2)]\ndef other():\n    adiff.total(1)\n"
+    assert gate_checked_ops(gate_source) == {"add"}

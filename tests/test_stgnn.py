@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ensograph.adiff import Tensor, backward, reduce_sum
+from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum
+from ensograph.cli import main
 from ensograph.errors import NumericalError, ValidationError
 from ensograph.graph import GraphLearnConfig
 from ensograph.grid import GridSpec
@@ -74,17 +75,19 @@ def test_param_shapes_wire_up():
     shapes = dict((n, s) for n, s, _ in param_shapes(cfg))
     assert len(shapes) == 20
     assert shapes["e1"] == (6, 3)
-    assert shapes["start_w"] == (4, 1, 1, 1)
-    # filter and gate rows in one kernel
-    assert shapes["l0_tcn_w"] == (8, 4, 1, 2)
+    assert shapes["start_w"] == (1, 4)
+    # K time slices of 4 channels in, filter and gate columns out
+    assert shapes["l0_tcn_w"] == (8, 8)
     assert shapes["l0_tcn_b"] == (8,)
     # one projection of [h, 2 forward hops, 2 backward hops]
-    assert shapes["l0_mix_w"] == (4, 20, 1, 1)
+    assert shapes["l0_mix_w"] == (20, 4)
     assert shapes["l0_mix_b"] == (4,)
-    # skip kernels span the full remaining time axis of their layer
-    assert shapes["l0_skip_w"] == (4, 4, 1, 2)
-    assert shapes["l1_skip_w"] == (4, 4, 1, 1)
-    assert shapes["end2_w"] == (2, 8, 1, 1)
+    # skip weights span the full remaining time axis of their layer
+    assert shapes["l0_skip_w"] == (8, 4)
+    assert shapes["l1_skip_w"] == (4, 4)
+    assert shapes["end2_w"] == (8, 2)
+    # every learned weight is a plain [C_in, C_out] matrix
+    assert all(len(s) == 2 for n, s in shapes.items() if n.endswith("_w"))
 
 
 def test_init_is_seed_deterministic():
@@ -112,64 +115,113 @@ def test_init_respects_fan_in_bounds():
 
 # ------------------------------------------------------------------- blocks
 
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def test_temporal_block_matches_numpy_reference():
     rng = np.random.default_rng(0)
-    B, Ci, Co, N, T, K = 1, 2, 3, 4, 5, 2
-    x = rng.standard_normal((B, Ci, N, T))
-    w = rng.standard_normal((2 * Co, Ci, 1, K))
+    N, B, T, Ci, Co, K = 4, 1, 5, 2, 3, 2
+    x = rng.standard_normal((N, B, T, Ci))
+    w = rng.standard_normal((K * Ci, 2 * Co))
     b = rng.standard_normal(2 * Co)
     out = temporal_block(Tensor(x), Tensor(w), Tensor(b), 1).data
-    fw, fb, gw, gb = w[:Co], b[:Co], w[Co:], b[Co:]
+    fw, fb, gw, gb = w[:, :Co], b[:Co], w[:, Co:], b[Co:]
 
     def conv(w, b):
-        o = np.zeros((B, Co, N, T - K + 1))
+        o = np.zeros((N, B, T - K + 1, Co))
         for kk in range(K):
-            o += np.einsum("oc,bcnt->bont", w[:, :, 0, kk], x[:, :, :, kk:kk + T - K + 1])
-        return o + b[None, :, None, None]
+            o += np.einsum("co,nbtc->nbto", w[kk * Ci:(kk + 1) * Ci], x[:, :, kk:kk + T - K + 1])
+        return o + b
 
-    ref = np.tanh(conv(fw, fb)) * (1.0 / (1.0 + np.exp(-conv(gw, gb))))
+    ref = np.tanh(conv(fw, fb)) * _sigmoid(conv(gw, gb))
     np.testing.assert_allclose(out, ref, atol=1e-12)
     with pytest.raises(ValueError, match="even"):
-        temporal_block(Tensor(x), Tensor(w[1:]), Tensor(b[1:]), 1)
+        temporal_block(Tensor(x), Tensor(w[:, 1:]), Tensor(b[1:]), 1)
+    with pytest.raises(ValueError, match="inner dimensions"):
+        temporal_block(Tensor(x), Tensor(w[1:]), Tensor(b), 1)
+
+
+def test_temporal_block_value_by_quadruple_loop():
+    rng = np.random.default_rng(2)
+    N, B, T, Ci, Co, K, d = 4, 2, 7, 3, 2, 2, 2
+    x = rng.standard_normal((N, B, T, Ci))
+    w = rng.standard_normal((K * Ci, 2 * Co))
+    b = rng.standard_normal(2 * Co)
+    out = temporal_block(Tensor(x), Tensor(w), Tensor(b), d).data
+    T_out = T - d * (K - 1)
+    assert out.shape == (N, B, T_out, Co)
+    for n in range(N):
+        for bb in range(B):
+            for t in range(T_out):
+                for o in range(Co):
+                    filt, gate = b[o], b[Co + o]
+                    for kk in range(K):
+                        for c in range(Ci):
+                            filt += w[kk * Ci + c, o] * x[n, bb, t + kk * d, c]
+                            gate += w[kk * Ci + c, Co + o] * x[n, bb, t + kk * d, c]
+                    assert abs(out[n, bb, t, o] - np.tanh(filt) * _sigmoid(gate)) < 1e-12
+
+
+def test_temporal_block_rejects_too_short_input():
+    x = Tensor(np.zeros((1, 1, 2, 1)))
+    with pytest.raises(ValueError, match="time axis"):
+        temporal_block(x, Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)), 1)
+    with pytest.raises(ValueError, match="time axis"):
+        temporal_block(x, Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)), 2)
+
+
+def test_temporal_block_grad_check():
+    # (K, dilation, T): K = 1 is a single slice, K = T the longest kernel the input admits
+    for seed, (K, dilation, T) in enumerate(((2, 2, 7), (1, 1, 3), (3, 2, 7), (4, 1, 4))):
+        rng = np.random.default_rng(7 + seed)
+        x = Tensor(rng.standard_normal((4, 2, T, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((K * 3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        T_out = T - dilation * (K - 1)
+        weigh = Tensor(rng.standard_normal((4, 2, T_out, 2)))
+        f = lambda: reduce_sum(mul(temporal_block(x, w, b, dilation), weigh))
+        for r in grad_check(f, {"x": x, "w": w, "b": b}):
+            assert r.passed, f"K={K} d={dilation} T={T} {r.name}: rel err {r.max_rel_err:.2e}"
 
 
 def test_temporal_block_saturated_gate_passes_filter():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((1, 2, 3, 4))
-    fw = rng.standard_normal((2, 2, 1, 2))
-    w = np.concatenate([fw, np.zeros((2, 2, 1, 2))])
-    b = np.concatenate([np.zeros(2), np.full(2, 50.0)])  # gate rows: sigmoid(50) = 1
+    x = rng.standard_normal((3, 1, 4, 2))
+    fw = rng.standard_normal((4, 2))
+    w = np.concatenate([fw, np.zeros((4, 2))], axis=1)
+    b = np.concatenate([np.zeros(2), np.full(2, 50.0)])  # gate columns: sigmoid(50) = 1
     out = temporal_block(Tensor(x), Tensor(w), Tensor(b), 1).data
-    filt = np.zeros((1, 2, 3, 3))
+    filt = np.zeros((3, 1, 3, 2))
     for kk in range(2):
-        filt += np.einsum("oc,bcnt->bont", fw[:, :, 0, kk], x[:, :, :, kk:kk + 3])
+        filt += np.einsum("co,nbtc->nbto", fw[kk * 2:(kk + 1) * 2], x[:, :, kk:kk + 3])
     np.testing.assert_allclose(out, np.tanh(filt), atol=1e-12)
 
 
 def _mixprop_ref(h, a, beta, ws, b):
-    out = np.einsum("oc,bcnt->bont", ws[0][:, :, 0, 0], h)
+    out = np.einsum("co,nbtc->nbto", ws[0], h)
     state = h
     for j in range(1, len(ws)):
-        state = beta * h + (1.0 - beta) * np.einsum("ij,bcjt->bcit", a, state)
-        out += np.einsum("oc,bcnt->bont", ws[j][:, :, 0, 0], state)
-    return out + b[None, :, None, None]
+        state = beta * h + (1.0 - beta) * np.einsum("ij,jbtc->ibtc", a, state)
+        out += np.einsum("co,nbtc->nbto", ws[j], state)
+    return out + b
 
 
 def _blocks(w, n):
-    """Split a fused mix-hop kernel [O, n*C, 1, 1] into its n per-state kernels."""
-    return np.split(w, n, axis=1)
+    """Split a fused mix-hop weight [n*C, O] into its n per-state weights."""
+    return np.split(w, n, axis=0)
 
 
 def test_mixhop_matches_numpy_reference():
     rng = np.random.default_rng(2)
-    B, C, Co, N, T, D = 2, 3, 4, 5, 2, 2
-    h = rng.standard_normal((B, C, N, T))
+    N, B, T, C, Co, D = 5, 2, 2, 3, 4, 2
+    h = rng.standard_normal((N, B, T, C))
     raw = np.abs(rng.standard_normal((N, N)))
     np.fill_diagonal(raw, 0.0)
     a_fwd = (raw + np.eye(N)) / (raw + np.eye(N)).sum(axis=1, keepdims=True)
     a_bwd = (raw.T + np.eye(N)) / (raw.T + np.eye(N)).sum(axis=1, keepdims=True)
     beta = 0.3
-    w = rng.standard_normal((Co, (2 * D + 1) * C, 1, 1))
+    w = rng.standard_normal(((2 * D + 1) * C, Co))
     b = rng.standard_normal(Co)
 
     out = mixhop_conv(Tensor(h), Tensor(a_fwd), Tensor(a_bwd), beta, D, Tensor(w), Tensor(b)).data
@@ -183,26 +235,26 @@ def test_mixhop_matches_numpy_reference():
 
 def test_mixhop_identity_adjacency_collapses_hops():
     rng = np.random.default_rng(3)
-    B, C, N, T = 1, 2, 4, 3
-    h = rng.standard_normal((B, C, N, T))
+    N, B, T, C = 4, 1, 3, 2
+    h = rng.standard_normal((N, B, T, C))
     eye = np.eye(N)
-    w = rng.standard_normal((C, 5 * C, 1, 1))
+    w = rng.standard_normal((5 * C, C))
     b = np.zeros(C)
     out = mixhop_conv(Tensor(h), Tensor(eye), Tensor(eye), 0.05, 2, Tensor(w), Tensor(b)).data
     # with A = I every hop state equals h, so the sum collapses to h @ sum(Wj)
     wsum = sum(_blocks(w, 5))
-    ref = np.einsum("oc,bcnt->bont", wsum[:, :, 0, 0], h)
+    ref = np.einsum("co,nbtc->nbto", wsum, h)
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
 def test_mixhop_beta_one_ignores_the_graph():
     rng = np.random.default_rng(4)
-    B, C, N, T = 1, 2, 5, 3
-    h = rng.standard_normal((B, C, N, T))
+    N, B, T, C = 5, 1, 3, 2
+    h = rng.standard_normal((N, B, T, C))
     raw = np.abs(rng.standard_normal((N, N)))
     a = (raw + np.eye(N)) / (raw + np.eye(N)).sum(axis=1, keepdims=True)
     a_t = (raw.T + np.eye(N)) / (raw.T + np.eye(N)).sum(axis=1, keepdims=True)
-    w = Tensor(rng.standard_normal((C, 3 * C, 1, 1)))
+    w = Tensor(rng.standard_normal((3 * C, C)))
     b = Tensor(rng.standard_normal(C))
     eye = Tensor(np.eye(N))
     out_a = mixhop_conv(Tensor(h), Tensor(a), Tensor(a_t), 1.0, 1, w, b).data
@@ -211,10 +263,10 @@ def test_mixhop_beta_one_ignores_the_graph():
 
 
 def test_mixhop_rejects_non_row_stochastic():
-    h = Tensor(np.zeros((1, 2, 3, 2)))
+    h = Tensor(np.zeros((3, 1, 2, 2)))
     bad = Tensor(np.full((3, 3), 0.9))
     eye = Tensor(np.eye(3))
-    w = Tensor(np.zeros((2, 2, 1, 1)))
+    w = Tensor(np.zeros((2, 2)))
     b = Tensor(np.zeros(2))
     with pytest.raises(ValueError, match="row-stochastic"):
         mixhop_conv(h, bad, eye, 0.05, 0, w, b)
@@ -223,11 +275,11 @@ def test_mixhop_rejects_non_row_stochastic():
 
 
 def test_mixhop_rejects_nan_adjacency():
-    h = Tensor(np.zeros((1, 2, 3, 2)))
+    h = Tensor(np.zeros((3, 1, 2, 2)))
     eye = np.eye(3)
     nan = eye.copy()
     nan[1, 2] = np.nan
-    w = Tensor(np.zeros((2, 2, 1, 1)))
+    w = Tensor(np.zeros((2, 2)))
     b = Tensor(np.zeros(2))
     with pytest.raises(NumericalError, match="mix-hop"):
         mixhop_conv(h, Tensor(nan), Tensor(eye), 0.05, 0, w, b)
@@ -465,14 +517,30 @@ def test_checkpoint_rejects_tampering(tmp_path):
     with pytest.raises(ValidationError, match="version"):
         load_checkpoint(p3)
 
+    # the records version 2 wrote for this config: [C_out, C_in, 1, K] kernels, channel-major
+    def kernel(name, *shape):
+        return [{"name": f"{name}_w", "shape": list(shape)}, {"name": f"{name}_b", "shape": [shape[0]]}]
+
+    v2_tensors = [{"name": "e1", "shape": [6, 3]}, {"name": "e2", "shape": [6, 3]}] + kernel("start", 4, 1, 1, 1)
+    for layer, t_out in (("l0", 2), ("l1", 1)):
+        v2_tensors += (kernel(f"{layer}_tcn", 8, 4, 1, 2) + kernel(f"{layer}_mix", 4, 20, 1, 1)
+                       + kernel(f"{layer}_skip", 4, 4, 1, t_out))
+    v2_tensors += kernel("end1", 8, 4, 1, 1) + kernel("end2", 2, 8, 1, 1)
+    assert [r["name"] for r in v2_tensors] == [r["name"] for r in header["tensors"]]
+    v2 = dict(header, format_version=2, tensors=v2_tensors)
+    p7 = tmp_path / "v2.bin"
+    p7.write_bytes(json.dumps(v2).encode() + b"\n" + raw[cut + 1:])  # same element counts
+    with pytest.raises(ValidationError, match="unsupported checkpoint version 2"):
+        load_checkpoint(p7)
+    assert main(["graph-export", "--checkpoint", str(p7), "--out", str(tmp_path / "e.csv")]) == 2
+
     # the records version 1 wrote: filter and gate apart, one kernel per mix-hop state and direction
     v1_tensors = []
-    for r in header["tensors"]:
+    for r in v2_tensors:
         layer, _, kind = r["name"].partition("_")
         if kind == "tcn_w":
             for g in ("filter", "gate"):
-                v1_tensors += [{"name": f"{layer}_{g}_w", "shape": [4, 4, 1, 2]},
-                               {"name": f"{layer}_{g}_b", "shape": [4]}]
+                v1_tensors += kernel(f"{layer}_{g}", 4, 4, 1, 2)
         elif kind == "mix_w":
             for d in ("fwd", "bwd"):
                 v1_tensors += [{"name": f"{layer}_mix_{d}_w{j}", "shape": [4, 4, 1, 1]} for j in range(3)]
