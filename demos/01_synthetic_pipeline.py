@@ -26,9 +26,9 @@ from ensograph import (
     region_nodes,
     split_by_years,
     table_from_forecasts,
-    train,
 )
 from ensograph.grid import ONI_BOX
+from ensograph.train import train
 
 cube, latent = generate(SynthConfig(months=360))
 print(f"cube: {cube.n_time} months on {cube.grid.n_cells} cells, "

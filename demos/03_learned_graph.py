@@ -25,9 +25,9 @@ from ensograph import (
     make_samples,
     region_nodes,
     topk_sparsify,
-    train,
 )
 from ensograph.grid import ONI_BOX, node_coords
+from ensograph.train import train
 
 cube, _ = generate(SynthConfig(months=240))
 nodes = region_nodes(cube.grid, ONI_BOX)

@@ -41,7 +41,7 @@ from .stgnn import (
     save_checkpoint,
 )
 from .synth import SynthConfig, generate
-from .train import TrainConfig, TrainResult, adam_step, train
+from .train import TrainConfig, TrainResult, adam_step
 
 __all__ = [
     "AnomalyCube",
@@ -92,5 +92,4 @@ __all__ = [
     "split_by_years",
     "table_from_forecasts",
     "topk_sparsify",
-    "train",
 ]

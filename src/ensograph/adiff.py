@@ -6,6 +6,10 @@ that implicit tape in reverse topological order, summing gradients over
 every path and releasing each interior node once its rule has run.
 float32 is the working precision; build float64 tensors for
 verification-grade finite-difference checks.
+
+One rule accumulates gradients: a tensor's first gradient is kept by
+reference, and each later one replaces it with a new sum, so no gradient
+array is written after it is made. The loss is seeded the same way.
 """
 
 from __future__ import annotations
@@ -51,44 +55,10 @@ class Tensor:
 
     def zero_grad(self):
         if self.grad is not None:
-            self.grad.fill(0.0)
+            self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axes=None):
-        return reduce_sum(self, axes)
-
-    def mean(self, axes=None):
-        return reduce_mean(self, axes)
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -115,12 +85,10 @@ def _from_op(data, parents, backward_fn):
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
-    else:
-        t.grad += g
+    # g may be shared with a sibling or be a read-only broadcast view, so it is
+    # kept by reference and never written; a later gradient makes a new sum
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
@@ -229,11 +197,6 @@ def sigmoid(x):
     x = as_tensor(x)
     y = _stable_sigmoid(x.data)
     return _from_op(y, (x,), lambda g: _accum(x, g * y * (1.0 - y)))
-
-
-def neg(x):
-    x = as_tensor(x)
-    return _from_op(-x.data, (x,), lambda g: _accum(x, -g))
 
 
 def abs_(x):
@@ -368,9 +331,7 @@ def backward(loss: Tensor):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad += np.ones_like(loss.data)
+    _accum(loss, np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)

@@ -19,13 +19,6 @@ def add_months(ym: Month, n: int) -> Month:
     return total // 12, total % 12 + 1
 
 
-def month_index(start: Month, ym: Month) -> int:
-    """Offset in months of ym relative to start (negative if earlier)."""
-    y0, m0 = check_ym(start)
-    y1, m1 = check_ym(ym)
-    return (y1 - y0) * 12 + (m1 - m0)
-
-
 def month_range(start: Month, n: int) -> list[Month]:
     return [add_months(start, i) for i in range(n)]
 

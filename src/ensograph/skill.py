@@ -14,7 +14,7 @@ import numpy as np
 from .adiff import Tensor
 from .cube import AnomalyCube
 from .errors import ValidationError
-from .grid import ONI_BOX, RegionBox, node_weights, region_nodes
+from .grid import ONI_BOX, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, running_mean
 from .months import Month, add_months
 from .samples import make_samples
@@ -139,7 +139,6 @@ def forecast_index(
     config: ModelConfig,
     anoms: AnomalyCube,
     *,
-    box: RegionBox = ONI_BOX,
     leads=(1, 3, 6),
     k: int = 3,
     weighting: str = "coslat",
@@ -170,7 +169,7 @@ def forecast_index(
         )
     if config.window < half:
         raise ValidationError(f"window {config.window} too short for k={k} smoothing")
-    nodes = region_nodes(anoms.grid, box)
+    nodes = region_nodes(anoms.grid, ONI_BOX)
     if len(nodes) != config.n_nodes:
         raise ValidationError(
             f"region has {len(nodes)} nodes but the model expects {config.n_nodes}"

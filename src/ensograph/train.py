@@ -1,9 +1,12 @@
 """Deterministic minibatch training: MAE objective, Adam, gradient clipping.
 
-Everything runs in float32 on one thread of numpy, shuffling with a seeded
-PCG64 generator, so a (config, seed, data) triple reproduces the same
-parameters bit for bit. Inputs are scaled by one global standard deviation
-measured on the training inputs; that scale travels with the checkpoint.
+MAE is the only objective. Adam runs with BETA1, BETA2 and EPS, and the
+global gradient norm is clipped to CLIP_NORM; TrainConfig holds only what a
+caller varies. Everything runs in float32 on one thread of numpy, shuffling
+every epoch with a seeded PCG64 generator, so a (config, seed, data) triple
+reproduces the same parameters bit for bit. Inputs are scaled by one global
+standard deviation measured on the training inputs; that scale travels with
+the checkpoint.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import hashlib
 import json
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,9 @@ from .errors import NumericalError
 from .samples import SampleSet
 from .stgnn import ModelConfig, ModelParams, forward, init_params
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 5.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -30,12 +36,6 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 32
     seed: int = 0
-    clip_norm: float = 5.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    shuffle: bool = True
-    loss: str = "mae"
     val_fraction: float = 0.1
 
     def __post_init__(self):
@@ -45,12 +45,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ValueError("betas must lie in (0, 1)")
-        if self.loss not in ("mae", "mse"):
-            raise ValueError(f"loss must be 'mae' or 'mse', got {self.loss!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
 
@@ -86,13 +80,6 @@ def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
     return adiff.reduce_mean(adiff.abs_(adiff.sub(pred, target)))
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    if pred.shape != target.shape:
-        raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    diff = adiff.sub(pred, target)
-    return adiff.reduce_mean(adiff.mul(diff, diff))
-
-
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -111,16 +98,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One bias-corrected Adam update; returns (new_params, new_state)."""
     if t < 1:
         raise ValueError("step count t starts at 1")
-    bc1 = 1.0 - config.beta1 ** t
-    bc2 = 1.0 - config.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     new_p, new_m, new_v = {}, {}, {}
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {name!r}")
-        m = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        v = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
-        update = config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        update = config.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         new_p[name] = p - update
         new_m[name] = m
         new_v[name] = v
@@ -147,15 +134,14 @@ def _batch_tensors(inputs: np.ndarray, targets: np.ndarray, idx: np.ndarray):
     return Tensor(np.ascontiguousarray(xb)), Tensor(np.ascontiguousarray(targets[idx]))
 
 
-def _eval_loss(params, config, tconfig, inputs, targets, chunk=256) -> float:
-    lossfn = mae_loss if tconfig.loss == "mae" else mse_loss
+def _eval_loss(params, config, inputs, targets, chunk=256) -> float:
     # detached copies share the buffers, so the validation forward builds no tape
     detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
     total, count = 0.0, 0
     for lo in range(0, inputs.shape[0], chunk):
         idx = np.arange(lo, min(lo + chunk, inputs.shape[0]))
         xb, yb = _batch_tensors(inputs, targets, idx)
-        loss = lossfn(forward(detached, config, xb), yb)
+        loss = mae_loss(forward(detached, config, xb), yb)
         total += loss.item() * idx.size
         count += idx.size
     return total / count
@@ -196,24 +182,23 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
     flat = {name: t.data for name, t in params.items()}
     state = AdamState.zeros_like(flat)
     rng = np.random.default_rng(tconfig.seed)
-    lossfn = mae_loss if tconfig.loss == "mae" else mse_loss
     history = TrainHistory()
     started = time.perf_counter()
     step = 0
 
     for epoch in range(tconfig.epochs):
-        order = rng.permutation(n_train) if tconfig.shuffle else np.arange(n_train)
+        order = rng.permutation(n_train)
         epoch_sum, epoch_count = 0.0, 0
         for lo in range(0, n_train, tconfig.batch_size):
             idx = order[lo: lo + tconfig.batch_size]
             xb, yb = _batch_tensors(inputs, targets, idx)
             params.zero_grad()
-            loss = lossfn(forward(params, config, xb), yb)
+            loss = mae_loss(forward(params, config, xb), yb)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss at epoch {epoch} step {step}")
             adiff.backward(loss)
-            grads = clip_gradients({n: t.grad for n, t in params.items()}, tconfig.clip_norm)
+            grads = clip_gradients({n: t.grad for n, t in params.items()}, CLIP_NORM)
             step += 1
             flat, state = adam_step({n: t.data for n, t in params.items()},
                                     grads, state, step, tconfig)
@@ -224,7 +209,7 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
         history.train_loss.append(epoch_sum / epoch_count)
         if n_val:
             history.val_loss.append(
-                _eval_loss(params, config, tconfig, inputs[n_train:], targets[n_train:])
+                _eval_loss(params, config, inputs[n_train:], targets[n_train:])
             )
         if log is not None:
             val = f" val={history.val_loss[-1]:.5f}" if n_val else ""
@@ -264,13 +249,7 @@ def write_manifest(path, config: ModelConfig, tconfig: TrainConfig, data_paths,
     """Record everything needed to reproduce a run next to its checkpoint."""
     manifest = {
         "model_config": config.to_dict(),
-        "train_config": {
-            "lr": tconfig.lr, "epochs": tconfig.epochs, "batch_size": tconfig.batch_size,
-            "seed": tconfig.seed, "clip_norm": tconfig.clip_norm,
-            "beta1": tconfig.beta1, "beta2": tconfig.beta2, "eps": tconfig.eps,
-            "shuffle": tconfig.shuffle, "loss": tconfig.loss,
-            "val_fraction": tconfig.val_fraction,
-        },
+        "train_config": asdict(tconfig),
         "data_files": {Path(p).name: _sha256(Path(p)) for p in data_paths},
         "build": _build_describe(),
     }

@@ -86,7 +86,6 @@ def _op_cases(rng):
     linear("abs", lambda: adiff.abs_(kinked), (3, 4), {"x": kinked})
     linear("tanh", lambda: adiff.tanh(a), (3, 4), {"a": a})
     linear("sigmoid", lambda: adiff.sigmoid(a), (3, 4), {"a": a})
-    linear("neg", lambda: adiff.neg(a), (3, 4), {"a": a})
 
     t3 = leaf(rng.standard_normal((2, 3, 4)))
     linear("transpose", lambda: adiff.transpose(t3, (2, 0, 1)), (4, 2, 3), {"x": t3})

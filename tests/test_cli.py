@@ -251,6 +251,11 @@ def test_train_rejects_bad_config(workdir, tmp_path):
     wide.write_text(json.dumps({"model": {"kernel_size": 2, "dilations": [4, 8]}}))
     assert main(base + ["--config", str(wide)]) == 1
 
+    # MAE is the only objective
+    mse = tmp_path / "mse.json"
+    mse.write_text(json.dumps({"train": {"loss": "mse"}}))
+    assert main(base + ["--config", str(mse)]) == 1
+
 
 def test_train_argument_errors(workdir, tmp_path):
     base = ["train", "--data", str(workdir / "cube.json"), "--out", str(tmp_path / "m.ckpt")]

@@ -1,9 +1,12 @@
-"""Source hygiene: no module imports a name it never uses, and no tape op
-ships without a float64 gradient check in the release gate.
+"""Source hygiene: no module imports a name it never uses, no public
+function or class goes uncalled, and no tape op ships without a float64
+gradient check in the release gate.
 
 The repository has no linter, so these AST scans keep unused imports from
-creeping back into the package and the tests, and keep every public adiff
-function that builds a tape node named in test_acceptance._op_cases.
+creeping back into the package and the tests, keep every public top-level
+def of the package named by the package, the benchmarks or the demos, and
+keep every public adiff function that builds a tape node named in
+test_acceptance._op_cases.
 """
 
 import ast
@@ -62,6 +65,53 @@ def test_scan_sees_unused_and_used_names():
         "    return np.zeros(b)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "d")]
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name a Name, an Attribute or an import alias under node refers to."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name.rsplit(".", 1)[-1])
+    return refs
+
+
+def unreferenced_defs(package: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.name` of each public top-level def or class in `package` (module
+    name -> source, __init__ left out) that nothing refers to outside its own
+    body, in the package or in the `callers` sources."""
+    stmts = [(mod, stmt) for mod, src in package.items() for stmt in ast.parse(src).body]
+    stmts += [(None, ast.parse(src)) for src in callers]
+    refs = [_referenced(stmt) for _, stmt in stmts]
+    return [f"{mod}.{stmt.name}" for i, (mod, stmt) in enumerate(stmts)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+            and not any(stmt.name in r for j, r in enumerate(refs) if j != i)]
+
+
+def test_every_public_def_is_referenced():
+    package = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "ensograph").glob("*.py"))
+               if p.name != "__init__.py"}
+    callers = [p.read_text() for d in ("benchmarks", "demos") for p in sorted((ROOT / d).glob("*.py"))]
+    missing = unreferenced_defs(package, callers)
+    assert not missing, f"public defs that only tests could call: {missing}"
+
+
+def test_reference_scan_sees_callers_outside_the_def():
+    package = {
+        "a": "def used():\n    return 1\n"
+             "def recursive(n):\n    return recursive(n - 1)\n"
+             "def _private():\n    return used()\n"
+             "class Kept:\n    pass\n",
+        "b": "from .a import Kept\n"
+             "def orphan():\n    return 2\n"
+             "def called():\n    return 3\n",
+    }
+    callers = ["import pkg.b as m\nm.called()\n"]
+    assert unreferenced_defs(package, callers) == ["a.recursive", "b.orphan"]
 
 
 def tape_ops(source: str) -> set[str]:

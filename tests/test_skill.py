@@ -1,12 +1,11 @@
 """Verification metrics, event classification, and forecast alignment."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
-from ensograph import skill
+from ensograph import skill, train
 from ensograph.errors import ValidationError
 from ensograph.grid import ONI_BOX, region_nodes
 from ensograph.indices import IndexSeries, area_mean
@@ -23,10 +22,7 @@ from ensograph.skill import (
     table_from_forecasts,
 )
 from ensograph.stgnn import forward, init_params
-from ensograph.train import TrainConfig
 from helpers import random_anoms, small_grid, tiny_config
-
-train_module = importlib.import_module("ensograph.train")  # the package re-exports a function as `train`
 
 rng = np.random.default_rng(77)
 
@@ -262,8 +258,8 @@ def test_validation_loss_builds_no_tape(monkeypatch):
     data = np.random.default_rng(12)
     inputs = data.standard_normal((10, config.window, 5)).astype(np.float32)
     targets = data.standard_normal((10, config.horizon, 5)).astype(np.float32)
-    outputs = _record_forward(monkeypatch, train_module)
-    loss = train_module._eval_loss(params, config, TrainConfig(), inputs, targets, chunk=4)
+    outputs = _record_forward(monkeypatch, train)
+    loss = train._eval_loss(params, config, inputs, targets, chunk=4)
     assert np.isfinite(loss)
     assert len(outputs) == 3
     assert not any(out.requires_grad for out in outputs)

@@ -384,6 +384,7 @@ def test_forward_backward_fills_every_parameter():
     backward(reduce_sum(forward(params, cfg, x)))
     for name, t in params.items():
         assert t.grad is not None, name
+        assert t.grad.dtype == t.data.dtype == np.float32, name
         assert np.any(t.grad != 0.0), f"no gradient reached {name}"
 
 
