@@ -140,8 +140,8 @@ def div(a, b):
     return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
-def matmul(a, b):
-    """Contract the last axis of a with the first axis of b.
+def matmul(a, b, bias=None):
+    """Contract the last axis of a with the first axis of b, plus an optional bias.
 
     [.., k] @ [k, ..] gives a's leading axes followed by b's trailing ones,
     so one rule serves a channel projection (x [N, B, T, C] @ w [C, C_out]),
@@ -150,7 +150,8 @@ def matmul(a, b):
     [m, k] @ [k, n]. The gradient of b sums one GEMM per slice of a's first
     axis (a single slice when a is 2-D): one long contraction over every row
     of a rounds differently with the BLAS thread count, the per-slice sum
-    does not.
+    does not. bias, when given, has b's trailing shape and is added in place
+    on the product; its gradient is g summed over a's leading axes.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -159,7 +160,13 @@ def matmul(a, b):
     if b.data.shape[0] != k:
         raise ValueError(f"inner dimensions differ: {a.data.shape} @ {b.data.shape}")
     a2, b2 = a.data.reshape(-1, k), b.data.reshape(k, -1)
-    data = (a2 @ b2).reshape(a.data.shape[:-1] + b.data.shape[1:])
+    data = a2 @ b2
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.data.shape != b.data.shape[1:]:
+            raise ValueError(f"bias shape {bias.data.shape} does not match {b.data.shape[1:]}")
+        data += bias.data.reshape(-1)
+    data = data.reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def _bw(g):
         g2 = g.reshape(a2.shape[0], b2.shape[1])
@@ -169,8 +176,10 @@ def matmul(a, b):
             lead = a.data.shape[0] if a.ndim > 2 else 1
             gb = np.matmul(np.swapaxes(a2.reshape(lead, -1, k), 1, 2), g2.reshape(lead, -1, b2.shape[1]))
             _accum(b, gb.sum(axis=0).reshape(b.data.shape))
+        if bias is not None and bias.requires_grad:
+            _accum(bias, g2.sum(axis=0).reshape(bias.data.shape))
 
-    return _from_op(data, (a, b), _bw)
+    return _from_op(data, (a, b) if bias is None else (a, b, bias), _bw)
 
 
 # ----------------------------------------------------------------- unary ops
@@ -193,10 +202,15 @@ def tanh(x):
     return _from_op(y, (x,), lambda g: _accum(x, g * (1.0 - y * y)))
 
 
-def sigmoid(x):
-    x = as_tensor(x)
-    y = _stable_sigmoid(x.data)
-    return _from_op(y, (x,), lambda g: _accum(x, g * y * (1.0 - y)))
+def gated(y):
+    """tanh of the first half of y's last axis times the sigmoid of the second: [.., 2C] -> [.., C]."""
+    y = as_tensor(y)
+    half, odd = divmod(y.data.shape[-1], 2)
+    if odd:
+        raise ValueError(f"gated needs an even last axis, got {y.data.shape[-1]}")
+    f, s = np.tanh(y.data[..., :half]), _stable_sigmoid(y.data[..., half:])
+    return _from_op(f * s, (y,), lambda g: _accum(
+        y, np.concatenate([g * s * (1.0 - f * f), g * f * s * (1.0 - s)], axis=-1)))
 
 
 def abs_(x):

@@ -1,10 +1,10 @@
 """Spatiotemporal graph network forecasting node anomalies at several leads.
 
 Activations are node-major, [N, B, T, C], from the start projection to the
-head, and every learned stage is one adiff.matmul, which contracts the last
-axis of its left operand with the first axis of its right one: a channel
-projection is x @ w with a 2-D weight [C_in, C_out] plus a [C_out] bias,
-and the node mix is A @ x with an [N, N] adjacency.
+head, and every learned stage is one adiff.matmul node, which contracts the
+last axis of its left operand with the first axis of its right one: a
+channel projection is x @ w + b with a 2-D weight [C_in, C_out] and a
+[C_out] bias, and the node mix is A @ x with an [N, N] adjacency.
 
 Architecture, per forward pass: a channel projection lifts the input window
 (transposed once from [B, 1, N, w] to [N, B, w, 1]) to the residual width,
@@ -189,32 +189,22 @@ def init_params(config: ModelConfig, seed: int | None = None, dtype=np.float32) 
     return ModelParams(tensors)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return adiff.add(adiff.matmul(x, w), b)
-
-
 def temporal_block(x, w, b, dilation: int) -> Tensor:
     """Gated temporal convolution on node-major x [N, B, T, C]: tanh(filter) * sigmoid(gate).
 
     The K = w.shape[0] / C time slices x[:, :, k*dilation : k*dilation + T_out]
-    are joined on the channel axis, so one matmul with w [K*C, 2*C_out]
-    (row k*C + c) is the dilated convolution. Its first C_out output columns
-    are the filter, the last C_out the gate. Valid-only, so
-    T_out = T - dilation*(K - 1) and the output is [N, B, T_out, C_out].
+    are joined on the channel axis, so one matmul with w [K*C, 2*C_out] (row
+    k*C + c) and b is the dilated convolution. Its first C_out output columns
+    are the filter, the last C_out the gate, and adiff.gated joins them.
+    Valid-only, so T_out = T - dilation*(K - 1); the output is [N, B, T_out, C_out].
     """
     _, _, T, C = x.shape
-    rows, cols = w.shape
-    if cols % 2:
-        raise ValueError(f"gated conv needs an even number of output channels, got {cols}")
-    K = rows // C
+    K = w.shape[0] // C
     t_out = T - dilation * (K - 1)
     if dilation < 1 or t_out < 1:
         raise ValueError(f"time axis of {T} does not fit kernel {K} at dilation {dilation}")
     taps = [adiff.narrow(x, 2, k * dilation, k * dilation + t_out) for k in range(K)]
-    y = _linear(adiff.concat(taps, -1), w, b)
-    filt = adiff.tanh(adiff.narrow(y, -1, 0, cols // 2))
-    gate = adiff.sigmoid(adiff.narrow(y, -1, cols // 2, cols))
-    return adiff.mul(filt, gate)
+    return adiff.gated(adiff.matmul(adiff.concat(taps, -1), w, b))
 
 
 def _check_row_stochastic(a: Tensor):
@@ -230,22 +220,23 @@ def mixhop_conv(h, a_fwd, a_bwd, beta, depth: int, w, b) -> Tensor:
     """Mix-hop propagation of node-major h [N, B, T, C] along both edge directions, projected once.
 
     Hop j keeps beta of the layer input and propagates the rest:
-    h0 = h, hj = beta*h + (1-beta)*(A @ hj-1), where A @ h mixes the node
-    axis. The states [h, fwd hops 1..depth, bwd hops 1..depth] are joined
-    on the channel axis and w [(2*depth+1)*C, C_out] (row s*C + c for
-    state s) projects them, so the output is the sum of one projection per
-    state. Both adjacencies must be row-stochastic.
+    h0 = h, hj = beta*h + ((1-beta)*A) @ hj-1, where A @ h mixes the node
+    axis; 1-beta scales each [N, N] adjacency once, so a hop is one matmul
+    and one add. The states [h, fwd hops 1..depth, bwd hops 1..depth] are
+    joined on the channel axis and w [(2*depth+1)*C, C_out] (row s*C + c
+    for state s) projects them with b in one matmul. Both adjacencies must
+    be row-stochastic; the check runs before the scaling.
     """
     _check_row_stochastic(a_fwd)
     _check_row_stochastic(a_bwd)
     kept = adiff.mul(h, beta)
     states = [h]
     for a in (a_fwd, a_bwd):
-        state = h
+        a, state = adiff.mul(a, 1.0 - beta), h
         for _ in range(depth):
-            state = adiff.add(kept, adiff.mul(adiff.matmul(a, state), 1.0 - beta))
+            state = adiff.add(kept, adiff.matmul(a, state))
             states.append(state)
-    return _linear(adiff.concat(states, -1), w, b)
+    return adiff.matmul(adiff.concat(states, -1), w, b)
 
 
 def _check_finite(t: Tensor, layer: int, stage: str):
@@ -271,7 +262,7 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     a_fwd = normalize(a_sparse)
     a_bwd = normalize(adiff.transpose(a_sparse, (1, 0)))
 
-    h = _linear(adiff.transpose(x, (2, 0, 3, 1)), params["start_w"], params["start_b"])
+    h = adiff.matmul(adiff.transpose(x, (2, 0, 3, 1)), params["start_w"], params["start_b"])
     skip = None
     for l in range(config.layers):
         t = temporal_block(h, params[f"l{l}_tcn_w"], params[f"l{l}_tcn_b"], config.dilations[l])
@@ -282,12 +273,12 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
         t_out = t.shape[2]
         h = adiff.add(g, adiff.narrow(h, 2, T - t_out, T))
         _check_finite(h, l, "residual")
-        s = _linear(adiff.reshape(h, (N, B, t_out * C)), params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
+        s = adiff.matmul(adiff.reshape(h, (N, B, t_out * C)), params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
         skip = s if skip is None else adiff.add(skip, s)
 
     out = adiff.relu(skip)
-    out = adiff.relu(_linear(out, params["end1_w"], params["end1_b"]))
-    out = _linear(out, params["end2_w"], params["end2_b"])  # [N, B, H]
+    out = adiff.relu(adiff.matmul(out, params["end1_w"], params["end1_b"]))
+    out = adiff.matmul(out, params["end2_w"], params["end2_b"])  # [N, B, H]
     return adiff.transpose(out, (1, 2, 0))
 
 
@@ -410,6 +401,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValidationError(f"checkpoint header lacks field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed checkpoint header field: {exc}") from exc
+    if not (np.isfinite(input_scale) and input_scale > 0):
+        raise ValidationError(f"checkpoint input_scale {input_scale} is not a positive finite number")
+    if base_period and not (len(bp) == 2 and all(type(y) is int for y in bp) and bp[0] <= bp[1]):
+        raise ValidationError(f"checkpoint base_period {bp} is not two ints with y0 <= y1")
+    if nodes and not (grid is not None and len(set(nodes)) == len(nodes) == config.n_nodes
+                      and all(type(i) is type(j) is int and 0 <= i < grid.n_lat and 0 <= j < grid.n_lon
+                              for i, j in nd)):
+        raise ValidationError(f"checkpoint nodes are not {config.n_nodes} unique index pairs on its grid")
 
     body = raw[cut + 1:]
     need = sum(int(np.prod(expected[r["name"]])) for r in records) * 4

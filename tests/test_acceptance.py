@@ -80,12 +80,14 @@ def _op_cases(rng):
     linear("matmul_lead_axes", lambda: adiff.matmul(b1, m2), (2, 3, 5), {"b1": b1, "m2": m2})
     b2 = leaf(rng.standard_normal((4, 2, 5)))
     linear("matmul_trail_axes", lambda: adiff.matmul(m1, b2), (3, 2, 5), {"m1": m1, "b2": b2})
+    bias = leaf(rng.standard_normal((5,)))
+    linear("matmul_bias", lambda: adiff.matmul(b1, m2, bias), (2, 3, 5), {"b1": b1, "m2": m2, "bias": bias})
 
     kinked = leaf(_signed_away_from_zero(rng, (3, 4)))
     linear("relu", lambda: adiff.relu(kinked), (3, 4), {"x": kinked})
     linear("abs", lambda: adiff.abs_(kinked), (3, 4), {"x": kinked})
     linear("tanh", lambda: adiff.tanh(a), (3, 4), {"a": a})
-    linear("sigmoid", lambda: adiff.sigmoid(a), (3, 4), {"a": a})
+    linear("gated", lambda: adiff.gated(a), (3, 2), {"a": a})
 
     t3 = leaf(rng.standard_normal((2, 3, 4)))
     linear("transpose", lambda: adiff.transpose(t3, (2, 0, 1)), (4, 2, 3), {"x": t3})

@@ -10,6 +10,7 @@ from ensograph.adiff import (
     backward,
     concat,
     div,
+    gated,
     grad_check,
     matmul,
     mul,
@@ -18,7 +19,6 @@ from ensograph.adiff import (
     reduce_sum,
     relu,
     reshape,
-    sigmoid,
     sub,
     tanh,
     transpose,
@@ -56,21 +56,30 @@ def test_nonlinearity_values():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     np.testing.assert_array_equal(relu(Tensor(x)).data, np.maximum(x, 0.0))
     np.testing.assert_allclose(tanh(Tensor(x)).data, np.tanh(x), rtol=1e-15)
-    np.testing.assert_allclose(sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)), rtol=1e-15)
+    # filter half x, gate half x reversed
+    np.testing.assert_allclose(gated(Tensor(np.concatenate([x, x[::-1]]))).data,
+                               np.tanh(x) / (1.0 + np.exp(-x[::-1])), rtol=1e-15)
+    with pytest.raises(ValueError, match="even"):
+        gated(Tensor(np.zeros((2, 3))))
+
+
+def _open_filter(gate):
+    """A filter half of 30, where tanh rounds to exactly 1, so gated returns the gate's sigmoid."""
+    return np.concatenate([np.full_like(gate, 30.0), gate], axis=-1)
 
 
 @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-7), (np.float64, 1e-15)])
-def test_sigmoid_matches_logistic_reference(dtype, atol):
+def test_gated_sigmoid_matches_logistic_reference(dtype, atol):
     x = np.linspace(-30.0, 30.0, 601)
-    out = sigmoid(Tensor(x.astype(dtype))).data
+    out = gated(Tensor(_open_filter(x).astype(dtype))).data
     assert out.dtype == dtype
     ref = 1.0 / (1.0 + np.exp(-x.astype(dtype).astype(np.float64)))
     np.testing.assert_allclose(out.astype(np.float64), ref, rtol=0.0, atol=atol)
 
 
-def test_sigmoid_is_stable_at_large_inputs():
+def test_gated_sigmoid_is_stable_at_large_inputs():
     with np.errstate(over="raise"):
-        out = sigmoid(Tensor(np.array([-1e4, 1e4]))).data
+        out = gated(Tensor(_open_filter(np.array([-1e4, 1e4])))).data
     np.testing.assert_array_equal(out, [0.0, 1.0])
 
 
@@ -82,6 +91,17 @@ def test_matmul_values_against_numpy():
         np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, np.tensordot(a, b, 1), rtol=1e-13)
     with pytest.raises(ValueError, match="inner dimensions"):
         matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4))))
+
+
+def test_matmul_bias_values():
+    rng = np.random.default_rng(2)
+    # the bias has b's trailing shape and broadcasts over a's leading axes
+    for sa, sb in (((2, 3, 4), (4, 5)), ((3, 4), (4, 2, 5))):
+        a, b, bias = rng.standard_normal(sa), rng.standard_normal(sb), rng.standard_normal(sb[1:])
+        np.testing.assert_allclose(matmul(Tensor(a), Tensor(b), Tensor(bias)).data,
+                                   np.tensordot(a, b, 1) + bias, rtol=1e-13)
+    with pytest.raises(ValueError, match="bias shape"):
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
 
 def test_shape_op_values():
@@ -139,6 +159,7 @@ def test_every_op_passes_grad_check():
     c = _t(rng, 3, 4, away_from_zero=True)  # divisor, relu, abs stay off kinks
     m1 = _t(rng, 3, 4)
     m2 = _t(rng, 4, 2)
+    bias = _t(rng, 2)
     mix = Tensor(rng.standard_normal((3, 4)), requires_grad=False)
     mix_wide = Tensor(rng.standard_normal((3, 12)), requires_grad=False)
 
@@ -150,8 +171,9 @@ def test_every_op_passes_grad_check():
         "abs": lambda: reduce_sum(mul(abs_(c), mix)),
         "relu": lambda: reduce_sum(mul(relu(c), mix)),
         "tanh": lambda: reduce_sum(mul(tanh(a), mix)),
-        "sigmoid": lambda: reduce_sum(mul(sigmoid(a), mix)),
+        "gated": lambda: reduce_sum(mul(gated(a), narrow(mix, 1, 0, 2))),
         "matmul": lambda: reduce_sum(matmul(m1, m2)),
+        "matmul_bias": lambda: reduce_sum(mul(matmul(m1, m2, bias), narrow(mix, 1, 1, 3))),
         "transpose": lambda: reduce_sum(mul(transpose(a, (1, 0)), transpose(mix, (1, 0)))),
         "reshape": lambda: reduce_sum(mul(reshape(a, (4, 3)), reshape(mix, (4, 3)))),
         "narrow": lambda: reduce_sum(mul(narrow(a, 1, 1, 3), narrow(mix, 1, 0, 2))),
@@ -159,7 +181,7 @@ def test_every_op_passes_grad_check():
         "mean": lambda: reduce_mean(mul(a, b)),
         "sum_axis": lambda: reduce_sum(reduce_sum(mul(a, b), 1)),
     }
-    params = {"a": a, "b": b, "c": c, "m1": m1, "m2": m2}
+    params = {"a": a, "b": b, "c": c, "m1": m1, "m2": m2, "bias": bias}
     for name, f in cases.items():
         for r in grad_check(f, params):
             assert r.passed, f"{name}/{r.name}: rel err {r.max_rel_err:.2e}"
@@ -208,12 +230,12 @@ def test_shared_gradient_buffers_stay_intact():
     # backward runs the first branch before the second: the inner add hands one
     # gradient array to both y1 and y2, and the mul then gives each a second one
     rng = np.random.default_rng(9)
-    a, b = _t(rng, 3, 4), _t(rng, 3, 4)
+    a, b = _t(rng, 3, 4), _t(rng, 3, 4, away_from_zero=True)
     c0 = Tensor(rng.standard_normal((3, 4)))
     c1 = Tensor(rng.standard_normal((3, 4)))
 
     def f():
-        y1, y2 = tanh(a), sigmoid(b)
+        y1, y2 = tanh(a), abs_(b)
         return reduce_sum(add(mul(add(y1, y2), c0), mul(mul(y1, y2), c1)))
 
     for r in grad_check(f, {"a": a, "b": b}):

@@ -277,11 +277,14 @@ def test_eval_grid_mismatch_exits_2(workdir, tmp_path, capsys):
     assert "different grid" in capsys.readouterr().err
 
 
-def _tampered_checkpoint(tmp_path, edit):
-    config = tiny_config(n_nodes=12, horizon=4)
+def _tampered_checkpoint(tmp_path, edit, grid=None):
+    """An untrained checkpoint (on a 12-node grid unless `grid` is given) whose header `edit` changes."""
+    grid = grid or small_grid()
+    nodes = region_nodes(grid, ONI_BOX)
+    config = tiny_config(n_nodes=len(nodes), horizon=4)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, init_params(config), config, 1.0, 0,
-                    grid=small_grid(), nodes=region_nodes(small_grid(), ONI_BOX))
+                    base_period=(1900, 1907), grid=grid, nodes=nodes)
     raw = path.read_bytes()
     cut = raw.find(b"\n")
     header = json.loads(raw[:cut])
@@ -291,8 +294,8 @@ def _tampered_checkpoint(tmp_path, edit):
 
 
 def _eval_exit_code(workdir, ckpt):
-    return main(["eval", "--data", str(workdir / "cube.json"),
-                 "--checkpoint", str(ckpt), "--test-period", "1908:1909"])
+    return main(["eval", "--data", str(workdir / "cube.json"), "--checkpoint", str(ckpt),
+                 "--test-period", "1908:1909", "--leads", "1,3"])
 
 
 def test_eval_checkpoint_without_input_scale_exits_2(workdir, tmp_path, capsys):
@@ -326,3 +329,38 @@ def test_graph_export_needs_grid_metadata(tmp_path, capsys):
     assert main(["graph-export", "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "e.csv")]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+def _oni_checkpoint(workdir, tmp_path, edit):
+    """A tampered checkpoint on the workdir cube's grid, so only its header can fail eval."""
+    return _tampered_checkpoint(tmp_path, edit, load_cube(workdir / "cube.json").grid)
+
+
+def test_eval_untouched_oni_checkpoint_exits_0(workdir, tmp_path, capsys):
+    assert _eval_exit_code(workdir, _oni_checkpoint(workdir, tmp_path, lambda h: None)) == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_period", [1900]),
+    ("base_period", [1907, 1900]),
+    ("base_period", ["a", 1907]),
+    ("input_scale", 0.0),
+    ("input_scale", -1.0),
+])
+def test_eval_checkpoint_with_bad_header_value_exits_2(workdir, tmp_path, capsys, field, value):
+    ckpt = _oni_checkpoint(workdir, tmp_path, lambda h: h.update({field: value}))
+    assert _eval_exit_code(workdir, ckpt) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda nodes: nodes.__setitem__(0, [0, 999]),   # past the grid
+    lambda nodes: nodes.__setitem__(0, [-1, 0]),    # would wrap around
+    lambda nodes: nodes.__setitem__(0, [0.7, 0.2]), # would truncate to [0, 0]
+    lambda nodes: nodes.__setitem__(0, nodes[1]),   # a repeated node
+    lambda nodes: nodes.pop(),                      # one node short
+], ids=["past-grid", "negative", "fractional", "repeated", "short"])
+def test_graph_export_checkpoint_with_bad_nodes_exits_2(workdir, tmp_path, capsys, edit):
+    ckpt = _oni_checkpoint(workdir, tmp_path, lambda h: edit(h["nodes"]))
+    assert main(["graph-export", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.csv")]) == 2
+    assert "nodes" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ensograph import adiff
 from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum
 from ensograph.cli import main
 from ensograph.errors import NumericalError, ValidationError
@@ -20,6 +21,7 @@ from ensograph.stgnn import (
     save_checkpoint,
     temporal_block,
 )
+from ensograph.train import mae_loss
 from helpers import tiny_config
 
 
@@ -375,6 +377,21 @@ def test_forward_beta_one_is_embedding_independent():
                            requires_grad=True)
     out2 = forward(ModelParams(tensors), cfg, x).data
     np.testing.assert_allclose(out, out2, atol=1e-6)
+
+
+def test_gate_config_forward_and_loss_make_72_tape_nodes(monkeypatch):
+    # one node per stage: a projection is one biased matmul, the gate one
+    # gated node, a mix-hop step one matmul and one add
+    cfg = ModelConfig(n_nodes=130, horizon=4)
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(12)
+    x = _rand_input(rng, cfg)
+    target = Tensor(rng.standard_normal((2, cfg.horizon, cfg.n_nodes)).astype(np.float32))
+    made = []
+    from_op = adiff._from_op
+    monkeypatch.setattr(adiff, "_from_op", lambda *args: made.append(1) or from_op(*args))
+    backward(mae_loss(forward(params, cfg, x), target))
+    assert len(made) == 72
 
 
 def test_forward_backward_fills_every_parameter():
