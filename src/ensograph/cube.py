@@ -173,13 +173,13 @@ def load_cube(meta_path) -> SstCube:
                 "lats", "lons", "missing_value", "units"):
         if key not in header:
             raise ValidationError(f"cube header missing field {key!r}")
+    for key in ("format_version", "start_year", "start_month", "n_time"):
+        if type(header[key]) is not int:
+            raise ValidationError(f"cube header field {key!r} must be an integer, got {header[key]!r}")
     if header["format_version"] != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {header['format_version']}")
     if header["units"] != "degC":
         raise ValidationError(f"unsupported units {header['units']!r}")
-    for key in ("start_year", "start_month", "n_time"):
-        if type(header[key]) is not int:
-            raise ValidationError(f"cube header field {key!r} must be an integer, got {header[key]!r}")
     for key in ("lats", "lons"):
         if not isinstance(header[key], list):
             raise ValidationError(f"cube header field {key!r} must be a list, got {header[key]!r}")
@@ -195,18 +195,15 @@ def load_cube(meta_path) -> SstCube:
     if n_time < 1:
         raise ValidationError(f"n_time must be >= 1, got {n_time}")
 
-    raw = _payload_path(meta_path).read_bytes()
-    expected = n_time * grid.n_cells * 4
-    if len(raw) != expected:
+    payload, expected = _payload_path(meta_path), n_time * grid.n_cells * 4
+    found = payload.stat().st_size  # before the read, so a bad header allocates nothing
+    if found != expected:
         raise ValidationError(
             f"payload size mismatch: expected {expected} bytes "
-            f"({n_time} x {grid.n_lat} x {grid.n_lon} float32), found {len(raw)}"
+            f"({n_time} x {grid.n_lat} x {grid.n_lon} float32), found {found}"
         )
-    flat = np.frombuffer(raw, dtype="<f4")
-    sentinel = np.float32(sentinel)
-    missing = flat.view("<u4") == sentinel.view("<u4")
-    values = flat.copy().reshape(n_time, grid.n_lat, grid.n_lon)
-    missing = missing.reshape(values.shape)
+    values = np.fromfile(payload, dtype="<f4").reshape(n_time, grid.n_lat, grid.n_lon)
+    missing = values.view("<u4") == np.float32(sentinel).view("<u4")
     values[missing] = 0.0
     return SstCube(grid, start, values, missing)
 
@@ -225,16 +222,17 @@ def climatology(cube: _BaseCube, base_years: tuple[int, int]) -> Climatology:
     in_base = (years >= y0) & (years <= y1)
     vals = np.zeros((12, cube.grid.n_lat, cube.grid.n_lon), dtype=np.float64)
     miss = np.zeros_like(vals, dtype=bool)
-    data = cube.values.astype(np.float64)
-    data[cube.missing] = 0.0
     for m in range(1, 13):
         sel = in_base & (mons == m)
         if not sel.any():
             raise ValidationError(
                 f"base period {y0}:{y1} contains no data for calendar month {m}"
             )
-        counts = (~cube.missing[sel]).sum(axis=0)
-        sums = data[sel].sum(axis=0)
+        # only this month's base rows are widened to float64
+        data, missing = cube.values[sel].astype(np.float64), cube.missing[sel]
+        data[missing] = 0.0
+        counts = (~missing).sum(axis=0)
+        sums = data.sum(axis=0)
         empty = counts == 0
         counts_safe = np.where(empty, 1, counts)
         vals[m - 1] = sums / counts_safe
@@ -248,10 +246,13 @@ def anomalies(cube: _BaseCube, clim: Climatology) -> AnomalyCube:
         raise ValidationError("cube and climatology are on different grids")
     _, mons = _month_axis(cube.start, cube.n_time)
     idx = mons - 1
-    out = cube.values.astype(np.float64) - clim.values[idx]
+    # float64 differences one calendar-month stride at a time, stored as float32
+    out = np.empty(cube.values.shape, dtype=np.float32)
+    for k in range(min(12, cube.n_time)):
+        out[k::12] = cube.values[k::12].astype(np.float64) - clim.values[idx[k]]
     miss = cube.missing | clim.missing[idx]
     out[miss] = 0.0
-    return AnomalyCube(cube.grid, cube.start, out.astype(np.float32), miss)
+    return AnomalyCube(cube.grid, cube.start, out, miss)
 
 
 def split_by_years(cube, period: tuple[int, int]):

@@ -389,25 +389,24 @@ def load_checkpoint(path) -> Checkpoint:
     if got != expected:
         raise ValidationError("checkpoint tensors do not match the stored config")
     try:
-        input_scale = float(header["input_scale"])
-        seed = int(header["seed"])
-        bp = header.get("base_period")
-        gd = header.get("grid")
-        nd = header.get("nodes")
-        base_period = tuple(bp) if bp else None
-        grid = GridSpec(tuple(gd["lats"]), tuple(gd["lons"])) if gd else None
-        nodes = [(int(i), int(j)) for i, j in nd] if nd else None
+        input_scale, seed = header["input_scale"], header["seed"]
+        bp, gd, nd = header.get("base_period"), header.get("grid"), header.get("nodes")
+        base_period = tuple(bp) if bp is not None else None
+        grid = GridSpec(tuple(gd["lats"]), tuple(gd["lons"])) if gd is not None else None
+        nodes = [(int(i), int(j)) for i, j in nd] if nd is not None else None
     except KeyError as exc:
         raise ValidationError(f"checkpoint header lacks field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed checkpoint header field: {exc}") from exc
-    if not (np.isfinite(input_scale) and input_scale > 0):
-        raise ValidationError(f"checkpoint input_scale {input_scale} is not a positive finite number")
-    if base_period and not (len(bp) == 2 and all(type(y) is int for y in bp) and bp[0] <= bp[1]):
+    if not (type(input_scale) is float and np.isfinite(input_scale) and input_scale > 0):
+        raise ValidationError(f"checkpoint input_scale {input_scale!r} is not a positive finite number")
+    if type(seed) is not int:
+        raise ValidationError(f"checkpoint seed {seed!r} is not an integer")
+    if base_period is not None and not (len(bp) == 2 and all(type(y) is int for y in bp) and bp[0] <= bp[1]):
         raise ValidationError(f"checkpoint base_period {bp} is not two ints with y0 <= y1")
-    if nodes and not (grid is not None and len(set(nodes)) == len(nodes) == config.n_nodes
-                      and all(type(i) is type(j) is int and 0 <= i < grid.n_lat and 0 <= j < grid.n_lon
-                              for i, j in nd)):
+    if nodes is not None and not (grid is not None and len(set(nodes)) == len(nodes) == config.n_nodes
+            and all(type(i) is type(j) is int and 0 <= i < grid.n_lat and 0 <= j < grid.n_lon
+                    for i, j in nd)):
         raise ValidationError(f"checkpoint nodes are not {config.n_nodes} unique index pairs on its grid")
 
     body = raw[cut + 1:]

@@ -256,3 +256,80 @@ def test_split_by_years_preserves_type_and_rejects_uncovered():
         split_by_years(cube, (1949, 1950))
     with pytest.raises(ValidationError):
         split_by_years(cube, (1952, 1953))
+
+
+# ------------------------------------------ byte identity with whole-cube formulas
+# load_cube reads the payload straight into its array, and climatology and
+# anomalies widen one calendar month at a time to float64. The whole-cube
+# formulas below are the reference they must match bit for bit.
+
+def _whole_cube_load(meta_path):
+    header = json.loads(meta_path.read_text())
+    flat = np.frombuffer(meta_path.with_suffix(".f32").read_bytes(), dtype="<f4")
+    missing = flat.view("<u4") == np.float32(header["missing_value"]).view("<u4")
+    values = flat.copy().reshape(header["n_time"], len(header["lats"]), len(header["lons"]))
+    missing = missing.reshape(values.shape)
+    values[missing] = 0.0
+    return values, missing
+
+
+def _whole_cube_climatology(cube, base_years):
+    years = (cube.start[0] * 12 + cube.start[1] - 1 + np.arange(cube.n_time)) // 12
+    mons = (cube.start[1] - 1 + np.arange(cube.n_time)) % 12 + 1
+    in_base = (years >= base_years[0]) & (years <= base_years[1])
+    vals = np.zeros((12,) + cube.values.shape[1:], dtype=np.float64)
+    miss = np.zeros_like(vals, dtype=bool)
+    data = cube.values.astype(np.float64)
+    data[cube.missing] = 0.0
+    for m in range(1, 13):
+        sel = in_base & (mons == m)
+        counts = (~cube.missing[sel]).sum(axis=0)
+        sums = data[sel].sum(axis=0)
+        empty = counts == 0
+        vals[m - 1] = sums / np.where(empty, 1, counts)
+        miss[m - 1] = empty
+    return vals, miss
+
+
+def _whole_cube_anomalies(cube, clim):
+    idx = (cube.start[1] - 1 + np.arange(cube.n_time)) % 12
+    out = cube.values.astype(np.float64) - clim.values[idx]
+    miss = cube.missing | clim.missing[idx]
+    out[miss] = 0.0
+    return out.astype(np.float32), miss
+
+
+def _cube_with_live_values_under_the_mask(rng, n_time, start):
+    """A cube with missing cells that still hold in-range values, so any
+    skipped masking step shows up in the sums."""
+    g = small_grid(n_lat=4, n_lon=5)
+    values = (20.0 + 3.0 * rng.standard_normal((n_time, g.n_lat, g.n_lon))).astype(np.float32)
+    missing = rng.random(values.shape) < 0.2
+    missing[:, 0, 0] = True  # one cell missing throughout: a missing climatology cell
+    return SstCube(g, start, values, missing)
+
+
+@pytest.mark.parametrize("n_time, start", [(7, (1953, 5)), (11, (1950, 1)), (12, (1952, 12)),
+                                           (61, (1949, 11)), (150, (1950, 3))])
+def test_cube_stages_match_whole_cube_formulas_bitwise(tmp_path, n_time, start):
+    rng = np.random.default_rng([n_time, start[1]])
+    base = _cube_with_live_values_under_the_mask(rng, 96, (1949, 7))
+    clim = climatology(base, (1950, 1955))
+    want_vals, want_miss = _whole_cube_climatology(base, (1950, 1955))
+    np.testing.assert_array_equal(clim.values.view(np.uint64), want_vals.view(np.uint64))
+    np.testing.assert_array_equal(clim.missing, want_miss)
+    assert clim.missing[:, 0, 0].all()
+
+    cube = _cube_with_live_values_under_the_mask(rng, n_time, start)
+    anoms = anomalies(cube, clim)
+    want_vals, want_miss = _whole_cube_anomalies(cube, clim)
+    assert anoms.values.dtype == np.float32
+    np.testing.assert_array_equal(anoms.values.view(np.uint32), want_vals.view(np.uint32))
+    np.testing.assert_array_equal(anoms.missing, want_miss)
+
+    path = save_cube(cube, tmp_path / "c.json")
+    loaded = load_cube(path)
+    want_vals, want_miss = _whole_cube_load(path)
+    np.testing.assert_array_equal(loaded.values.view(np.uint32), want_vals.view(np.uint32))
+    np.testing.assert_array_equal(loaded.missing, want_miss)
+    np.testing.assert_array_equal(loaded.missing, cube.missing)

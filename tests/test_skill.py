@@ -21,8 +21,8 @@ from ensograph.skill import (
     rmse,
     table_from_forecasts,
 )
-from ensograph.stgnn import forward, init_params
-from helpers import random_anoms, small_grid, tiny_config
+from ensograph.stgnn import ModelConfig, forward, init_params
+from helpers import oni_grid, random_anoms, small_grid, tiny_config
 
 rng = np.random.default_rng(77)
 
@@ -238,6 +238,25 @@ def _assert_untouched(params):
     for _, t in params.items():
         assert t.requires_grad
         assert not t.grad.any()
+
+
+def test_default_inference_batch_gives_the_bytes_of_batch_256(monkeypatch):
+    # the default batch changes only how many windows share a GEMM; on the
+    # 130-node model the forward must still give every window the same bytes
+    grid = oni_grid()
+    anoms = random_anoms(np.random.default_rng(21), grid, n_time=300)
+    config = ModelConfig(n_nodes=grid.n_cells, horizon=4, seed=5)
+    params = init_params(config)
+    outputs = _record_forward(monkeypatch, skill)
+    default = forecast_index(params, config, anoms, leads=(1, 3))
+    n_default = len(outputs)
+    wide = forecast_index(params, config, anoms, leads=(1, 3), chunk=256)
+    assert (n_default, len(outputs) - n_default) == (5, 2)  # 294 windows in 64s, then in 256s
+    preds = [out.data for out in outputs]
+    np.testing.assert_array_equal(np.concatenate(preds[:n_default]).view(np.uint32),
+                                  np.concatenate(preds[n_default:]).view(np.uint32))
+    for n in (1, 3):
+        np.testing.assert_array_equal(default[n].predicted.view(np.uint64), wide[n].predicted.view(np.uint64))
 
 
 def test_forecast_index_builds_no_tape(monkeypatch):
