@@ -148,10 +148,11 @@ def matmul(a, b, bias=None):
     the node mix (A [N, N] @ x [N, B, T, C]) and a plain 2-D product. The
     forward and the gradient of a are each one 2-D GEMM on reshape views,
     [m, k] @ [k, n]. The gradient of b sums one GEMM per slice of a's first
-    axis (a single slice when a is 2-D): one long contraction over every row
-    of a rounds differently with the BLAS thread count, the per-slice sum
-    does not. bias, when given, has b's trailing shape and is added in place
-    on the product; its gradient is g summed over a's leading axes.
+    axis (when a is 2-D the single slice is taken as it is, not summed): one
+    long contraction over every row of a rounds differently with the BLAS
+    thread count, the per-slice sum does not. bias, when given, has b's
+    trailing shape and is added in place on the product; its gradient is g
+    summed over a's leading axes.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -175,7 +176,7 @@ def matmul(a, b, bias=None):
         if b.requires_grad:
             lead = a.data.shape[0] if a.ndim > 2 else 1
             gb = np.matmul(np.swapaxes(a2.reshape(lead, -1, k), 1, 2), g2.reshape(lead, -1, b2.shape[1]))
-            _accum(b, gb.sum(axis=0).reshape(b.data.shape))
+            _accum(b, (gb[0] if lead == 1 else gb.sum(axis=0)).reshape(b.data.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g2.sum(axis=0).reshape(bias.data.shape))
 

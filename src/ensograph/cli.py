@@ -207,17 +207,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    if args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
-    ckpt = load_checkpoint(args.checkpoint)
+def _test_anomalies(args, ckpt):
+    """The test period's anomalies; the whole-record cubes are freed on return,
+    so they do not stay allocated while the model runs."""
     cube = load_cube(args.data)
     if ckpt.grid is not None and ckpt.grid != cube.grid:
         raise ValidationError("checkpoint was trained on a different grid than --data")
     base_period = ckpt.base_period or (1871, 1973)
-    clim = climatology(cube, base_period)
-    anoms = anomalies(cube, clim)
-    test_anoms = split_by_years(anoms, _parse_period(args.test_period))
+    anoms = anomalies(cube, climatology(cube, base_period))
+    return split_by_years(anoms, _parse_period(args.test_period))
+
+
+def cmd_eval(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    ckpt = load_checkpoint(args.checkpoint)
+    test_anoms = _test_anomalies(args, ckpt)
     leads = _parse_leads(args.leads)
     forecasts = forecast_index(
         ckpt.params, ckpt.config, test_anoms,

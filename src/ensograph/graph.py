@@ -31,8 +31,8 @@ class GraphLearnConfig:
     def __post_init__(self):
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < float("inf"):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.topk < 1:
             raise ValueError("topk must be >= 1")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 Month = tuple[int, int]
 
 
@@ -15,7 +17,14 @@ def check_ym(ym: Month) -> Month:
 def add_months(ym: Month, n: int) -> Month:
     """Return the calendar month n steps after ym (n may be negative)."""
     year, month = check_ym(ym)
-    total = year * 12 + (month - 1) + n
+    return _month(year * 12 + (month - 1) + n)
+
+
+@functools.lru_cache(maxsize=4096)
+def _month(total: int) -> Month:
+    """The pair for month count `total`, one shared tuple per month: forecasts
+    kept from many eval passes then hold no new month tuples of their own.
+    4096 months is 341 years, the whole ERSSTv5 record with room to spare."""
     return total // 12, total % 12 + 1
 
 

@@ -16,7 +16,7 @@ from .cube import AnomalyCube
 from .errors import ValidationError
 from .grid import ONI_BOX, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, running_mean
-from .months import Month, add_months
+from .months import Month, add_months, month_range
 from .samples import make_samples
 from .stgnn import ModelConfig, ModelParams, forward, predicted_index
 
@@ -149,13 +149,17 @@ def forecast_index(
     """Run the model over every test window and align forecasts by lead.
 
     The model runs on detached copies of `params` that share their buffers,
-    `chunk` windows at a time (64 keeps the widest activation, the mix-hop
-    concat, near 5 MB at 130 nodes), so the forward builds no tape and the
-    caller's tensors are untouched. `predictor` overrides the model: it maps
-    inputs [S, w, N] to node predictions [S, H, N] (used for oracle and
-    baseline studies). Smoothing follows the observed index: centered k-month
-    means labeled by target month, with observed area means filling leads
-    <= 0; one batched `predicted_index` call computes every window's leads.
+    so the forward builds no tape and the caller's tensors are untouched.
+    Each forward takes one segment of chunk + w - 1 consecutive months and
+    returns the forecasts of the `chunk` windows it holds, so each month
+    passes the start projection once per segment rather than once per
+    window; at the default 64 the widest activation, layer 0's mix-hop
+    concat, is near 2.7 MB at 130 nodes. `predictor` overrides the model:
+    it maps windows [S, w, N] to node predictions [S, H, N] (used for oracle
+    and baseline studies), `chunk` windows per call. Smoothing follows the
+    observed index: centered k-month means labeled by target month, with
+    observed area means filling leads <= 0; one batched `predicted_index`
+    call computes every window's leads.
     """
     if predictor is None and params is None:
         raise ValueError("either params or a predictor is required")
@@ -185,26 +189,31 @@ def forecast_index(
     series = area_mean(anoms, nodes, weighting)
     observed = running_mean(series, k, anoms.start)
 
+    w = config.window
     if predictor is None:
         detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
+        # the windows are consecutive, so months s..s+w-1 of the sequence are window s
+        months = np.concatenate([samples.inputs[:, 0], samples.inputs[-1, 1:]])  # [S + w - 1, N]
+        scaled = (months / np.float32(input_scale)).astype(np.float32)
 
-        def predictor(batch):
-            scaled = (batch / np.float32(input_scale)).astype(np.float32)
-            xb = Tensor(np.ascontiguousarray(scaled.transpose(0, 2, 1)[:, None, :, :]))
+        def run(lo):
+            xb = Tensor(np.ascontiguousarray(scaled[lo: lo + chunk + w - 1].T[None, None]))
             return forward(detached, config, xb).data
+    else:
+        def run(lo):
+            return np.asarray(predictor(samples.inputs[lo: lo + chunk]))
 
-    preds = np.concatenate(
-        [np.asarray(predictor(samples.inputs[lo: lo + chunk])) for lo in range(0, S, chunk)],
-        axis=0,
-    )
+    preds = np.concatenate([run(lo) for lo in range(0, S, chunk)], axis=0)
     if preds.shape != (S, config.horizon, len(nodes)):
         raise ValueError(f"predictor returned {preds.shape}, expected {(S, config.horizon, len(nodes))}")
 
     # predicted index at every feasible lead for every sample
-    m_of = np.arange(S) + config.window - 1  # offset of the last input month
+    m_of = np.arange(S) + w - 1  # offset of the last input month
     tails = series[m_of[:, None] + np.arange(1 - half, 1)]  # [S, half], lead 0 last
     per_lead = predicted_index(preds, tails, weights, k)
 
+    # lead n targets calendar[n - leads[0]:][:S]: one list of months serves every lead
+    calendar = month_range(add_months(anoms.start, w - 1 + leads[0]), S + leads[-1] - leads[0])
     out: dict[int, LeadForecast] = {}
     for n in leads:
         target_idx = m_of + n - half  # position of month m+n in the smoothed series
@@ -215,7 +224,7 @@ def forecast_index(
             raise ValidationError(f"observed index does not cover issuance months for lead {n}")
         out[n] = LeadForecast(
             lead=n,
-            target_months=[add_months(anoms.start, int(m) + n) for m in m_of],
+            target_months=calendar[n - leads[0]: n - leads[0] + S],
             predicted=per_lead[:, n - 1].copy(),
             observed=observed.values[target_idx],
             persistence=observed.values[persist_idx],

@@ -6,20 +6,27 @@ last axis of its left operand with the first axis of its right one: a
 channel projection is x @ w + b with a 2-D weight [C_in, C_out] and a
 [C_out] bias, and the node mix is A @ x with an [N, N] adjacency.
 
-Architecture, per forward pass: a channel projection lifts the input window
-(transposed once from [B, 1, N, w] to [N, B, w, 1]) to the residual width,
+Architecture, per forward pass: a channel projection lifts the input months
+(transposed once from [B, 1, N, T] to [N, B, T, 1]) to the residual width,
 then each layer applies a gated dilated temporal convolution (the K dilated
 time slices side by side on the channel axis, projected by one weight whose
 first half of output columns is the tanh filter and second half the sigmoid
 gate; valid-only, so time shrinks and no padding leaks), a mix-hop graph
 convolution over the adjacency learned from node embeddings (the layer
 input and its hops along both edge directions, side by side on the channel
-axis and projected once), a residual add, and a skip projection of the
-whole remaining time axis. The relu'd skip sum feeds two projections that
-emit one channel per lead, [N, B, H], transposed once more to [B, H, N].
+axis and projected once), a residual add, and a skip projection: a time
+convolution of length L, the time axis a window of w months leaves at that
+layer. The relu'd skip sum feeds two projections that emit one channel per
+lead, [N, B*P, H], transposed once more to [B*P, H, N].
+
+Every stage before the skip is convolutional in time, so a sequence of
+T >= w consecutive months holds its P = T - w + 1 windows, and one pass
+over it gives each window's forecast (row b*P + p for the window ending at
+month p + w - 1 of batch row b) with the bytes a forward of that window
+alone would give. At T = w, P is 1 and the skip reads the whole time axis.
 
 Temporal receptive field is 1 + sum(dilation_l * (K - 1)); configs whose
-receptive field exceeds the input window are rejected outright.
+receptive field exceeds the window are rejected outright.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from .graph import GraphLearnConfig, learn_adjacency, normalize, topk_sparsify
 from .grid import GridSpec
 
 CHECKPOINT_VERSION = 3
+_INT_FIELDS = ("n_nodes", "horizon", "window", "layers", "residual_channels", "conv_channels",
+               "skip_channels", "end_channels", "kernel_size", "mixhop_depth", "seed")
 
 
 @dataclass(frozen=True)
@@ -110,9 +119,25 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        """The config to_dict wrote: integer fields must be JSON ints, not floats or
+        bools, dilations a list of them, and beta and graph.alpha JSON numbers."""
         d = dict(d)
-        d["graph"] = GraphLearnConfig(**d["graph"])
-        d["dilations"] = tuple(d["dilations"])
+        graph, dilations = d["graph"], d["dilations"]
+        if not isinstance(graph, dict):
+            raise TypeError(f"graph {graph!r} is not an object")
+        if not isinstance(dilations, list):
+            raise TypeError(f"dilations {dilations!r} is not a list")
+        ints = [(name, d[name]) for name in _INT_FIELDS if name in d]
+        ints += [(f"graph.{name}", graph[name]) for name in ("embed_dim", "topk") if name in graph]
+        ints += [("dilations", v) for v in dilations]
+        for name, value in ints:
+            if type(value) is not int:
+                raise TypeError(f"{name} {value!r} is not an integer")
+        for name, value in (("beta", d.get("beta", 0.0)), ("graph.alpha", graph.get("alpha", 1.0))):
+            if type(value) not in (int, float):
+                raise TypeError(f"{name} {value!r} is not a number")
+        d["graph"] = GraphLearnConfig(**graph)
+        d["dilations"] = tuple(dilations)
         return ModelConfig(**d)
 
 
@@ -245,15 +270,20 @@ def _check_finite(t: Tensor, layer: int, stage: str):
 
 
 def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
-    """Full model: [B, 1, N, w] -> per-lead node predictions [B, H, N].
+    """Full model: months [B, 1, N, T] -> per-lead node predictions [B*P, H, N].
 
-    One transpose takes the input to node-major [N, B, w, 1] and one takes
-    the head's [N, B, H] back; every stage between runs node-major.
+    T may be any length >= the window w; row b*P + p, with P = T - w + 1,
+    is the forecast from the window ending at month p + w - 1 of batch row
+    b, so T = w gives [B, H, N]. One transpose takes the input to node-major
+    [N, B, T, 1] and one takes the head's [N, B*P, H] back; every stage
+    between runs node-major. When P > 1, layer l's skip joins the
+    L = time_lengths()[l + 1] shifted views h[:, :, j : j + P] on the
+    channel axis (row j*C + c of the skip weight reads channel c at
+    position j, as for a single window) and projects them in one matmul.
     """
     x = adiff.as_tensor(x)
-    expect = (1, config.n_nodes, config.window)
-    if x.ndim != 4 or x.shape[1:] != expect:
-        raise ValueError(f"input shape {x.shape} does not match [B, 1, {config.n_nodes}, {config.window}]")
+    if x.ndim != 4 or x.shape[1:3] != (1, config.n_nodes) or x.shape[3] < config.window:
+        raise ValueError(f"input shape {x.shape} does not match [B, 1, {config.n_nodes}, T >= {config.window}]")
     if not np.all(np.isfinite(x.data)):
         raise NumericalError("non-finite model input")
 
@@ -262,6 +292,7 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     a_fwd = normalize(a_sparse)
     a_bwd = normalize(adiff.transpose(a_sparse, (1, 0)))
 
+    P = x.shape[3] - config.window + 1
     h = adiff.matmul(adiff.transpose(x, (2, 0, 3, 1)), params["start_w"], params["start_b"])
     skip = None
     for l in range(config.layers):
@@ -273,12 +304,18 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
         t_out = t.shape[2]
         h = adiff.add(g, adiff.narrow(h, 2, T - t_out, T))
         _check_finite(h, l, "residual")
-        s = adiff.matmul(adiff.reshape(h, (N, B, t_out * C)), params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
+        if P == 1:
+            h_skip = adiff.reshape(h, (N, B, t_out * C))
+        else:
+            L = t_out - P + 1
+            h_skip = adiff.reshape(adiff.concat([adiff.narrow(h, 2, j, j + P) for j in range(L)], -1),
+                                   (N, B * P, L * C))
+        s = adiff.matmul(h_skip, params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
         skip = s if skip is None else adiff.add(skip, s)
 
     out = adiff.relu(skip)
     out = adiff.relu(adiff.matmul(out, params["end1_w"], params["end1_b"]))
-    out = adiff.matmul(out, params["end2_w"], params["end2_b"])  # [N, B, H]
+    out = adiff.matmul(out, params["end2_w"], params["end2_b"])  # [N, B*P, H]
     return adiff.transpose(out, (1, 2, 0))
 
 

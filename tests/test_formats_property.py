@@ -4,7 +4,10 @@
 Each example drops a required header field, gives a field a value of another
 JSON kind, truncates the header, or truncates, pads, poisons, removes or
 replaces the payload. Optional checkpoint fields (`base_period`, `grid`,
-`nodes`) may be absent or null, so they are never dropped or nulled.
+`nodes`) may be absent or null, so they are never dropped or nulled. The
+checkpoint's nested model `config` fields are each given another JSON kind
+or a number of the wrong sort: NaN, an infinity, or a float where an
+integer belongs.
 Examples are derandomized with a fixed count, so the suite stays
 deterministic.
 """
@@ -224,3 +227,50 @@ def test_damaged_checkpoint_header_exits_2(cube_path, edit):
 def test_damaged_checkpoint_file_exits_2_or_4(cube_path, edit):
     codes = _checkpoint_exit_codes(cube_path, json.dumps(CKPT_HEADER), edit)
     assert codes == ((4, 4) if edit[0] in ("remove", "directory") else (2, 2)), edit
+
+
+# ------------------------------------------------ nested checkpoint config
+
+CONFIG = CKPT_HEADER["config"]
+CONFIG_PATHS = sorted([(f,) for f in CONFIG] + [("graph", f) for f in CONFIG["graph"]])
+
+
+def _config_value(config, path):
+    return config[path[0]] if len(path) == 1 else config[path[0]][path[1]]
+
+
+def _wrong_values(path):
+    """Another JSON kind, a number of the wrong sort (non-finite, or not integral
+    where the field is an integer), or for dilations a list of non-integers."""
+    value = _config_value(CONFIG, path)
+    if isinstance(value, list):
+        return _other_kind(value) | st.lists(st.sampled_from([1.0, True, "1", None]), min_size=1, max_size=3)
+    wrong = _other_kind(value)
+    if isinstance(value, (int, float)):
+        numbers = [math.nan, math.inf, -math.inf]
+        if isinstance(value, int):
+            numbers += [float(value), value + 0.5]
+        wrong |= st.sampled_from(numbers)
+    return wrong
+
+
+@PROFILE
+@given(edit=st.sampled_from(CONFIG_PATHS).flatmap(lambda path: st.tuples(st.just(path), _wrong_values(path))))
+# values that a float-tolerant range() or tuple() used to accept, or that reached the model
+@example(edit=(("n_nodes",), 130.0))
+@example(edit=(("window",), 3.0))
+@example(edit=(("graph", "embed_dim"), 3.0))
+@example(edit=(("graph", "topk"), 3.0))
+@example(edit=(("graph", "topk"), math.nan))
+@example(edit=(("graph", "alpha"), math.nan))
+@example(edit=(("graph", "alpha"), math.inf))
+@example(edit=(("dilations",), "11"))
+def test_damaged_checkpoint_config_exits_2(cube_path, edit):
+    path, value = edit
+    config = json.loads(json.dumps(CONFIG))
+    if len(path) == 1:
+        config[path[0]] = value
+    else:
+        config[path[0]][path[1]] = value
+    header = json.dumps(dict(CKPT_HEADER, config=config))
+    assert _checkpoint_exit_codes(cube_path, header) == (2, 2), edit

@@ -190,7 +190,8 @@ def test_export_edges_empty_graph(tmp_path):
 def test_graph_config_validation():
     with pytest.raises(ValueError):
         GraphLearnConfig(embed_dim=0)
-    with pytest.raises(ValueError):
-        GraphLearnConfig(alpha=0.0)
+    for alpha in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            GraphLearnConfig(alpha=alpha)
     with pytest.raises(ValueError):
         GraphLearnConfig(topk=0)

@@ -35,6 +35,11 @@ def test_add_months_round_trip():
         assert add_months(ym, -n) == (1980, 7)
 
 
+def test_add_months_shares_one_tuple_per_month():
+    assert add_months((1999, 12), 2) is add_months((2000, 1), 1)
+    assert month_range((1999, 11), 4)[2] is add_months((2000, 1), 0)
+
+
 def test_month_range():
     months = month_range((1999, 11), 4)
     assert months == [(1999, 11), (1999, 12), (2000, 1), (2000, 2)]

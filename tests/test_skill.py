@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ensograph import skill, train
+from ensograph.adiff import Tensor
 from ensograph.errors import ValidationError
 from ensograph.grid import ONI_BOX, region_nodes
 from ensograph.indices import IndexSeries, area_mean
@@ -167,8 +168,7 @@ def test_alignment_against_loop_reference():
     for n, fc in forecasts.items():
         np.testing.assert_allclose(fc.observed, smoothed[issued + n], atol=1e-9)
         np.testing.assert_allclose(fc.persistence, smoothed[issued], atol=1e-9)
-        assert fc.target_months[0] == add_months(anoms.start, int(issued[0]) + n)
-        assert fc.target_months[-1] == add_months(anoms.start, int(issued[-1]) + n)
+        assert fc.target_months == [add_months(anoms.start, int(m) + n) for m in issued]
 
 
 def test_persistence_column_matches_shifted_series_correlation():
@@ -269,6 +269,33 @@ def test_forecast_index_builds_no_tape(monkeypatch):
     assert len(outputs) == 3  # 22 windows in batches of 8
     assert not any(out.requires_grad for out in outputs)
     _assert_untouched(params)
+
+
+def test_forecast_index_passes_each_month_once_per_segment(monkeypatch):
+    # each forward takes chunk + w - 1 consecutive months, not chunk windows of w
+    grid = small_grid()
+    anoms = random_anoms(np.random.default_rng(16), grid, n_time=60)
+    config = tiny_config(n_nodes=12, horizon=4, seed=4)
+    params = init_params(config)
+    rows = []
+
+    def counting(params, config, x):
+        rows.append(x.shape[0] * x.shape[3])  # the start projection's rows per node
+        return forward(params, config, x)
+
+    monkeypatch.setattr(skill, "forward", counting)
+    S, w, chunk = 60 - config.window - config.horizon + 1, config.window, 10
+    forecasts = forecast_index(params, config, anoms, leads=(1, 3), k=3, chunk=chunk)
+    assert len(forecasts[1].predicted) == S
+    assert sum(rows) == S + (w - 1) * math.ceil(S / chunk)
+    assert len(rows) == math.ceil(S / chunk)
+    # a predictor gets the windows themselves, one forward of w months each,
+    # and the segment forecasts match them byte for byte
+    windowed = forecast_index(None, config, anoms, leads=(1, 3), k=3, chunk=chunk, predictor=lambda batch: (
+        forward(params, config, Tensor(np.ascontiguousarray(batch.transpose(0, 2, 1)[:, None]))).data))
+    assert len(rows) == math.ceil(S / chunk)  # the predictor path never reaches skill.forward
+    for n in (1, 3):
+        np.testing.assert_array_equal(forecasts[n].predicted.view(np.uint64), windowed[n].predicted.view(np.uint64))
 
 
 def test_validation_loss_builds_no_tape(monkeypatch):

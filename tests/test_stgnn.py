@@ -63,6 +63,27 @@ def test_config_dict_round_trip():
     assert back == cfg
 
 
+@pytest.mark.parametrize("path, value", [
+    (("n_nodes",), 6.0), (("window",), 3.0), (("layers",), True), (("conv_channels",), 4.0),
+    (("kernel_size",), 2.0), (("mixhop_depth",), "2"), (("seed",), 0.0), (("graph", "embed_dim"), 3.0),
+    (("graph", "topk"), 3.0), (("graph", "topk"), float("nan")), (("dilations",), "11"),
+    (("dilations",), [1.0, 1]), (("dilations",), [1, True]), (("beta",), True), (("graph",), [1]),
+])
+def test_config_from_dict_wants_json_ints(path, value):
+    d = json.loads(json.dumps(tiny_config().to_dict()))
+    d[path[0]] = dict(d[path[0]], **{path[1]: value}) if len(path) == 2 else value
+    with pytest.raises(TypeError):
+        ModelConfig.from_dict(d)
+
+
+def test_config_from_dict_rejects_non_finite_alpha():
+    for alpha in (float("nan"), float("inf")):
+        d = tiny_config().to_dict()
+        d["graph"]["alpha"] = alpha
+        with pytest.raises(ValueError, match="alpha"):
+            ModelConfig.from_dict(d)
+
+
 def test_config_accepts_json_shaped_fields():
     cfg = tiny_config(dilations=[1, 1],
                       graph={"embed_dim": 2, "alpha": 1.5, "topk": 2})
@@ -307,9 +328,27 @@ def test_forward_rejects_bad_input_shape():
     cfg = tiny_config()
     params = init_params(cfg, seed=0)
     with pytest.raises(ValueError):
-        forward(params, cfg, Tensor(np.zeros((2, 1, cfg.n_nodes, cfg.window + 1), dtype=np.float32)))
+        forward(params, cfg, Tensor(np.zeros((2, 1, cfg.n_nodes, cfg.window - 1), dtype=np.float32)))
     with pytest.raises(ValueError):
         forward(params, cfg, Tensor(np.zeros((2, 2, cfg.n_nodes, cfg.window), dtype=np.float32)))
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(n_nodes=130, horizon=4),
+    tiny_config(kernel_size=3, dilations=(1, 1), window=6),  # skips read 4 and 2 positions
+    tiny_config(kernel_size=3, dilations=(1, 2), window=8),  # 6 and 2, through a dilation of 2
+], ids=["gate", "k3-d11-w6", "k3-d12-w8"])
+def test_forward_on_a_sequence_gives_every_window_its_own_bytes(cfg):
+    params = init_params(cfg, seed=14)
+    B, P = 2, 9
+    x = np.random.default_rng(15).standard_normal(
+        (B, 1, cfg.n_nodes, cfg.window + P - 1)).astype(np.float32)
+    out = forward(params, cfg, Tensor(x)).data
+    assert out.shape == (B * P, cfg.horizon, cfg.n_nodes)
+    for b in range(B):
+        for p in range(P):
+            alone = forward(params, cfg, Tensor(np.ascontiguousarray(x[b:b + 1, :, :, p:p + cfg.window])))
+            np.testing.assert_array_equal(out[b * P + p].view(np.uint32), alone.data[0].view(np.uint32))
 
 
 def test_forward_flags_non_finite_input():
