@@ -236,25 +236,34 @@ def reshape(x, shape):
     return _from_op(data, (x,), lambda g: _accum(x, np.reshape(g, x.data.shape)))
 
 
-def narrow(x, axis, start, stop):
-    """Entries start:stop along one axis, as a view of x.
+def taps(x, starts: range, length: int):
+    """Time slices x[..., s:s+length, :] for s in starts, joined on the last axis.
 
-    The gradient is zero outside the slice.
+    [.., T, C] -> [.., length, len(starts)*C], column i*C + c holding channel
+    c of slice i. Where the slices form one block of x (one slice, or single
+    months in a row) the result is a view of x. The gradient is zero outside
+    the slices.
     """
     x = as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"axis {axis} out of range for ndim {x.ndim}")
-    axis %= x.ndim
-    if not 0 <= start < stop <= x.data.shape[axis]:
-        raise ValueError(f"narrow {start}:{stop} of axis {axis} with length {x.data.shape[axis]}")
-    index = (slice(None),) * axis + (slice(start, stop),)
+    *lead, T, C = x.data.shape
+    if not (starts and starts.step > 0 and starts[0] >= 0 and 1 <= length <= T - starts[-1]):
+        raise ValueError(f"time axis of {T} does not hold slices of {length} at {starts}")
+    block = len(starts) == 1 or (length == 1 and starts.step == 1)
+    if block:
+        data = x.data[..., starts[0]:starts[-1] + length, :].reshape(*lead, length, len(starts) * C)
+    else:
+        data = np.concatenate([x.data[..., s:s + length, :] for s in starts], axis=-1)
+    whole = block and data.size == x.data.size
 
     def _bw(g):
+        if whole:
+            return _accum(x, g.reshape(x.data.shape))
         full = np.zeros_like(x.data)
-        full[index] = g
+        for i, s in enumerate(starts):
+            full[..., s:s + length, :] += g[..., i * C:(i + 1) * C]
         _accum(x, full)
 
-    return _from_op(x.data[index], (x,), _bw)
+    return _from_op(data, (x,), _bw)
 
 
 def concat(xs, axis):

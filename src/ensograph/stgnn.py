@@ -8,22 +8,23 @@ channel projection is x @ w + b with a 2-D weight [C_in, C_out] and a
 
 Architecture, per forward pass: a channel projection lifts the input months
 (transposed once from [B, 1, N, T] to [N, B, T, 1]) to the residual width,
-then each layer applies a gated dilated temporal convolution (the K dilated
-time slices side by side on the channel axis, projected by one weight whose
-first half of output columns is the tanh filter and second half the sigmoid
-gate; valid-only, so time shrinks and no padding leaks), a mix-hop graph
-convolution over the adjacency learned from node embeddings (the layer
-input and its hops along both edge directions, side by side on the channel
-axis and projected once), a residual add, and a skip projection: a time
-convolution of length L, the time axis a window of w months leaves at that
-layer. The relu'd skip sum feeds two projections that emit one channel per
-lead, [N, B*P, H], transposed once more to [B*P, H, N].
+then each layer applies a gated dilated temporal convolution (one weight
+whose first half of output columns is the tanh filter and second half the
+sigmoid gate; valid-only, so time shrinks and no padding leaks), a mix-hop
+graph convolution over the adjacency learned from node embeddings (the
+layer input and its hops along both edge directions, side by side on the
+channel axis and projected once), a residual add of the input's trailing
+months, and a skip projection: a time convolution of length L, the time
+axis a window of w months leaves at that layer. The relu'd skip sum feeds
+two projections that emit one channel per lead, [N, B, P, H], reshaped to
+[N, B*P, H] and transposed once more to [B*P, H, N].
 
-Every stage before the skip is convolutional in time, so a sequence of
-T >= w consecutive months holds its P = T - w + 1 windows, and one pass
-over it gives each window's forecast (row b*P + p for the window ending at
-month p + w - 1 of batch row b) with the bytes a forward of that window
-alone would give. At T = w, P is 1 and the skip reads the whole time axis.
+The temporal convolution, the residual and the skip each join shifted time
+slices on the channel axis with one adiff.taps node, so every stage is
+convolutional in time: a sequence of T >= w consecutive months holds its
+P = T - w + 1 windows, and one pass over it gives each window's forecast
+(row b*P + p for the window ending at month p + w - 1 of batch row b) with
+the bytes a forward of that window alone would give.
 
 Temporal receptive field is 1 + sum(dilation_l * (K - 1)); configs whose
 receptive field exceeds the window are rejected outright.
@@ -217,19 +218,16 @@ def init_params(config: ModelConfig, seed: int | None = None, dtype=np.float32) 
 def temporal_block(x, w, b, dilation: int) -> Tensor:
     """Gated temporal convolution on node-major x [N, B, T, C]: tanh(filter) * sigmoid(gate).
 
-    The K = w.shape[0] / C time slices x[:, :, k*dilation : k*dilation + T_out]
-    are joined on the channel axis, so one matmul with w [K*C, 2*C_out] (row
-    k*C + c) and b is the dilated convolution. Its first C_out output columns
-    are the filter, the last C_out the gate, and adiff.gated joins them.
-    Valid-only, so T_out = T - dilation*(K - 1); the output is [N, B, T_out, C_out].
+    One adiff.taps node joins the K = w.shape[0] / C time slices
+    x[:, :, k*dilation : k*dilation + T_out] on the channel axis, so one
+    matmul with w [K*C, 2*C_out] (row k*C + c) and b is the dilated
+    convolution. Its first C_out output columns are the filter, the last
+    C_out the gate, and adiff.gated joins them. Valid-only, so
+    T_out = T - dilation*(K - 1); the output is [N, B, T_out, C_out].
     """
-    _, _, T, C = x.shape
-    K = w.shape[0] // C
-    t_out = T - dilation * (K - 1)
-    if dilation < 1 or t_out < 1:
-        raise ValueError(f"time axis of {T} does not fit kernel {K} at dilation {dilation}")
-    taps = [adiff.narrow(x, 2, k * dilation, k * dilation + t_out) for k in range(K)]
-    return adiff.gated(adiff.matmul(adiff.concat(taps, -1), w, b))
+    K = w.shape[0] // x.shape[3]
+    slices = adiff.taps(x, range(0, K * dilation, dilation), x.shape[2] - dilation * (K - 1))
+    return adiff.gated(adiff.matmul(slices, w, b))
 
 
 def _check_row_stochastic(a: Tensor):
@@ -275,11 +273,11 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     T may be any length >= the window w; row b*P + p, with P = T - w + 1,
     is the forecast from the window ending at month p + w - 1 of batch row
     b, so T = w gives [B, H, N]. One transpose takes the input to node-major
-    [N, B, T, 1] and one takes the head's [N, B*P, H] back; every stage
-    between runs node-major. When P > 1, layer l's skip joins the
-    L = time_lengths()[l + 1] shifted views h[:, :, j : j + P] on the
-    channel axis (row j*C + c of the skip weight reads channel c at
-    position j, as for a single window) and projects them in one matmul.
+    [N, B, T, 1]; every stage after it runs node-major, and the head's
+    [N, B, P, H] is reshaped to [N, B*P, H] and transposed back once. Layer
+    l's skip joins the L = time_lengths()[l + 1] shifted slices
+    h[:, :, j : j + P] on the channel axis (row j*C + c of the skip weight
+    reads channel c at position j) and projects them in one matmul.
     """
     x = adiff.as_tensor(x)
     if x.ndim != 4 or x.shape[1:3] != (1, config.n_nodes) or x.shape[3] < config.window:
@@ -300,23 +298,16 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
         _check_finite(t, l, "temporal")
         g = mixhop_conv(t, a_fwd, a_bwd, config.beta, config.mixhop_depth,
                         params[f"l{l}_mix_w"], params[f"l{l}_mix_b"])
-        N, B, T, C = h.shape
-        t_out = t.shape[2]
-        h = adiff.add(g, adiff.narrow(h, 2, T - t_out, T))
+        T, t_out = h.shape[2], t.shape[2]
+        h = adiff.add(g, adiff.taps(h, range(T - t_out, T - t_out + 1), t_out))
         _check_finite(h, l, "residual")
-        if P == 1:
-            h_skip = adiff.reshape(h, (N, B, t_out * C))
-        else:
-            L = t_out - P + 1
-            h_skip = adiff.reshape(adiff.concat([adiff.narrow(h, 2, j, j + P) for j in range(L)], -1),
-                                   (N, B * P, L * C))
-        s = adiff.matmul(h_skip, params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
+        s = adiff.matmul(adiff.taps(h, range(t_out - P + 1), P), params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
         skip = s if skip is None else adiff.add(skip, s)
 
     out = adiff.relu(skip)
     out = adiff.relu(adiff.matmul(out, params["end1_w"], params["end1_b"]))
-    out = adiff.matmul(out, params["end2_w"], params["end2_b"])  # [N, B*P, H]
-    return adiff.transpose(out, (1, 2, 0))
+    out = adiff.matmul(out, params["end2_w"], params["end2_b"])  # [N, B, P, H]
+    return adiff.transpose(adiff.reshape(out, (config.n_nodes, -1, config.horizon)), (1, 2, 0))
 
 
 def predicted_index(node_preds: np.ndarray, observed_tail, weights: np.ndarray, k: int) -> np.ndarray:

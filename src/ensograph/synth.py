@@ -45,6 +45,9 @@ class SynthConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "start", check_ym(self.start))
+        for name in ("period", "process_noise", "obs_noise", "amplitude", "width_lat", "width_lon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.months < 24:
             raise ValueError(f"need at least 24 months, got {self.months}")
         if self.period < 4.0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
@@ -39,8 +40,8 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

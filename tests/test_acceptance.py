@@ -92,8 +92,10 @@ def _op_cases(rng):
     t3 = leaf(rng.standard_normal((2, 3, 4)))
     linear("transpose", lambda: adiff.transpose(t3, (2, 0, 1)), (4, 2, 3), {"x": t3})
     linear("reshape", lambda: adiff.reshape(t3, (3, 8)), (3, 8), {"x": t3})
-    linear("narrow_axis1", lambda: adiff.narrow(t3, 1, 1, 3), (2, 2, 4), {"x": t3})
-    linear("narrow_last", lambda: adiff.narrow(t3, -1, 2, 4), (2, 3, 2), {"x": t3})
+    t5 = leaf(rng.standard_normal((2, 5, 3)))
+    linear("taps_one_slice", lambda: adiff.taps(t5, range(1, 2), 3), (2, 3, 3), {"x": t5})
+    linear("taps_every_month", lambda: adiff.taps(t5, range(5), 1), (2, 1, 15), {"x": t5})
+    linear("taps_overlapping", lambda: adiff.taps(t5, range(0, 3), 3), (2, 3, 9), {"x": t5})
     w1 = leaf(rng.standard_normal((2, 1, 4)))
     w2 = leaf(rng.standard_normal((2, 2, 4)))
     linear("concat", lambda: adiff.concat([t3, w1, w2], 1), (2, 6, 4),

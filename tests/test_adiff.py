@@ -14,13 +14,13 @@ from ensograph.adiff import (
     grad_check,
     matmul,
     mul,
-    narrow,
     reduce_mean,
     reduce_sum,
     relu,
     reshape,
     sub,
     tanh,
+    taps,
     transpose,
 )
 
@@ -109,8 +109,7 @@ def test_shape_op_values():
     x = rng.standard_normal((2, 3, 4))
     np.testing.assert_array_equal(transpose(Tensor(x), (2, 0, 1)).data, x.transpose(2, 0, 1))
     np.testing.assert_array_equal(reshape(Tensor(x), (6, 4)).data, x.reshape(6, 4))
-    np.testing.assert_array_equal(narrow(Tensor(x), -1, 2, 4).data, x[..., 2:4])
-    np.testing.assert_array_equal(narrow(Tensor(x), 1, 1, 3).data, x[:, 1:3])
+    np.testing.assert_array_equal(taps(Tensor(x), range(1, 2), 2).data, x[:, 1:3])
     y, z = rng.standard_normal((2, 1, 4)), rng.standard_normal((2, 5, 4))
     np.testing.assert_array_equal(concat([Tensor(x), Tensor(y), Tensor(z)], 1).data,
                                   np.concatenate([x, y, z], axis=1))
@@ -171,12 +170,12 @@ def test_every_op_passes_grad_check():
         "abs": lambda: reduce_sum(mul(abs_(c), mix)),
         "relu": lambda: reduce_sum(mul(relu(c), mix)),
         "tanh": lambda: reduce_sum(mul(tanh(a), mix)),
-        "gated": lambda: reduce_sum(mul(gated(a), narrow(mix, 1, 0, 2))),
+        "gated": lambda: reduce_sum(mul(gated(a), Tensor(mix.data[:, :2]))),
         "matmul": lambda: reduce_sum(matmul(m1, m2)),
-        "matmul_bias": lambda: reduce_sum(mul(matmul(m1, m2, bias), narrow(mix, 1, 1, 3))),
+        "matmul_bias": lambda: reduce_sum(mul(matmul(m1, m2, bias), Tensor(mix.data[:, 1:3]))),
         "transpose": lambda: reduce_sum(mul(transpose(a, (1, 0)), transpose(mix, (1, 0)))),
         "reshape": lambda: reduce_sum(mul(reshape(a, (4, 3)), reshape(mix, (4, 3)))),
-        "narrow": lambda: reduce_sum(mul(narrow(a, 1, 1, 3), narrow(mix, 1, 0, 2))),
+        "taps": lambda: reduce_sum(mul(taps(a, range(2), 2), Tensor(mix_wide.data[:2, :8]))),
         "concat": lambda: reduce_sum(mul(concat([a, b, m1], 1), mix_wide)),
         "mean": lambda: reduce_mean(mul(a, b)),
         "sum_axis": lambda: reduce_sum(reduce_sum(mul(a, b), 1)),
@@ -242,19 +241,34 @@ def test_shared_gradient_buffers_stay_intact():
         assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
 
 
-def test_narrow_gradient_zero_pads_outside_the_slice():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    backward(reduce_sum(narrow(x, -1, 1, 3)))
-    np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+def test_taps_gradient_zero_pads_outside_the_slices():
     x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-    backward(reduce_sum(narrow(x, 0, 1, 3)))
+    backward(reduce_sum(taps(x, range(1, 2), 2)))
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        narrow(x, 0, 2, 2)   # empty
-    with pytest.raises(ValueError):
-        narrow(x, 1, 0, 3)   # past the end
-    with pytest.raises(ValueError):
-        narrow(x, 2, 0, 1)   # no such axis
+    # overlapping slices add up where they meet
+    x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    backward(reduce_sum(taps(x, range(0, 2), 3)))
+    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+    for starts, length in ((range(0), 1), (range(3, 4), 2), (range(0, 4, 2), 3),
+                           (range(2, 0, -1), 1), (range(1), 0)):
+        with pytest.raises(ValueError, match="time axis"):
+            taps(x, starts, length)
+
+
+@pytest.mark.parametrize("starts, length, view", [
+    (range(1, 2), 3, True),      # one slice
+    (range(0, 5), 1, True),      # single months in a row
+    (range(1, 4), 1, True),
+    (range(0, 6, 3), 3, False),  # adjacent slices longer than a month tile x but are not a view of it
+    (range(0, 4, 2), 2, False),
+    (range(0, 3), 4, False),     # overlapping
+    (range(0, 6, 2), 1, False),  # single months with gaps
+])
+def test_taps_matches_concatenated_slices(starts, length, view):
+    x = np.random.default_rng(10).standard_normal((2, 3, 6, 4))
+    out = taps(Tensor(x), starts, length).data
+    np.testing.assert_array_equal(out, np.concatenate([x[..., s:s + length, :] for s in starts], axis=-1))
+    assert np.shares_memory(out, x) == view
 
 
 def test_relu_subgradient_at_zero_is_zero():

@@ -257,6 +257,16 @@ def test_train_rejects_bad_config(workdir, tmp_path):
     assert main(base + ["--config", str(mse)]) == 1
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_non_finite_lr_exits_1(workdir, tmp_path, capsys, lr):
+    ckpt = tmp_path / "m.ckpt"
+    code = main(["train", "--data", str(workdir / "cube.json"), "--out", str(ckpt),
+                 "--train-period", "1900:1907", "--config", str(workdir / "config.json"), "--lr", lr])
+    assert code == 1
+    assert "lr must be positive and finite" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_train_argument_errors(workdir, tmp_path):
     base = ["train", "--data", str(workdir / "cube.json"), "--out", str(tmp_path / "m.ckpt")]
     assert main(base + ["--leads", "1,x"]) == 1

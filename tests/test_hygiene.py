@@ -135,7 +135,7 @@ def gate_checked_ops(source: str) -> set[str]:
 
 def test_every_tape_op_has_a_gate_gradient_check():
     ops = tape_ops((ROOT / "src" / "ensograph" / "adiff.py").read_text())
-    assert {"add", "matmul", "gated", "narrow", "concat", "reduce_mean"} <= ops
+    assert {"add", "matmul", "gated", "taps", "concat", "reduce_mean"} <= ops
     missing = sorted(ops - gate_checked_ops((ROOT / "tests" / "test_acceptance.py").read_text()))
     assert not missing, f"tape ops with no float64 case in test_acceptance._op_cases: {missing}"
 

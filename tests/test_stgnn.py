@@ -418,19 +418,37 @@ def test_forward_beta_one_is_embedding_independent():
     np.testing.assert_allclose(out, out2, atol=1e-6)
 
 
-def test_gate_config_forward_and_loss_make_72_tape_nodes(monkeypatch):
+def _count_tape_nodes(monkeypatch):
+    made = []
+    from_op = adiff._from_op
+    monkeypatch.setattr(adiff, "_from_op", lambda *args: made.append(1) or from_op(*args))
+    return made
+
+
+def test_gate_config_forward_and_loss_make_69_tape_nodes(monkeypatch):
     # one node per stage: a projection is one biased matmul, the gate one
-    # gated node, a mix-hop step one matmul and one add
+    # gated node, a mix-hop step one matmul and one add, and each of the
+    # temporal conv, residual and skip one taps node
     cfg = ModelConfig(n_nodes=130, horizon=4)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(12)
     x = _rand_input(rng, cfg)
     target = Tensor(rng.standard_normal((2, cfg.horizon, cfg.n_nodes)).astype(np.float32))
-    made = []
-    from_op = adiff._from_op
-    monkeypatch.setattr(adiff, "_from_op", lambda *args: made.append(1) or from_op(*args))
+    made = _count_tape_nodes(monkeypatch)
     backward(mae_loss(forward(params, cfg, x), target))
-    assert len(made) == 72
+    assert len(made) == 69
+
+
+def test_gate_config_eval_sequence_forward_makes_66_tape_nodes(monkeypatch):
+    # eval's detached forward over 66 months (64 windows); the skip is one
+    # taps node at every P, so the count does not grow with P
+    cfg = ModelConfig(n_nodes=130, horizon=4)
+    params = ModelParams({name: Tensor(t.data) for name, t in init_params(cfg, seed=0).items()})
+    x = np.random.default_rng(13).standard_normal((1, 1, cfg.n_nodes, cfg.window + 63))
+    made = _count_tape_nodes(monkeypatch)
+    out = forward(params, cfg, Tensor(x.astype(np.float32)))
+    assert out.shape == (64, cfg.horizon, cfg.n_nodes)
+    assert len(made) == 66
 
 
 def test_forward_backward_fills_every_parameter():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ensograph.cli import main
 from ensograph.skill import pearson
 from ensograph.synth import SynthConfig, generate, latent_series, loading_pattern, write_latent_csv
 
@@ -114,6 +115,19 @@ def test_config_validation():
         SynthConfig(width_lat=0.0)
     with pytest.raises(ValueError):
         SynthConfig(start=(1900, 13))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["period", "process_noise", "obs_noise", "amplitude", "width_lat", "width_lon"])
+def test_non_finite_parameters_are_rejected(name, value, tmp_path):
+    # NaN slips past every ordered comparison, and an infinite period or
+    # noise level gives a cube that does not oscillate or is not finite
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SynthConfig(**{name: value})
+    if name in ("period", "process_noise", "obs_noise"):
+        flag = "--" + name.replace("_", "-")
+        assert main(["synth", "--out", str(tmp_path / "x"), f"{flag}={value}"]) == 1
+        assert not list(tmp_path.iterdir())
 
 
 def test_write_latent_csv(tmp_path):

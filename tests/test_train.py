@@ -132,7 +132,7 @@ def test_loss_shape_mismatch():
 # ------------------------------------------------------------------- config
 
 def test_train_config_validation():
-    for kw in (dict(lr=0.0), dict(epochs=0), dict(batch_size=0),
+    for kw in (dict(lr=0.0), dict(lr=float("nan")), dict(lr=float("inf")), dict(epochs=0), dict(batch_size=0),
                dict(val_fraction=1.0), dict(val_fraction=-0.1)):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
