@@ -146,9 +146,12 @@ def _load_overrides(path):
     if path is None:
         return {}, {}
     raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError("--config must hold a JSON object")
-    return dict(raw.get("model", {})), dict(raw.get("train", {}))
+    if not (isinstance(raw, dict) and set(raw) <= {"model", "train"}):
+        raise ValueError('--config must hold a JSON object with only "model" and "train" sections')
+    sections = raw.get("model", {}), raw.get("train", {})
+    if not all(isinstance(section, dict) for section in sections):
+        raise ValueError("each --config section must be a JSON object")
+    return dict(sections[0]), dict(sections[1])
 
 
 def cmd_train(args) -> int:
@@ -211,10 +214,9 @@ def _test_anomalies(args, ckpt):
     """The test period's anomalies; the whole-record cubes are freed on return,
     so they do not stay allocated while the model runs."""
     cube = load_cube(args.data)
-    if ckpt.grid is not None and ckpt.grid != cube.grid:
+    if ckpt.grid != cube.grid:
         raise ValidationError("checkpoint was trained on a different grid than --data")
-    base_period = ckpt.base_period or (1871, 1973)
-    anoms = anomalies(cube, climatology(cube, base_period))
+    anoms = anomalies(cube, climatology(cube, ckpt.base_period))
     return split_by_years(anoms, _parse_period(args.test_period))
 
 
@@ -243,8 +245,6 @@ def cmd_eval(args) -> int:
 
 def cmd_graph_export(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.grid is None or ckpt.nodes is None:
-        raise ValidationError("checkpoint does not record its grid and nodes")
     e1 = Tensor(ckpt.params["e1"].data)
     e2 = Tensor(ckpt.params["e2"].data)
     a = topk_sparsify(learn_adjacency(e1, e2, ckpt.config.graph.alpha), ckpt.config.graph.topk)

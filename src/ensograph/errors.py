@@ -16,3 +16,13 @@ class ValidationError(EnsographError):
 
 class NumericalError(EnsographError):
     """A computation produced NaN or Inf where finite values are required."""
+
+
+def _check_types(ints, numbers=()):
+    """Raise TypeError unless each (name, value) pair in `ints` holds an int and
+    each in `numbers` an int or a float. A bool is neither, though Python counts
+    it as an int; the name only labels the message."""
+    for pairs, kinds, noun in ((ints, int, "an integer"), (numbers, (int, float), "a number")):
+        for name, value in pairs:
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{name} {value!r} is not {noun}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import adiff
 from .adiff import Tensor, as_tensor
 from .cube import AnomalyCube
-from .errors import ValidationError
+from .errors import ValidationError, _check_types
 from .grid import GridSpec, NodeId, node_coords
 
 
@@ -29,6 +29,7 @@ class GraphLearnConfig:
     topk: int = 20
 
     def __post_init__(self):
+        _check_types([("embed_dim", self.embed_dim), ("topk", self.topk)], [("alpha", self.alpha)])
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
         if not 0 < self.alpha < float("inf"):

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import adiff
 from .adiff import Tensor
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_types
 from .graph import GraphLearnConfig, learn_adjacency, normalize, topk_sparsify
 from .grid import GridSpec
 
@@ -68,9 +68,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
         if isinstance(self.graph, dict):
             object.__setattr__(self, "graph", GraphLearnConfig(**self.graph))
+        if not isinstance(self.graph, GraphLearnConfig):
+            raise TypeError(f"graph {self.graph!r} is not an object")
+        if not isinstance(self.dilations, (list, tuple)):
+            raise TypeError(f"dilations {self.dilations!r} is not a list")
+        object.__setattr__(self, "dilations", tuple(self.dilations))
+        _check_types([(name, getattr(self, name)) for name in _INT_FIELDS]
+                     + [("dilations", d) for d in self.dilations], [("beta", self.beta)])
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         if self.horizon < 1:
@@ -117,29 +123,6 @@ class ModelConfig:
         d = dataclasses.asdict(self)
         d["dilations"] = list(self.dilations)
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        """The config to_dict wrote: integer fields must be JSON ints, not floats or
-        bools, dilations a list of them, and beta and graph.alpha JSON numbers."""
-        d = dict(d)
-        graph, dilations = d["graph"], d["dilations"]
-        if not isinstance(graph, dict):
-            raise TypeError(f"graph {graph!r} is not an object")
-        if not isinstance(dilations, list):
-            raise TypeError(f"dilations {dilations!r} is not a list")
-        ints = [(name, d[name]) for name in _INT_FIELDS if name in d]
-        ints += [(f"graph.{name}", graph[name]) for name in ("embed_dim", "topk") if name in graph]
-        ints += [("dilations", v) for v in dilations]
-        for name, value in ints:
-            if type(value) is not int:
-                raise TypeError(f"{name} {value!r} is not an integer")
-        for name, value in (("beta", d.get("beta", 0.0)), ("graph.alpha", graph.get("alpha", 1.0))):
-            if type(value) not in (int, float):
-                raise TypeError(f"{name} {value!r} is not a number")
-        d["graph"] = GraphLearnConfig(**graph)
-        d["dilations"] = tuple(dilations)
-        return ModelConfig(**d)
 
 
 class ModelParams:
@@ -351,22 +334,45 @@ def predicted_index(node_preds: np.ndarray, observed_tail, weights: np.ndarray, 
 
 @dataclass
 class Checkpoint:
+    """A model and what evaluation and edge export need to rebuild its inputs. Every
+    field is checked here, so save_checkpoint refuses what load_checkpoint would."""
+
     params: ModelParams
     config: ModelConfig
     input_scale: float
     seed: int
-    base_period: tuple[int, int] | None
-    grid: "GridSpec | None"
-    nodes: "list[tuple[int, int]] | None"
+    base_period: tuple[int, int]
+    grid: GridSpec
+    nodes: list[tuple[int, int]]
+
+    def __post_init__(self):
+        bp, nodes, grid = self.base_period, self.nodes, self.grid
+        if not (isinstance(bp, (list, tuple)) and len(bp) == 2):
+            raise TypeError(f"base_period {bp!r} is not a pair of years")
+        if not (isinstance(nodes, (list, tuple))
+                and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in nodes)):
+            raise TypeError("nodes are not a list of index pairs")
+        _check_types([("seed", self.seed)] + [("base_period", y) for y in bp]
+                     + [("nodes", v) for p in nodes for v in p])
+        self.base_period, self.nodes = tuple(bp), [tuple(p) for p in nodes]
+        if not (isinstance(self.input_scale, float) and 0 < self.input_scale < np.inf):
+            raise ValueError(f"input_scale {self.input_scale!r} is not a positive finite float")
+        if bp[0] > bp[1]:
+            raise ValueError(f"base_period {bp!r} ends before it starts")
+        if not (len(set(self.nodes)) == len(nodes) == self.config.n_nodes
+                and all(0 <= i < grid.n_lat and 0 <= j < grid.n_lon for i, j in self.nodes)):
+            raise ValueError(f"nodes are not {self.config.n_nodes} unique index pairs on the grid")
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig, input_scale: float,
-                    seed: int, base_period=None, grid=None, nodes=None):
+                    seed: int, base_period, grid, nodes):
     """One file: compact JSON header line, then raw little-endian float32 tensors.
 
     grid and nodes record which cells the model's node axis refers to, so
-    evaluation and edge export can rebuild the region without the data.
+    evaluation and edge export can rebuild the region without the data. Every
+    field is checked, as a Checkpoint, before anything is written.
     """
+    ckpt = Checkpoint(params, config, input_scale, seed, base_period, grid, nodes)
     records = []
     blobs = []
     for name, t in params.items():
@@ -376,11 +382,11 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, input_scale:
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "input_scale": float(input_scale),
-        "seed": int(seed),
-        "base_period": list(base_period) if base_period is not None else None,
-        "grid": {"lats": list(grid.lats), "lons": list(grid.lons)} if grid is not None else None,
-        "nodes": [[int(i), int(j)] for i, j in nodes] if nodes is not None else None,
+        "input_scale": ckpt.input_scale,
+        "seed": ckpt.seed,
+        "base_period": list(ckpt.base_period),
+        "grid": {"lats": list(grid.lats), "lons": list(grid.lons)},
+        "nodes": [list(p) for p in ckpt.nodes],
         "tensors": records,
     }
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
@@ -402,9 +408,11 @@ def load_checkpoint(path) -> Checkpoint:
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {header.get('format_version')}")
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad checkpoint config: {exc}") from exc
+    if config.to_dict() != header["config"]:
+        raise ValidationError("bad checkpoint config: it does not store every field")
 
     expected = {name: shape for name, shape, _ in param_shapes(config)}
     records = header.get("tensors", [])
@@ -416,26 +424,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValidationError(f"malformed checkpoint tensor record: {exc}") from exc
     if got != expected:
         raise ValidationError("checkpoint tensors do not match the stored config")
-    try:
-        input_scale, seed = header["input_scale"], header["seed"]
-        bp, gd, nd = header.get("base_period"), header.get("grid"), header.get("nodes")
-        base_period = tuple(bp) if bp is not None else None
-        grid = GridSpec(tuple(gd["lats"]), tuple(gd["lons"])) if gd is not None else None
-        nodes = [(int(i), int(j)) for i, j in nd] if nd is not None else None
-    except KeyError as exc:
-        raise ValidationError(f"checkpoint header lacks field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed checkpoint header field: {exc}") from exc
-    if not (type(input_scale) is float and np.isfinite(input_scale) and input_scale > 0):
-        raise ValidationError(f"checkpoint input_scale {input_scale!r} is not a positive finite number")
-    if type(seed) is not int:
-        raise ValidationError(f"checkpoint seed {seed!r} is not an integer")
-    if base_period is not None and not (len(bp) == 2 and all(type(y) is int for y in bp) and bp[0] <= bp[1]):
-        raise ValidationError(f"checkpoint base_period {bp} is not two ints with y0 <= y1")
-    if nodes is not None and not (grid is not None and len(set(nodes)) == len(nodes) == config.n_nodes
-            and all(type(i) is type(j) is int and 0 <= i < grid.n_lat and 0 <= j < grid.n_lon
-                    for i, j in nd)):
-        raise ValidationError(f"checkpoint nodes are not {config.n_nodes} unique index pairs on its grid")
 
     body = raw[cut + 1:]
     need = sum(int(np.prod(expected[r["name"]])) for r in records) * 4
@@ -449,12 +437,10 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape)
         tensors[r["name"]] = Tensor(arr.copy(), requires_grad=True)
         offset += count * 4
-    return Checkpoint(
-        params=ModelParams(tensors),
-        config=config,
-        input_scale=input_scale,
-        seed=seed,
-        base_period=base_period,
-        grid=grid,
-        nodes=nodes,
-    )
+    try:
+        return Checkpoint(ModelParams(tensors), config, header["input_scale"], header["seed"],
+                          header["base_period"], GridSpec(**header["grid"]), header["nodes"])
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint header lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad checkpoint header: {exc}") from exc

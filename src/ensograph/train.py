@@ -23,7 +23,7 @@ import numpy as np
 
 from . import adiff
 from .adiff import Tensor
-from .errors import NumericalError
+from .errors import NumericalError, _check_types
 from .samples import SampleSet
 from .stgnn import ModelConfig, ModelParams, forward, init_params
 
@@ -40,6 +40,8 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        _check_types([("epochs", self.epochs), ("batch_size", self.batch_size), ("seed", self.seed)],
+                     [("lr", self.lr), ("val_fraction", self.val_fraction)])
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 1:

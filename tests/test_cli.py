@@ -257,6 +257,42 @@ def test_train_rejects_bad_config(workdir, tmp_path):
     assert main(base + ["--config", str(mse)]) == 1
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"model": {"layers": True, "dilations": [True]}, "train": {"epochs": True}}, "layers True is not an integer"),
+    ({"model": {"beta": True}}, "beta"),
+    ({"model": {"dilations": [1.7, 1]}}, "dilations"),
+    ({"model": {"graph": [1]}}, "graph [1] is not an object"),
+    ({"model": {"graph": {"topk": 2.5}}}, "topk"),
+    ({"model": {"residual_channels": 8.0}}, "residual_channels"),
+    ({"model": {"seed": 1.5}}, "seed"),
+    ({"train": {"batch_size": 2.5}}, "batch_size"),
+    ({"train": {"seed": 1.5}}, "seed"),
+    ({"train": {"lr": "0.1"}}, "lr"),
+], ids=["bools", "bool-beta", "float-dilation", "list-graph", "float-topk", "float-channels",
+        "float-model-seed", "float-batch", "float-train-seed", "string-lr"])
+def test_train_config_field_of_wrong_type_exits_1(workdir, tmp_path, capsys, overrides, field):
+    ckpt, cfg = tmp_path / "m.ckpt", tmp_path / "config.json"
+    cfg.write_text(json.dumps(overrides))
+    assert main(["train", "--data", str(workdir / "cube.json"), "--out", str(ckpt),
+                 "--train-period", "1900:1907", "--config", str(cfg)]) == 1
+    assert field in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"modle": {"layers": 1, "dilations": [1]}},
+    {"model": [], "train": []},
+    {"Train": {"epochs": 1}},
+], ids=["misspelt", "lists", "capitalised"])
+def test_train_config_with_unknown_section_exits_1(workdir, tmp_path, capsys, overrides):
+    ckpt, cfg = tmp_path / "m.ckpt", tmp_path / "config.json"
+    cfg.write_text(json.dumps(overrides))
+    assert main(["train", "--data", str(workdir / "cube.json"), "--out", str(ckpt),
+                 "--train-period", "1900:1907", "--config", str(cfg)]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_train_non_finite_lr_exits_1(workdir, tmp_path, capsys, lr):
     ckpt = tmp_path / "m.ckpt"
@@ -330,15 +366,6 @@ def test_eval_checkpoint_with_non_dict_grid_exits_2(workdir, tmp_path, capsys):
 def test_eval_missing_checkpoint_exits_4(workdir, tmp_path):
     assert main(["eval", "--data", str(workdir / "cube.json"),
                  "--checkpoint", str(tmp_path / "none.ckpt")]) == 4
-
-
-def test_graph_export_needs_grid_metadata(tmp_path, capsys):
-    config = tiny_config(n_nodes=12, horizon=4)
-    ckpt = tmp_path / "bare.ckpt"
-    save_checkpoint(ckpt, init_params(config), config, 1.0, 0)
-    assert main(["graph-export", "--checkpoint", str(ckpt),
-                 "--out", str(tmp_path / "e.csv")]) == 2
-    assert "grid" in capsys.readouterr().err
 
 
 def _oni_checkpoint(workdir, tmp_path, edit):

@@ -1,13 +1,11 @@
 """Property tests of the file formats: a damaged cube or checkpoint exits 2
 (validation) or 4 (I/O) through the CLI, never 1 or a traceback.
 
-Each example drops a required header field, gives a field a value of another
-JSON kind, truncates the header, or truncates, pads, poisons, removes or
-replaces the payload. Optional checkpoint fields (`base_period`, `grid`,
-`nodes`) may be absent or null, so they are never dropped or nulled. The
-checkpoint's nested model `config` fields are each given another JSON kind
-or a number of the wrong sort: NaN, an infinity, or a float where an
-integer belongs.
+Each example drops a header field, gives a field a value of another JSON
+kind, truncates the header, or truncates, pads, poisons, removes or replaces
+the payload. Every header field is required. The checkpoint's nested model
+`config` fields are each dropped or given another JSON kind or a number of
+the wrong sort: NaN, an infinity, or a float where an integer belongs.
 Examples are derandomized with a fixed count, so the suite stays
 deterministic.
 """
@@ -53,8 +51,8 @@ def _kind(value) -> str:
     return {str: "string", list: "list", dict: "object"}[type(value)]
 
 
-def _other_kind(value, nullable=True):
-    kinds = [k for k in KINDS if k != _kind(value) and (nullable or k != "null")]
+def _other_kind(value):
+    kinds = [k for k in KINDS if k != _kind(value)]
     return st.sampled_from(kinds).flatmap(lambda k: KINDS[k])
 
 
@@ -110,12 +108,11 @@ CUBE_HEADER, CUBE_PAYLOAD = _cube_files()
 CUBE_FIELDS = sorted(json.loads(CUBE_HEADER))
 
 
-def _header_edits(fields, header, nullable=lambda field: True, droppable=lambda field: True):
+def _header_edits(fields, header):
     text = json.dumps(header)
     return st.one_of(
-        st.tuples(st.just("drop"), st.sampled_from([f for f in fields if droppable(f)])),
-        st.sampled_from(fields).flatmap(
-            lambda f: _other_kind(header[f], nullable(f)).map(lambda v: ("retype", (f, v)))),
+        st.tuples(st.just("drop"), st.sampled_from(fields)),
+        st.sampled_from(fields).flatmap(lambda f: _other_kind(header[f]).map(lambda v: ("retype", (f, v)))),
         st.tuples(st.just("cut"), st.integers(0, len(text) - 2)),  # any proper prefix of the object
     )
 
@@ -161,9 +158,6 @@ def test_damaged_cube_payload_exits_2_or_4(edit):
 
 # -------------------------------------------------------------- checkpoints
 
-OPTIONAL = {"base_period", "grid", "nodes"}
-
-
 def _checkpoint_file():
     """The header and body of an untrained tiny checkpoint on the synthetic cube's grid."""
     grid = oni_grid()
@@ -206,8 +200,7 @@ def test_undamaged_checkpoint_evaluates_and_exports(cube_path):
 
 
 @PROFILE
-@given(edit=_header_edits(CKPT_FIELDS, CKPT_HEADER, nullable=lambda f: f not in OPTIONAL,
-                          droppable=lambda f: f not in OPTIONAL))
+@given(edit=_header_edits(CKPT_FIELDS, CKPT_HEADER))
 # values that int(), float() or a truth test used to accept
 @example(edit=("retype", ("seed", "5")))
 @example(edit=("retype", ("seed", True)))
@@ -233,6 +226,15 @@ def test_damaged_checkpoint_file_exits_2_or_4(cube_path, edit):
 
 CONFIG = CKPT_HEADER["config"]
 CONFIG_PATHS = sorted([(f,) for f in CONFIG] + [("graph", f) for f in CONFIG["graph"]])
+DROP = "<dropped>"  # the edit value that removes the field; generated strings are shorter
+
+
+def _drop_each_config_field(test):
+    """One example per config path that removes the field: a stored config that
+    lacks a field must not load with the library's default for it."""
+    for path in CONFIG_PATHS:
+        test = example(edit=(path, DROP))(test)
+    return test
 
 
 def _config_value(config, path):
@@ -265,12 +267,14 @@ def _wrong_values(path):
 @example(edit=(("graph", "alpha"), math.nan))
 @example(edit=(("graph", "alpha"), math.inf))
 @example(edit=(("dilations",), "11"))
+@_drop_each_config_field
 def test_damaged_checkpoint_config_exits_2(cube_path, edit):
     path, value = edit
     config = json.loads(json.dumps(CONFIG))
-    if len(path) == 1:
-        config[path[0]] = value
+    fields = config if len(path) == 1 else config[path[0]]
+    if value is DROP:
+        del fields[path[-1]]
     else:
-        config[path[0]][path[1]] = value
+        fields[path[-1]] = value
     header = json.dumps(dict(CKPT_HEADER, config=config))
     assert _checkpoint_exit_codes(cube_path, header) == (2, 2), edit

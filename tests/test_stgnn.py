@@ -59,7 +59,7 @@ def test_topk_cannot_exceed_node_count():
 
 def test_config_dict_round_trip():
     cfg = tiny_config(horizon=4, beta=0.2)
-    back = ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    back = ModelConfig(**json.loads(json.dumps(cfg.to_dict())))
     assert back == cfg
 
 
@@ -73,7 +73,7 @@ def test_config_from_dict_wants_json_ints(path, value):
     d = json.loads(json.dumps(tiny_config().to_dict()))
     d[path[0]] = dict(d[path[0]], **{path[1]: value}) if len(path) == 2 else value
     with pytest.raises(TypeError):
-        ModelConfig.from_dict(d)
+        ModelConfig(**d)
 
 
 def test_config_from_dict_rejects_non_finite_alpha():
@@ -81,7 +81,7 @@ def test_config_from_dict_rejects_non_finite_alpha():
         d = tiny_config().to_dict()
         d["graph"]["alpha"] = alpha
         with pytest.raises(ValueError, match="alpha"):
-            ModelConfig.from_dict(d)
+            ModelConfig(**d)
 
 
 def test_config_accepts_json_shaped_fields():
@@ -365,7 +365,8 @@ def test_forward_flags_non_finite_activations():
     params = init_params(cfg, seed=0)
     params["l0_tcn_w"].data[:] = np.inf
     x = _rand_input(np.random.default_rng(2), cfg)
-    with pytest.raises(NumericalError, match="layer 0"):
+    with pytest.raises(NumericalError, match="layer 0"), \
+            pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
         forward(params, cfg, x)
 
 
@@ -537,6 +538,11 @@ def test_predicted_index_needs_enough_tail():
 
 # --------------------------------------------------------------- checkpoint
 
+# what save_checkpoint stores besides a tiny_config() model's parameters
+CHECKPOINT_FIELDS = dict(input_scale=1.0, seed=0, base_period=(1900, 1950),
+                         grid=GridSpec((0.0, 2.0), (10.0, 12.0, 14.0)), nodes=[(i // 3, i % 3) for i in range(6)])
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = tiny_config(horizon=3)
     params = init_params(cfg, seed=11)
@@ -557,19 +563,27 @@ def test_checkpoint_round_trip(tmp_path):
         assert ckpt.params[name].requires_grad
 
 
-def test_checkpoint_optional_fields_default_none(tmp_path):
+@pytest.mark.parametrize("field, value", [
+    ("input_scale", 0.0),
+    ("input_scale", float("nan")),
+    ("base_period", (1907, 1900)),
+    ("nodes", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]),  # row 2 is off the 2-row grid
+    ("nodes", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 1)]),  # a repeated node
+], ids=["zero-scale", "nan-scale", "reversed-period", "off-grid", "repeated"])
+def test_save_checkpoint_refuses_what_load_would(tmp_path, field, value):
     cfg = tiny_config()
+    fields = dict(CHECKPOINT_FIELDS, **{field: value})
     path = tmp_path / "m.bin"
-    save_checkpoint(path, init_params(cfg, seed=0), cfg, 1.0, 0)
-    ckpt = load_checkpoint(path)
-    assert ckpt.base_period is None and ckpt.grid is None and ckpt.nodes is None
+    with pytest.raises(ValueError, match=field):
+        save_checkpoint(path, init_params(cfg, seed=0), cfg, **fields)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_tampering(tmp_path):
     cfg = tiny_config()
     params = init_params(cfg, seed=0)
     path = tmp_path / "m.bin"
-    save_checkpoint(path, params, cfg, 1.0, 0)
+    save_checkpoint(path, params, cfg, **CHECKPOINT_FIELDS)
     raw = path.read_bytes()
     cut = raw.find(b"\n")
     header = json.loads(raw[:cut])
