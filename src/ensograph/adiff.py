@@ -140,19 +140,25 @@ def div(a, b):
     return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
+# Longest contraction one gradient GEMM runs. OpenBLAS 0.3.31 gives [130, L] @ [L, 130]
+# float32 bytes that differ between one and two threads at every L = 16 (mod 32)
+# from 464 up, and the same bytes at every L up to 256.
+_PIECE = 256
+
+
 def matmul(a, b, bias=None):
     """Contract the last axis of a with the first axis of b, plus an optional bias.
 
     [.., k] @ [k, ..] gives a's leading axes followed by b's trailing ones,
     so one rule serves a channel projection (x [N, B, T, C] @ w [C, C_out]),
     the node mix (A [N, N] @ x [N, B, T, C]) and a plain 2-D product. The
-    forward and the gradient of a are each one 2-D GEMM on reshape views,
-    [m, k] @ [k, n]. The gradient of b sums one GEMM per slice of a's first
-    axis (when a is 2-D the single slice is taken as it is, not summed): one
-    long contraction over every row of a rounds differently with the BLAS
-    thread count, the per-slice sum does not. bias, when given, has b's
-    trailing shape and is added in place on the product; its gradient is g
-    summed over a's leading axes.
+    forward is one 2-D GEMM on reshape views, [m, k] @ [k, n]. A long
+    contraction rounds differently with the BLAS thread count, so neither
+    gradient runs one: a's sums one GEMM per _PIECE columns of b's trailing
+    axes, in order, and b's sums one GEMM per slice of a's first axis (when a
+    is 2-D the single slice is taken as it is, not summed). bias, when given,
+    has b's trailing shape and is added in place on the product; its
+    gradient is g summed over a's leading axes.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -172,7 +178,10 @@ def matmul(a, b, bias=None):
     def _bw(g):
         g2 = g.reshape(a2.shape[0], b2.shape[1])
         if a.requires_grad:
-            _accum(a, (g2 @ b2.T).reshape(a.data.shape))
+            ga = g2[:, :_PIECE] @ b2[:, :_PIECE].T
+            for lo in range(_PIECE, b2.shape[1], _PIECE):
+                ga += g2[:, lo:lo + _PIECE] @ b2[:, lo:lo + _PIECE].T
+            _accum(a, ga.reshape(a.data.shape))
         if b.requires_grad:
             lead = a.data.shape[0] if a.ndim > 2 else 1
             gb = np.matmul(np.swapaxes(a2.reshape(lead, -1, k), 1, 2), g2.reshape(lead, -1, b2.shape[1]))

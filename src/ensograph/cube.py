@@ -165,7 +165,7 @@ def load_cube(meta_path) -> SstCube:
     meta_path = Path(meta_path)
     try:
         header = json.loads(meta_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an int literal past Python's 4300-digit limit
         raise ValidationError(f"malformed cube header {meta_path}: {exc}") from exc
     if not isinstance(header, dict):
         raise ValidationError(f"cube header {meta_path} is not a JSON object")

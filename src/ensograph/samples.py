@@ -9,7 +9,7 @@ import numpy as np
 from .cube import AnomalyCube
 from .errors import ValidationError
 from .grid import NodeId
-from .months import Month, month_range
+from .months import Month, add_months, month_range
 
 
 @dataclass
@@ -71,3 +71,34 @@ def make_samples(anoms: AnomalyCube, nodes: list[NodeId], window: int, horizon: 
         start_months=start_months,
         n_dropped=int(bad.sum()),
     )
+
+
+def consecutive_runs(start_months: list[Month], limit: int) -> list[range]:
+    """Window indices cut into runs of consecutive start months, each at most `limit` long.
+
+    make_samples drops windows that touch missing data, so the kept windows
+    fall into segments of consecutive months; a run never crosses such a gap.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    runs, lo = [], 0
+    for i in range(1, len(start_months) + 1):
+        if i == len(start_months) or start_months[i] != add_months(start_months[i - 1], 1):
+            runs += [range(s, min(s + limit, i)) for s in range(lo, i, limit)]
+            lo = i
+    return runs
+
+
+def run_inputs(inputs: np.ndarray, firsts, length: int) -> np.ndarray:
+    """Model input [R, 1, N, length + w - 1] for R runs of `length` consecutive windows.
+
+    Run r holds windows firsts[r] .. firsts[r] + length - 1 of inputs [S, w, N].
+    Consecutive windows overlap in w - 1 months, as make_samples cuts them,
+    so a run is its first window's w months followed by the last month of
+    each later window; stgnn.forward returns its forecasts in window order.
+    """
+    w = inputs.shape[1]
+    t = np.arange(length + w - 1)
+    window = np.asarray(firsts)[:, None] + np.maximum(t - w + 1, 0)  # [R, T]: the window holding month t
+    months = inputs[window, np.minimum(t, w - 1)]  # [R, T, N]
+    return np.ascontiguousarray(months.transpose(0, 2, 1)[:, None])

@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .grid import ONI_BOX, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, running_mean
 from .months import Month, add_months, month_range
-from .samples import make_samples
+from .samples import consecutive_runs, make_samples, run_inputs
 from .stgnn import ModelConfig, ModelParams, forward, predicted_index
 
 
@@ -150,11 +150,12 @@ def forecast_index(
 
     The model runs on detached copies of `params` that share their buffers,
     so the forward builds no tape and the caller's tensors are untouched.
-    Each forward takes one segment of chunk + w - 1 consecutive months and
-    returns the forecasts of the `chunk` windows it holds, so each month
-    passes the start projection once per segment rather than once per
-    window; at the default 64 the widest activation, layer 0's mix-hop
-    concat, is near 2.7 MB at 130 nodes. `predictor` overrides the model:
+    Each forward takes one run of chunk + w - 1 consecutive months
+    (samples.run_inputs, the builder training uses) and returns the
+    forecasts of the `chunk` windows it holds, so each month passes the
+    start projection once per run rather than once per window; at the
+    default 64 the widest activation, layer 0's mix-hop concat, is near
+    2.7 MB at 130 nodes. `predictor` overrides the model:
     it maps windows [S, w, N] to node predictions [S, H, N] (used for oracle
     and baseline studies), `chunk` windows per call. Smoothing follows the
     observed index: centered k-month means labeled by target month, with
@@ -192,18 +193,16 @@ def forecast_index(
     w = config.window
     if predictor is None:
         detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
-        # the windows are consecutive, so months s..s+w-1 of the sequence are window s
-        months = np.concatenate([samples.inputs[:, 0], samples.inputs[-1, 1:]])  # [S + w - 1, N]
-        scaled = (months / np.float32(input_scale)).astype(np.float32)
+        scale = np.float32(input_scale)
 
-        def run(lo):
-            xb = Tensor(np.ascontiguousarray(scaled[lo: lo + chunk + w - 1].T[None, None]))
-            return forward(detached, config, xb).data
+        def run(r):
+            xb = (run_inputs(samples.inputs, [r.start], len(r)) / scale).astype(np.float32, copy=False)
+            return forward(detached, config, Tensor(xb)).data
     else:
-        def run(lo):
-            return np.asarray(predictor(samples.inputs[lo: lo + chunk]))
+        def run(r):
+            return np.asarray(predictor(samples.inputs[r.start:r.stop]))
 
-    preds = np.concatenate([run(lo) for lo in range(0, S, chunk)], axis=0)
+    preds = np.concatenate([run(r) for r in consecutive_runs(samples.start_months, chunk)], axis=0)
     if preds.shape != (S, config.horizon, len(nodes)):
         raise ValueError(f"predictor returned {preds.shape}, expected {(S, config.horizon, len(nodes))}")
 

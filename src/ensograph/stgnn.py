@@ -401,7 +401,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValidationError(f"checkpoint {path} has no header line")
     try:
         header = json.loads(raw[:cut].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an int literal past Python's 4300-digit limit
         raise ValidationError(f"malformed checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise ValidationError("checkpoint header is not a JSON object")

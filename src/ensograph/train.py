@@ -2,11 +2,21 @@
 
 MAE is the only objective. Adam runs with BETA1, BETA2 and EPS, and the
 global gradient norm is clipped to CLIP_NORM; TrainConfig holds only what a
-caller varies. Everything runs in float32 on one thread of numpy, shuffling
-every epoch with a seeded PCG64 generator, so a (config, seed, data) triple
-reproduces the same parameters bit for bit. Inputs are scaled by one global
-standard deviation measured on the training inputs; that scale travels with
-the checkpoint.
+caller varies. Everything runs in float32 on one thread of numpy, so a
+(config, seed, data) triple reproduces the same parameters bit for bit.
+Inputs are scaled by one global standard deviation measured on the training
+inputs; that scale travels with the checkpoint.
+
+Training, validation and evaluation share one forward path: the model reads
+runs of consecutive months (samples.run_inputs) and returns the forecast of
+every window a run holds. An optimizer step covers batch_size windows as
+batch_size / p runs of p windows, p + w - 1 months each, where p is the
+largest divisor of batch_size that is at most RUN_WINDOWS. Each epoch the
+seeded PCG64 generator draws where the p-window blocks start inside each
+segment of consecutive training windows (make_samples drops windows that
+touch missing data, so a block never crosses a gap) and then shuffles the
+blocks; the fewer than p windows a segment's blocks leave over sit out that
+epoch, and which they are changes from epoch to epoch.
 """
 
 from __future__ import annotations
@@ -24,15 +34,23 @@ import numpy as np
 from . import adiff
 from .adiff import Tensor
 from .errors import NumericalError, _check_types
-from .samples import SampleSet
+from .samples import SampleSet, consecutive_runs, run_inputs
 from .stgnn import ModelConfig, ModelParams, forward, init_params
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 5.0
+# Most windows one run of a step holds. A gate-config forward and backward over
+# 32 windows took 43-52 ms as 32 single windows, 35 ms as 4 runs of 8 and 32-34 ms
+# as 1 run of 32 (one BLAS thread, 2-vCPU Xeon); 8 keeps most of that saving
+# while a step still mixes four independently shuffled blocks.
+RUN_WINDOWS = 8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """What a caller varies. batch_size counts the windows one optimizer step
+    covers; the step holds them as runs of consecutive months (run_windows)."""
+
     lr: float = 1e-3
     epochs: int = 40
     batch_size: int = 32
@@ -131,23 +149,20 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
     return {k: g * scale for k, g in grads.items()}
 
 
-def _batch_tensors(inputs: np.ndarray, targets: np.ndarray, idx: np.ndarray):
-    # [S, w, N] -> [B, 1, N, w]
-    xb = inputs[idx].transpose(0, 2, 1)[:, None, :, :]
-    return Tensor(np.ascontiguousarray(xb)), Tensor(np.ascontiguousarray(targets[idx]))
+def run_windows(batch_size: int) -> int:
+    """Windows per run of a step: the largest divisor of batch_size that is at most RUN_WINDOWS."""
+    return max(p for p in range(1, RUN_WINDOWS + 1) if batch_size % p == 0)
 
 
-def _eval_loss(params, config, inputs, targets, chunk=256) -> float:
-    # detached copies share the buffers, so the validation forward builds no tape
+def _eval_loss(params, config, inputs, targets, start_months) -> float:
+    # detached copies share the buffers, so the validation forward builds no tape;
+    # one forward per run of up to 256 windows
     detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
-    total, count = 0.0, 0
-    for lo in range(0, inputs.shape[0], chunk):
-        idx = np.arange(lo, min(lo + chunk, inputs.shape[0]))
-        xb, yb = _batch_tensors(inputs, targets, idx)
-        loss = mae_loss(forward(detached, config, xb), yb)
-        total += loss.item() * idx.size
-        count += idx.size
-    return total / count
+    total = 0.0
+    for r in consecutive_runs(start_months, 256):
+        xb = Tensor(run_inputs(inputs, [r.start], len(r)))
+        total += mae_loss(forward(detached, config, xb), Tensor(targets[r.start:r.stop])).item() * len(r)
+    return total / inputs.shape[0]
 
 
 def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
@@ -155,10 +170,14 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
     """Fit the model on the sample set; deterministic for fixed seeds.
 
     The newest val_fraction of samples is held out for loss reporting only.
-    Each epoch appends to history.train_loss the mean of its minibatch losses,
-    each taken before that step's update; with the MAE objective and a constant
-    lr this keeps swinging by about lr rather than settling (see TrainHistory).
-    Raises NumericalError as soon as a loss or gradient goes non-finite.
+    Steps take the training windows in blocks of run_windows(batch_size)
+    consecutive windows (see the module docstring), so a segment shorter
+    than a block never trains, and a ValueError is raised when no segment
+    holds one. Each epoch appends to history.train_loss the mean of its
+    minibatch losses, each taken before that step's update; with the MAE
+    objective and a constant lr this keeps swinging by about lr rather than
+    settling (see TrainHistory). Raises NumericalError as soon as a loss or
+    gradient goes non-finite.
     """
     if samples.window != config.window:
         raise ValueError(f"sample window {samples.window} != config window {config.window}")
@@ -181,6 +200,14 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
     inputs = (samples.inputs / np.float32(scale)).astype(np.float32)
     targets = samples.node_targets.astype(np.float32)
 
+    p = run_windows(tconfig.batch_size)
+    runs_per_step = tconfig.batch_size // p
+    segments = consecutive_runs(samples.start_months[:n_train], n_train)
+    longest = max(len(seg) for seg in segments)
+    if longest < p:
+        raise ValueError(f"batch size {tconfig.batch_size} trains on runs of {p} consecutive windows, "
+                         f"but the longest run of training windows has {longest}")
+
     params = init_params(config, seed=config.seed)
     flat = {name: t.data for name, t in params.items()}
     state = AdamState.zeros_like(flat)
@@ -190,11 +217,18 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
     step = 0
 
     for epoch in range(tconfig.epochs):
-        order = rng.permutation(n_train)
+        # one draw places the blocks in every segment: a segment of L windows
+        # starts them at one of its L mod p + 1 possible offsets
+        shift = rng.random()
+        firsts = np.concatenate([
+            np.arange(seg.start + int(shift * (len(seg) % p + 1)), seg.stop - p + 1, p) for seg in segments
+        ])
+        firsts = firsts[rng.permutation(firsts.size)]
         epoch_sum, epoch_count = 0.0, 0
-        for lo in range(0, n_train, tconfig.batch_size):
-            idx = order[lo: lo + tconfig.batch_size]
-            xb, yb = _batch_tensors(inputs, targets, idx)
+        for lo in range(0, firsts.size, runs_per_step):
+            first = firsts[lo: lo + runs_per_step]
+            idx = (first[:, None] + np.arange(p)).ravel()
+            xb, yb = Tensor(run_inputs(inputs, first, p)), Tensor(targets[idx])
             params.zero_grad()
             loss = mae_loss(forward(params, config, xb), yb)
             value = loss.item()
@@ -212,7 +246,8 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
         history.train_loss.append(epoch_sum / epoch_count)
         if n_val:
             history.val_loss.append(
-                _eval_loss(params, config, inputs[n_train:], targets[n_train:])
+                _eval_loss(params, config, inputs[n_train:], targets[n_train:],
+                           samples.start_months[n_train:])
             )
         if log is not None:
             val = f" val={history.val_loss[-1]:.5f}" if n_val else ""

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,6 +154,50 @@ def test_matmul_gradient_by_explicit_loops():
                 gb[k, j] += c[i, j] * a[i, k]
     np.testing.assert_allclose(ta.grad, ga, rtol=1e-12)
     np.testing.assert_allclose(tb.grad, gb, rtol=1e-12)
+
+
+def test_matmul_gradient_over_a_long_contraction():
+    # a's gradient is summed over pieces of b's trailing axes: 600 = 256 + 256 + 88
+    rng = np.random.default_rng(4)
+    a, b, c = rng.standard_normal((5, 7)), rng.standard_normal((7, 3, 200)), rng.standard_normal((5, 3, 200))
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    backward(reduce_sum(mul(matmul(ta, tb), Tensor(c))))
+    np.testing.assert_allclose(ta.grad, c.reshape(5, -1) @ b.reshape(7, -1).T, rtol=1e-12)
+    np.testing.assert_allclose(tb.grad, np.einsum("ik,ijl->kjl", a, c), rtol=1e-12)
+
+
+# Hashes the matmul gradients of every contraction the default model's training
+# runs, in float32: the node mix A [130, 130] @ x [130, L] for L = 16*B*T, every
+# multiple of 16 up to 3072 (conv width 16, batches B = 1..64 of single windows
+# at time lengths T = 1..3, and every run shape a batch of up to 64 windows
+# gives), and a channel projection x [130, m, 16] @ w [16, 32] for every
+# m = B*T up to 192 rows per node.
+GRADIENT_HASHES = r"""
+import hashlib
+import numpy as np
+from ensograph.adiff import Tensor, backward, matmul, mul, reduce_sum
+rng = np.random.default_rng(0)
+pool = rng.standard_normal((3, 130, 6144)).astype(np.float32)
+mix = [(pool[0, :, :130], pool[1, :, :L], pool[2, :, :L]) for L in range(16, 3073, 16)]
+proj = [(pool[1, :, :16 * m].reshape(130, m, 16), pool[0, :16, :32], pool[2, :, :32 * m].reshape(130, m, 32))
+        for m in range(1, 193)]
+for a, b, g in mix + proj:
+    a, b = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    backward(reduce_sum(mul(matmul(a, b), Tensor(g.copy()))))
+    print(a.shape, b.shape, hashlib.sha256(a.grad.tobytes() + b.grad.tobytes()).hexdigest())
+"""
+
+
+def test_matmul_gradient_bytes_do_not_depend_on_blas_threads():
+    # fresh processes, since OpenBLAS reads its thread count once at import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    runs = [subprocess.run([sys.executable, "-c", GRADIENT_HASHES], capture_output=True, text=True, check=True,
+                           timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
+            .stdout.splitlines() for threads in ("1", "2")]
+    assert len(runs[0]) == 192 + 192
+    differ = [one.rsplit(" ", 1)[0] for one, two in zip(*runs) if one != two]
+    assert not differ, f"gradient bytes differ between 1 and 2 BLAS threads at {differ}"
 
 
 def test_every_op_passes_grad_check():

@@ -211,11 +211,21 @@ def test_train_and_eval_outputs_are_byte_identical(workdir, tmp_path, capsys):
 
 
 def test_train_and_eval_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the determinism gate's run (default model, 3 epochs), in fresh processes,
+    _assert_outputs_do_not_depend_on_blas_threads(tmp_path, {"epochs": 3})
+
+
+def test_train_and_eval_bytes_do_not_depend_on_blas_threads_at_batch_31(tmp_path):
+    # batch 31 trains on single windows, so layer 1's node mix contracts over
+    # 31*16 = 496, a length whose one-GEMM gradient changes bytes with the thread count
+    _assert_outputs_do_not_depend_on_blas_threads(tmp_path, {"epochs": 3, "batch_size": 31})
+
+
+def _assert_outputs_do_not_depend_on_blas_threads(tmp_path, train_config):
+    # the determinism gate's run (default model), in fresh processes,
     # since OpenBLAS reads its thread count once at import
     assert main(["synth", "--out", str(tmp_path / "cube"), "--months", "120", "--seed", "3"]) == 0
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"train": {"epochs": 3}}))
+    cfg.write_text(json.dumps({"train": train_config}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     outs = []

@@ -141,6 +141,13 @@ def test_undamaged_cube_files_validate():
     assert _validate(CUBE_HEADER, ("keep", None)) == 0
 
 
+def test_cube_header_integer_past_the_digit_limit_exits_2():
+    # json.loads refuses an int literal of over 4300 digits with a plain ValueError
+    header = json.dumps(json.loads(CUBE_HEADER)).replace('"n_time": 24', '"n_time": ' + "9" * 5000)
+    assert "9" * 5000 in header
+    assert _validate(header, ("keep", None)) == 2
+
+
 @PROFILE
 @given(_header_edits(CUBE_FIELDS, json.loads(CUBE_HEADER)))
 @example(("retype", ("format_version", True)))  # true == 1 in Python
@@ -215,6 +222,12 @@ def test_damaged_checkpoint_header_exits_2(cube_path, edit):
     assert _checkpoint_exit_codes(cube_path, _edited_header(CKPT_HEADER, edit)) == (2, 2), edit
 
 
+def test_checkpoint_header_integer_past_the_digit_limit_exits_2(cube_path):
+    header = json.dumps(CKPT_HEADER).replace('"seed": 0', '"seed": ' + "9" * 5000)
+    assert "9" * 5000 in header
+    assert _checkpoint_exit_codes(cube_path, header) == (2, 2)
+
+
 @PROFILE
 @given(edit=_file_edits(len(json.dumps(CKPT_HEADER)) + 1 + len(CKPT_BODY)))
 def test_damaged_checkpoint_file_exits_2_or_4(cube_path, edit):
@@ -267,6 +280,8 @@ def _wrong_values(path):
 @example(edit=(("graph", "alpha"), math.nan))
 @example(edit=(("graph", "alpha"), math.inf))
 @example(edit=(("dilations",), "11"))
+@example(edit=(("graph", "alpha"), 10 ** 400))  # no float holds it
+@example(edit=(("beta",), -10 ** 400))
 @_drop_each_config_field
 def test_damaged_checkpoint_config_exits_2(cube_path, edit):
     path, value = edit
@@ -278,3 +293,17 @@ def test_damaged_checkpoint_config_exits_2(cube_path, edit):
         fields[path[-1]] = value
     header = json.dumps(dict(CKPT_HEADER, config=config))
     assert _checkpoint_exit_codes(cube_path, header) == (2, 2), edit
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model": {"graph": {"alpha": 10 ** 400}}},
+    {"model": {"beta": 10 ** 400}},
+    {"train": {"lr": 10 ** 400}},
+    {"train": {"val_fraction": -10 ** 400}},
+], ids=["alpha", "beta", "lr", "val_fraction"])
+def test_train_config_number_too_large_for_a_float_exits_1(cube_path, tmp_path, overrides):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overrides))
+    assert _exit_code(["train", "--data", str(cube_path), "--out", str(tmp_path / "m.ckpt"),
+                       "--train-period", "1900:1907", "--config", str(config)]) == 1
+    assert not (tmp_path / "m.ckpt").exists()

@@ -3,7 +3,7 @@ import pytest
 
 from ensograph.errors import ValidationError
 from ensograph.grid import ONI_BOX, region_nodes
-from ensograph.samples import make_samples
+from ensograph.samples import consecutive_runs, make_samples, run_inputs
 from helpers import oni_grid, random_anoms, small_grid
 
 
@@ -100,3 +100,25 @@ def test_bad_arguments():
         make_samples(anoms, _nodes(anoms.grid), 3, 0)
     with pytest.raises(ValueError):
         make_samples(anoms, [], 3, 1)
+
+
+def test_runs_stop_at_gaps_and_rebuild_the_months():
+    anoms = random_anoms(np.random.default_rng(8), grid=small_grid(), n_time=40)
+    anoms.missing[15, 1, 2] = True
+    nodes = _nodes(anoms.grid)
+    w, h = 3, 2
+    samples = make_samples(anoms, nodes, w, h)
+    runs = consecutive_runs(samples.start_months, 4)
+    # windows 0..10 before the gap, 16..35 after it, each side cut into runs of at most 4
+    assert [len(r) for r in runs] == [4, 4, 3, 4, 4, 4, 4, 4]
+    assert [i for r in runs for i in r] == list(range(len(samples)))
+    series = np.stack([anoms.values[:, i, j] for i, j in nodes], axis=1)
+    for r in runs:
+        first = [m for m in range(40) if anoms.month_of(m) == samples.start_months[r.start]][0]
+        x = run_inputs(samples.inputs, [r.start], len(r))
+        assert x.shape == (1, 1, len(nodes), len(r) + w - 1)
+        # the run's months are the cube's, so no run reaches over the missing month
+        np.testing.assert_array_equal(x[0, 0].T, series[first:first + len(r) + w - 1])
+        assert not first <= 15 < first + len(r) + w - 1 + h
+    with pytest.raises(ValueError):
+        consecutive_runs(samples.start_months, 0)

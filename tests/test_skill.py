@@ -302,14 +302,18 @@ def test_validation_loss_builds_no_tape(monkeypatch):
     config = tiny_config(n_nodes=5, horizon=2, seed=3)
     params = init_params(config)
     data = np.random.default_rng(12)
-    inputs = data.standard_normal((10, config.window, 5)).astype(np.float32)
-    targets = data.standard_normal((10, config.horizon, 5)).astype(np.float32)
+    anoms = random_anoms(data, small_grid(n_lat=1, n_lon=5), n_time=20)
+    anoms.missing[9] = True  # drops the windows that touch month 9
+    samples = make_samples(anoms, [(0, j) for j in range(5)], config.window, config.horizon)
     outputs = _record_forward(monkeypatch, train)
-    loss = train._eval_loss(params, config, inputs, targets, chunk=4)
-    assert np.isfinite(loss)
-    assert len(outputs) == 3
+    loss = train._eval_loss(params, config, samples.inputs, samples.node_targets, samples.start_months)
+    # one forward per run of consecutive windows, on either side of the gap
+    assert [out.shape[0] for out in outputs] == [5, 6]
     assert not any(out.requires_grad for out in outputs)
     _assert_untouched(params)
+    singles = [train.mae_loss(forward(params, config, Tensor(samples.inputs[s:s + 1].transpose(0, 2, 1)[:, None])),
+                              Tensor(samples.node_targets[s:s + 1])).item() for s in range(len(samples))]
+    assert loss == pytest.approx(np.mean(singles), rel=1e-6)
 
 
 def test_skill_table_with_untrained_model():

@@ -351,6 +351,18 @@ def test_forward_on_a_sequence_gives_every_window_its_own_bytes(cfg):
             np.testing.assert_array_equal(out[b * P + p].view(np.uint32), alone.data[0].view(np.uint32))
 
 
+def test_model_grad_check_on_a_month_run():
+    # training feeds runs of months, T = w + P - 1; a run of 8 windows checks the
+    # skip's and the residual's time slices over the longer axis
+    cfg = tiny_config(n_nodes=5, horizon=2, seed=1)
+    params = init_params(cfg, dtype=np.float64)
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((2, 1, 5, cfg.window + 7)))
+    c = rng.standard_normal((16, cfg.horizon, 5))
+    for r in grad_check(lambda: reduce_sum(mul(forward(params, cfg, x), c)), dict(params.items())):
+        assert r.passed, (r.name, r.max_rel_err)
+
+
 def test_forward_flags_non_finite_input():
     cfg = tiny_config()
     params = init_params(cfg, seed=0)

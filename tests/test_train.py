@@ -4,24 +4,30 @@ import numpy as np
 import pytest
 
 import ensograph
+from ensograph import adiff
+from ensograph import train as train_module
 from ensograph.adiff import Tensor
 from ensograph.errors import NumericalError
-from ensograph.samples import SampleSet
+from ensograph.samples import SampleSet, make_samples, run_inputs
+from ensograph.stgnn import forward, init_params
 from ensograph.train import (
     AdamState,
     TrainConfig,
     adam_step,
     clip_gradients,
     mae_loss,
+    run_windows,
     train,
     write_manifest,
 )
-from helpers import tiny_config
+from helpers import random_anoms, small_grid, tiny_config
 
 
 def _sample_set(rng, n_samples, config, target_fn=None):
+    # windows slide over one series, as make_samples cuts them
     w, h, n = config.window, config.horizon, config.n_nodes
-    inputs = rng.standard_normal((n_samples, w, n)).astype(np.float32)
+    series = rng.standard_normal((n_samples + w - 1, n)).astype(np.float32)
+    inputs = np.lib.stride_tricks.sliding_window_view(series, w, axis=0).transpose(0, 2, 1).copy()
     if target_fn is None:
         targets = rng.standard_normal((n_samples, h, n)).astype(np.float32)
     else:
@@ -207,7 +213,8 @@ def test_non_finite_loss_aborts_with_location():
     cfg = tiny_config(n_nodes=4)
     rng = np.random.default_rng(7)
     samples = _sample_set(rng, 10, cfg)
-    samples.node_targets[0] = np.inf
+    # batch 16 trains on blocks of 8 of the 10 windows; every placement holds window 5
+    samples.node_targets[5] = np.inf
     with pytest.raises(NumericalError, match="epoch 0 step 0"):
         train(cfg, TrainConfig(epochs=1, batch_size=16, val_fraction=0.0), samples)
 
@@ -230,6 +237,85 @@ def test_constant_inputs_fall_back_to_unit_scale():
     samples.inputs[:] = 0.0
     result = train(cfg, TrainConfig(epochs=1, batch_size=16, val_fraction=0.0), samples)
     assert result.input_scale == 1.0
+
+
+# ------------------------------------------------------------- month runs
+
+@pytest.mark.parametrize("batch_size, p", [(1, 1), (17, 1), (31, 1), (32, 8), (45, 5)])
+def test_runs_hold_the_largest_divisor_of_the_batch_up_to_run_windows(batch_size, p):
+    assert train_module.RUN_WINDOWS == 8
+    assert run_windows(batch_size) == p
+
+
+def _month_coded_samples(cfg, n_time, gap):
+    """Windows of a cube whose cells all hold their month's offset, with month `gap` missing."""
+    anoms = random_anoms(np.random.default_rng(0), small_grid(n_lat=1, n_lon=cfg.n_nodes), n_time=n_time)
+    anoms.values[:] = np.arange(n_time, dtype=np.float32)[:, None, None]
+    anoms.missing[gap] = True
+    return make_samples(anoms, [(0, j) for j in range(cfg.n_nodes)], cfg.window, cfg.horizon)
+
+
+@pytest.mark.parametrize("batch_size", [1, 17, 31, 32, 45])
+def test_steps_take_runs_of_consecutive_windows_and_use_every_window(monkeypatch, batch_size):
+    cfg = tiny_config(n_nodes=3)
+    w = cfg.window
+    samples = _month_coded_samples(cfg, 60, gap=20)
+    segments = [range(0, 16), range(21, 56)]  # the start months of the kept windows
+    assert [m[1] - 1 + 12 * (m[0] - 1950) for m in samples.start_months] == [s for seg in segments for s in seg]
+    inputs, steps = [], []
+
+    def recording_forward(params, config, x):
+        inputs.append(x.data)
+        return forward(params, config, x)
+
+    def recording_loss(pred, target):
+        # a window's first target month is its start + w
+        steps.append((inputs[-1], target.data[:, 0, 0] - w))
+        return mae_loss(pred, target)
+
+    monkeypatch.setattr(train_module, "forward", recording_forward)
+    monkeypatch.setattr(train_module, "mae_loss", recording_loss)
+    epochs = 8
+    result = train(cfg, TrainConfig(epochs=epochs, batch_size=batch_size, val_fraction=0.0), samples)
+
+    p = run_windows(batch_size)
+    used = []
+    for x, starts in steps:
+        assert x.shape[0] <= batch_size // p and x.shape[3] == p + w - 1
+        months = np.rint(x[:, 0, 0, :] * result.input_scale)  # [runs, p + w - 1]
+        assert (np.diff(months, axis=1) == 1).all()  # no run reaches over the gap
+        np.testing.assert_array_equal(starts.reshape(-1, p), months[:, :p])
+        used += starts.tolist()
+    # fewer than p windows of each segment sit out an epoch, and none sits out every epoch
+    assert len(used) == epochs * sum(len(seg) // p * p for seg in segments)
+    assert set(used) == {s for seg in segments for s in seg}
+
+
+def test_runs_and_single_windows_train_the_same_objective():
+    cfg = tiny_config(n_nodes=6, horizon=2, seed=2)
+    data = np.random.default_rng(16)
+    series = data.standard_normal((44, 6))
+    inputs = np.lib.stride_tricks.sliding_window_view(series, cfg.window, axis=0).transpose(0, 2, 1)
+    targets = data.standard_normal((inputs.shape[0], 2, 6))
+    firsts = np.array([0, 11, 22, 33])
+    idx = (firsts[:, None] + np.arange(8)).ravel()
+    results = []
+    for x in (run_inputs(inputs, firsts, 8), run_inputs(inputs, idx, 1)):
+        params = init_params(cfg, dtype=np.float64)
+        loss = mae_loss(forward(params, cfg, Tensor(x)), Tensor(targets[idx]))
+        adiff.backward(loss)
+        results.append((loss.item(), {n: t.grad for n, t in params.items()}))
+    (loss_runs, grads_runs), (loss_single, grads_single) = results
+    assert abs(loss_runs - loss_single) <= 1e-10
+    for name, g in grads_runs.items():
+        np.testing.assert_allclose(g, grads_single[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_a_batch_needs_one_run_of_its_windows():
+    cfg = tiny_config(n_nodes=4)
+    samples = _sample_set(np.random.default_rng(10), 7, cfg)
+    with pytest.raises(ValueError, match="runs of 8 consecutive windows"):
+        train(cfg, TrainConfig(epochs=1, batch_size=32, val_fraction=0.0), samples)
 
 
 def test_package_exposes_the_train_module():
