@@ -136,14 +136,19 @@ def mul(a, b):
     return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def div(a, b):
-    return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
-
-
 # Longest contraction one gradient GEMM runs. OpenBLAS 0.3.31 gives [130, L] @ [L, 130]
 # float32 bytes that differ between one and two threads at every L = 16 (mod 32)
 # from 464 up, and the same bytes at every L up to 256.
 _PIECE = 256
+
+
+def _pieced_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x [m, k] @ y [k, n] summed one GEMM per _PIECE of the contraction, in order,
+    so its bytes do not depend on the BLAS thread count."""
+    out = x[:, :_PIECE] @ y[:_PIECE]
+    for lo in range(_PIECE, x.shape[1], _PIECE):
+        out += x[:, lo:lo + _PIECE] @ y[lo:lo + _PIECE]
+    return out
 
 
 def matmul(a, b, bias=None):
@@ -157,8 +162,10 @@ def matmul(a, b, bias=None):
     gradient runs one: a's sums one GEMM per _PIECE columns of b's trailing
     axes, in order, and b's sums one GEMM per slice of a's first axis (when a
     is 2-D the single slice is taken as it is, not summed). bias, when given,
-    has b's trailing shape and is added in place on the product; its
-    gradient is g summed over a's leading axes.
+    is added in place on the product. It has either b's trailing shape, and
+    its gradient is g summed over a's leading axes, or the product's full
+    shape, and its gradient is g itself, kept by reference; a mix-hop step
+    beta*h + A' @ s is then one node.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -168,26 +175,25 @@ def matmul(a, b, bias=None):
         raise ValueError(f"inner dimensions differ: {a.data.shape} @ {b.data.shape}")
     a2, b2 = a.data.reshape(-1, k), b.data.reshape(k, -1)
     data = a2 @ b2
+    shape = a.data.shape[:-1] + b.data.shape[1:]
     if bias is not None:
         bias = as_tensor(bias)
-        if bias.data.shape != b.data.shape[1:]:
-            raise ValueError(f"bias shape {bias.data.shape} does not match {b.data.shape[1:]}")
-        data += bias.data.reshape(-1)
-    data = data.reshape(a.data.shape[:-1] + b.data.shape[1:])
+        full = bias.data.shape == shape
+        if not full and bias.data.shape != b.data.shape[1:]:
+            raise ValueError(f"bias shape {bias.data.shape} matches neither {b.data.shape[1:]} nor {shape}")
+        data += bias.data.reshape(data.shape if full else -1)
+    data = data.reshape(shape)
 
     def _bw(g):
         g2 = g.reshape(a2.shape[0], b2.shape[1])
         if a.requires_grad:
-            ga = g2[:, :_PIECE] @ b2[:, :_PIECE].T
-            for lo in range(_PIECE, b2.shape[1], _PIECE):
-                ga += g2[:, lo:lo + _PIECE] @ b2[:, lo:lo + _PIECE].T
-            _accum(a, ga.reshape(a.data.shape))
+            _accum(a, _pieced_matmul(g2, b2.T).reshape(a.data.shape))
         if b.requires_grad:
             lead = a.data.shape[0] if a.ndim > 2 else 1
             gb = np.matmul(np.swapaxes(a2.reshape(lead, -1, k), 1, 2), g2.reshape(lead, -1, b2.shape[1]))
             _accum(b, (gb[0] if lead == 1 else gb.sum(axis=0)).reshape(b.data.shape))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g2.sum(axis=0).reshape(bias.data.shape))
+            _accum(bias, g if full else g2.sum(axis=0).reshape(bias.data.shape))
 
     return _from_op(data, (a, b) if bias is None else (a, b, bias), _bw)
 

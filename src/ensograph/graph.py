@@ -4,8 +4,9 @@ The learned construction follows A = relu(tanh(alpha * (E1 E2^T - E2 E1^T))).
 The pre-activation is antisymmetric, so the diagonal is exactly zero and at
 most one direction of each node pair survives the relu; weights land in
 [0, 1). Rows are then sparsified to the top-k entries and normalized to
-D^-1 (A + I) for propagation. All three steps run on adiff tensors, so
-gradients flow back into the embeddings (through retained entries only).
+D^-1 (A + I) for propagation. Each of the three steps is one adiff tape
+node, adjacency learning and normalization with a hand-written backward,
+so gradients flow back into the embeddings (through retained entries only).
 """
 
 from __future__ import annotations
@@ -39,23 +40,35 @@ class GraphLearnConfig:
 
 
 def learn_adjacency(e1: Tensor, e2: Tensor, alpha: float) -> Tensor:
-    """Adjacency from two node embedding tables, differentiable throughout.
+    """Adjacency from two node embedding tables, as one tape node.
 
     The antisymmetric score matrix guarantees a zero diagonal and at most
     one live direction per node pair; relu(tanh(.)) keeps weights in [0, 1).
     tanh rounds to exactly 1.0 once alpha times the score passes the float
     saturation point, so saturated entries are nudged down to the largest
-    representable value below 1 to keep the half-open range honest.
+    representable value below 1 to keep the half-open range honest. The
+    backward treats the nudge as the identity: with y the tanh output, the
+    score gradient is G = alpha * g * (y > 0) * (1 - y^2), and e1 takes
+    (G - G^T) @ e2, e2 takes (G - G^T)^T @ e1.
     """
     e1, e2 = as_tensor(e1), as_tensor(e2)
     if e1.shape != e2.shape or e1.ndim != 2:
         raise ValueError(f"embeddings must share shape [N, d], got {e1.shape} and {e2.shape}")
-    m = adiff.matmul(e1, adiff.transpose(e2, (1, 0)))
-    pre = adiff.mul(adiff.sub(m, adiff.transpose(m, (1, 0))), float(alpha))
-    out = adiff.relu(adiff.tanh(pre))
-    cap = np.nextafter(out.data.dtype.type(1.0), out.data.dtype.type(0.0))
-    np.minimum(out.data, cap, out=out.data)
-    return out
+    m = e1.data @ e2.data.T
+    scale = m.dtype.type(alpha)
+    y = np.tanh(np.multiply(np.subtract(m, m.T), scale))
+    out = np.maximum(y, 0)
+    np.minimum(out, np.nextafter(m.dtype.type(1.0), m.dtype.type(0.0)), out=out)
+
+    def _bw(g):
+        gs = g * (y > 0) * (1.0 - y * y) * scale
+        gm = gs - gs.T
+        if e1.requires_grad:
+            adiff._accum(e1, adiff._pieced_matmul(gm, e2.data))
+        if e2.requires_grad:
+            adiff._accum(e2, adiff._pieced_matmul(gm.T, e1.data))
+
+    return adiff._from_op(out, (e1, e2), _bw)
 
 
 def topk_sparsify(a: Tensor, k: int) -> Tensor:
@@ -80,14 +93,20 @@ def topk_sparsify(a: Tensor, k: int) -> Tensor:
 
 
 def normalize(a: Tensor) -> Tensor:
-    """Row-normalize with a self-loop: D^-1 (A + I), rows sum to one."""
+    """Row-normalize with a self-loop, D^-1 (A + I), as one tape node; rows sum to one.
+
+    With s the row sums of A + I and out the result, a's gradient is
+    (g - rowsum(g * out)) / s.
+    """
     a = as_tensor(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
     n = a.shape[0]
-    y = adiff.add(a, Tensor(np.eye(n, dtype=a.data.dtype)))
-    s = adiff.reshape(adiff.reduce_sum(y, axes=(1,)), (n, 1))
-    return adiff.div(y, s)
+    y = np.add(a.data, np.eye(n, dtype=a.data.dtype))
+    s = y.sum(axis=1).reshape(n, 1)
+    out = np.divide(y, s)
+    return adiff._from_op(out, (a,), lambda g: adiff._accum(
+        a, (g - (g * out).sum(axis=1, keepdims=True)) / s))
 
 
 def correlation_graph(anoms: AnomalyCube, nodes: list[NodeId], tau: float) -> np.ndarray:

@@ -12,12 +12,13 @@ then each layer applies a gated dilated temporal convolution (one weight
 whose first half of output columns is the tanh filter and second half the
 sigmoid gate; valid-only, so time shrinks and no padding leaks), a mix-hop
 graph convolution over the adjacency learned from node embeddings (the
-layer input and its hops along both edge directions, side by side on the
-channel axis and projected once), a residual add of the input's trailing
-months, and a skip projection: a time convolution of length L, the time
-axis a window of w months leaves at that layer. The relu'd skip sum feeds
-two projections that emit one channel per lead, [N, B, P, H], reshaped to
-[N, B*P, H] and transposed once more to [B*P, H, N].
+layer input and its hops along both edge directions, each hop one matmul
+node, side by side on the channel axis and projected once), a residual
+add of the input's trailing months, and a skip projection: a time
+convolution of length L, the time axis a window of w months leaves at
+that layer. The relu'd skip sum feeds two projections that emit one
+channel per lead, [N, B, P, H], reshaped to [N, B*P, H] and transposed
+once more to [B*P, H, N].
 
 The temporal convolution, the residual and the skip each join shifted time
 slices on the channel axis with one adiff.taps node, so every stage is
@@ -213,34 +214,38 @@ def temporal_block(x, w, b, dilation: int) -> Tensor:
     return adiff.gated(adiff.matmul(slices, w, b))
 
 
-def _check_row_stochastic(a: Tensor):
+def hop_matrix(a: Tensor, beta: float) -> Tensor:
+    """(1 - beta) * A, the matrix a mix-hop step propagates by, for a row-stochastic A.
+
+    A non-finite row sum raises NumericalError and a row sum off one by more
+    than 1e-4 raises ValueError, before the scaling.
+    """
     sums = a.data.sum(axis=1)
     if not np.all(np.isfinite(sums)):
         raise NumericalError("non-finite adjacency row sum entering mix-hop propagation")
     worst = float(np.max(np.abs(sums - 1.0)))
     if worst > 1e-4:
         raise ValueError(f"adjacency is not row-stochastic (row sum off by {worst:.2e})")
+    return adiff.mul(a, 1.0 - beta)
 
 
-def mixhop_conv(h, a_fwd, a_bwd, beta, depth: int, w, b) -> Tensor:
+def mixhop_conv(h, m_fwd, m_bwd, beta, depth: int, w, b) -> Tensor:
     """Mix-hop propagation of node-major h [N, B, T, C] along both edge directions, projected once.
 
     Hop j keeps beta of the layer input and propagates the rest:
     h0 = h, hj = beta*h + ((1-beta)*A) @ hj-1, where A @ h mixes the node
-    axis; 1-beta scales each [N, N] adjacency once, so a hop is one matmul
-    and one add. The states [h, fwd hops 1..depth, bwd hops 1..depth] are
-    joined on the channel axis and w [(2*depth+1)*C, C_out] (row s*C + c
-    for state s) projects them with b in one matmul. Both adjacencies must
-    be row-stochastic; the check runs before the scaling.
+    axis. m_fwd and m_bwd are the two directions' hop_matrix, (1-beta)*A,
+    so each hop is one matmul node taking beta*h as its full-shape bias.
+    The states [h, fwd hops 1..depth, bwd hops 1..depth] are joined on the
+    channel axis and w [(2*depth+1)*C, C_out] (row s*C + c for state s)
+    projects them with b in one matmul.
     """
-    _check_row_stochastic(a_fwd)
-    _check_row_stochastic(a_bwd)
     kept = adiff.mul(h, beta)
     states = [h]
-    for a in (a_fwd, a_bwd):
-        a, state = adiff.mul(a, 1.0 - beta), h
+    for m in (m_fwd, m_bwd):
+        state = h
         for _ in range(depth):
-            state = adiff.add(kept, adiff.matmul(a, state))
+            state = adiff.matmul(m, state, kept)
             states.append(state)
     return adiff.matmul(adiff.concat(states, -1), w, b)
 
@@ -260,7 +265,9 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     [N, B, P, H] is reshaped to [N, B*P, H] and transposed back once. Layer
     l's skip joins the L = time_lengths()[l + 1] shifted slices
     h[:, :, j : j + P] on the channel axis (row j*C + c of the skip weight
-    reads channel c at position j) and projects them in one matmul.
+    reads channel c at position j) and projects them in one matmul. The
+    two normalized adjacencies are checked and scaled to hop matrices once
+    per forward, and every layer's mix-hop shares them.
     """
     x = adiff.as_tensor(x)
     if x.ndim != 4 or x.shape[1:3] != (1, config.n_nodes) or x.shape[3] < config.window:
@@ -270,8 +277,8 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
 
     a_raw = learn_adjacency(params["e1"], params["e2"], config.graph.alpha)
     a_sparse = topk_sparsify(a_raw, config.graph.topk)
-    a_fwd = normalize(a_sparse)
-    a_bwd = normalize(adiff.transpose(a_sparse, (1, 0)))
+    m_fwd = hop_matrix(normalize(a_sparse), config.beta)
+    m_bwd = hop_matrix(normalize(adiff.transpose(a_sparse, (1, 0))), config.beta)
 
     P = x.shape[3] - config.window + 1
     h = adiff.matmul(adiff.transpose(x, (2, 0, 3, 1)), params["start_w"], params["start_b"])
@@ -279,7 +286,7 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     for l in range(config.layers):
         t = temporal_block(h, params[f"l{l}_tcn_w"], params[f"l{l}_tcn_b"], config.dilations[l])
         _check_finite(t, l, "temporal")
-        g = mixhop_conv(t, a_fwd, a_bwd, config.beta, config.mixhop_depth,
+        g = mixhop_conv(t, m_fwd, m_bwd, config.beta, config.mixhop_depth,
                         params[f"l{l}_mix_w"], params[f"l{l}_mix_b"])
         T, t_out = h.shape[2], t.shape[2]
         h = adiff.add(g, adiff.taps(h, range(T - t_out, T - t_out + 1), t_out))
@@ -362,6 +369,9 @@ class Checkpoint:
         if not (len(set(self.nodes)) == len(nodes) == self.config.n_nodes
                 and all(0 <= i < grid.n_lat and 0 <= j < grid.n_lon for i, j in self.nodes)):
             raise ValueError(f"nodes are not {self.config.n_nodes} unique index pairs on the grid")
+        for name, t in self.params.items():
+            if not np.all(np.isfinite(t.data)):
+                raise ValueError(f"tensor {name} holds a non-finite value")
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig, input_scale: float,

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import json
+
 import numpy as np
 
 from ensograph.cube import AnomalyCube, SstCube
@@ -54,3 +56,15 @@ def tiny_config(n_nodes=6, horizon=2, **kw):
     )
     base.update(kw)
     return ModelConfig(n_nodes=n_nodes, horizon=horizon, **base)
+
+
+def poisoned_checkpoint(raw: bytes, tensor: str, value: float, index: int = 0) -> bytes:
+    """Checkpoint file bytes with element `index` of `tensor` set to the float32 `value`."""
+    cut = raw.find(b"\n")
+    offset = cut + 1
+    for record in json.loads(raw[:cut])["tensors"]:
+        if record["name"] == tensor:
+            break
+        offset += 4 * int(np.prod(record["shape"]))
+    offset += 4 * index
+    return raw[:offset] + np.array([value], dtype="<f4").tobytes() + raw[offset + 4:]

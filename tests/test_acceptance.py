@@ -19,7 +19,7 @@ from ensograph import adiff
 from ensograph.adiff import Tensor
 from ensograph.cli import main
 from ensograph.cube import SstCube, save_cube, split_by_years
-from ensograph.graph import learn_adjacency, topk_sparsify
+from ensograph.graph import learn_adjacency, normalize, topk_sparsify
 from ensograph.grid import ONI_BOX, GridSpec, region_nodes
 from ensograph.samples import make_samples
 from ensograph.skill import forecast_index, table_from_forecasts
@@ -69,9 +69,6 @@ def _op_cases(rng):
     linear("add_broadcast", lambda: adiff.add(a, row), (3, 4), {"a": a, "row": row})
     linear("mul_broadcast", lambda: adiff.mul(a, row), (3, 4), {"a": a, "row": row})
 
-    den = leaf(_signed_away_from_zero(rng, (3, 4), lo=0.5, hi=2.0))
-    linear("div", lambda: adiff.div(a, den), (3, 4), {"a": a, "den": den})
-
     m1 = leaf(rng.standard_normal((3, 4)))
     m2 = leaf(rng.standard_normal((4, 5)))
     linear("matmul", lambda: adiff.matmul(m1, m2), (3, 5), {"m1": m1, "m2": m2})
@@ -115,6 +112,17 @@ def _op_cases(rng):
     linear("reduce_sum_axis", lambda: adiff.reduce_sum(r, axes=(1,)), (3, 2), {"x": r})
     cases.append(("reduce_mean", lambda: adiff.reduce_mean(r), {"x": r}))
     linear("reduce_mean_axes", lambda: adiff.reduce_mean(r, axes=(0, 2)), (4,), {"x": r})
+
+    # the fused graph kernels and the mix-hop step's full-shape bias
+    e1 = leaf(rng.standard_normal((5, 3)))
+    e2 = leaf(rng.standard_normal((5, 3)))
+    linear("learn_adjacency", lambda: learn_adjacency(e1, e2, 1.5), (5, 5), {"e1": e1, "e2": e2})
+    linear("learn_adjacency_saturated", lambda: learn_adjacency(e1, e2, 40.0), (5, 5), {"e1": e1, "e2": e2})
+    adj = leaf(rng.uniform(0.0, 1.0, (4, 4)))
+    linear("normalize", lambda: normalize(adj), (4, 4), {"a": adj})
+    linear("normalize_transposed", lambda: normalize(adiff.transpose(adj, (1, 0))), (4, 4), {"a": adj})
+    hop = leaf(rng.standard_normal((2, 3, 5)))
+    linear("matmul_full_bias", lambda: adiff.matmul(b1, m2, hop), (2, 3, 5), {"b1": b1, "m2": m2, "bias": hop})
 
     return cases
 

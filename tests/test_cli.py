@@ -14,7 +14,7 @@ from ensograph.cube import anomalies, climatology, load_cube
 from ensograph.grid import ONI_BOX, region_nodes
 from ensograph.indices import oni
 from ensograph.stgnn import init_params, save_checkpoint
-from helpers import small_grid, tiny_config
+from helpers import poisoned_checkpoint, small_grid, tiny_config
 
 TINY = {
     "model": {
@@ -398,6 +398,20 @@ def test_eval_checkpoint_with_bad_header_value_exits_2(workdir, tmp_path, capsys
     ckpt = _oni_checkpoint(workdir, tmp_path, lambda h: h.update({field: value}))
     assert _eval_exit_code(workdir, ckpt) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "graph-export"])
+@pytest.mark.parametrize("tensor", ["e1", "end2_b"])
+def test_checkpoint_with_a_nan_tensor_exits_2(workdir, tmp_path, capsys, command, tensor):
+    # a NaN in e1 once gave graph-export NaN edge weights and eval exit 3; one
+    # in end2_b gave eval exit 0 with a NaN skill row
+    ckpt = _oni_checkpoint(workdir, tmp_path, lambda h: None)
+    ckpt.write_bytes(poisoned_checkpoint(ckpt.read_bytes(), tensor, np.nan))
+    if command == "eval":
+        assert _eval_exit_code(workdir, ckpt) == 2
+    else:
+        assert main(["graph-export", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.csv")]) == 2
+    assert f"tensor {tensor} holds a non-finite value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", [

@@ -3,7 +3,8 @@
 
 Each example drops a header field, gives a field a value of another JSON
 kind, truncates the header, or truncates, pads, poisons, removes or replaces
-the payload. Every header field is required. The checkpoint's nested model
+the payload, or writes NaN or an infinity into one of a checkpoint's
+tensors. Every header field is required. The checkpoint's nested model
 `config` fields are each dropped or given another JSON kind or a number of
 the wrong sort: NaN, an infinity, or a float where an integer belongs.
 Examples are derandomized with a fixed count, so the suite stays
@@ -192,11 +193,11 @@ def cube_path(tmp_path_factory):
     return root / "cube.json"
 
 
-def _checkpoint_exit_codes(cube, header_text, edit=("keep", None)):
+def _checkpoint_exit_codes(cube, header_text, edit=("keep", None), body=CKPT_BODY):
     """Exit codes of `eval` and `graph-export` on the checkpoint; `edit` applies to the whole file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt"
-        _write_payload(path, header_text.encode() + b"\n" + CKPT_BODY, edit)
+        _write_payload(path, header_text.encode() + b"\n" + body, edit)
         return (_exit_code(["eval", "--data", str(cube), "--checkpoint", str(path),
                             "--test-period", "1908:1909", "--leads", "1,3"]),
                 _exit_code(["graph-export", "--checkpoint", str(path), "--out", str(Path(tmp) / "e.csv")]))
@@ -233,6 +234,22 @@ def test_checkpoint_header_integer_past_the_digit_limit_exits_2(cube_path):
 def test_damaged_checkpoint_file_exits_2_or_4(cube_path, edit):
     codes = _checkpoint_exit_codes(cube_path, json.dumps(CKPT_HEADER), edit)
     assert codes == ((4, 4) if edit[0] in ("remove", "directory") else (2, 2)), edit
+
+
+CKPT_VALUES = len(CKPT_BODY) // 4
+
+
+@PROFILE
+@given(cell=st.integers(0, CKPT_VALUES - 1), value=st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(cell=0, value=math.nan)                  # e1[0, 0]: NaN edge weights once
+@example(cell=CKPT_VALUES - 4, value=math.nan)    # end2_b[0]: a NaN skill row once
+@example(cell=CKPT_VALUES - 1, value=math.inf)    # end2_b[-1]
+@example(cell=CKPT_VALUES // 2, value=-math.inf)
+def test_non_finite_checkpoint_tensor_exits_2(cube_path, cell, value):
+    cells = np.frombuffer(CKPT_BODY, dtype="<f4").copy()
+    cells[cell] = value
+    codes = _checkpoint_exit_codes(cube_path, json.dumps(CKPT_HEADER), body=cells.tobytes())
+    assert codes == (2, 2), (cell, value)
 
 
 # ------------------------------------------------ nested checkpoint config

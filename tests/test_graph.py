@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ensograph.adiff import Tensor, backward, grad_check, reduce_sum
+from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum, transpose
 from ensograph.errors import ValidationError
 from ensograph.graph import (
     GraphLearnConfig,
@@ -117,6 +117,57 @@ def test_normalize_rows_sum_to_one_with_self_loops():
         np.testing.assert_allclose(out.sum(axis=1), np.ones(n), atol=1e-12)
     # zero matrix normalizes to the identity
     np.testing.assert_array_equal(normalize(Tensor(np.zeros((3, 3)))).data, np.eye(3))
+
+
+def _old_chain_adjacency(e1, e2, alpha):
+    """The adjacency as the former matmul, transpose, sub, mul, tanh and relu nodes computed it."""
+    m = e1 @ e2.T
+    out = np.maximum(np.tanh(np.multiply(np.subtract(m, m.T), np.asarray(alpha, dtype=m.dtype))), 0)
+    return np.minimum(out, np.nextafter(m.dtype.type(1.0), m.dtype.type(0.0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_learn_adjacency_bytes_match_the_old_op_chain(dtype):
+    rng = np.random.default_rng(8)
+    for n, d, alpha, scale in ((6, 3, 3.0, 0.1), (130, 16, 3.0, 0.1), (40, 4, 60.0, 10.0)):
+        e1 = rng.standard_normal((n, d)).astype(dtype) * dtype(scale)
+        e2 = rng.standard_normal((n, d)).astype(dtype) * dtype(scale)
+        got = learn_adjacency(Tensor(e1), Tensor(e2), alpha).data
+        assert got.dtype == dtype
+        assert got.tobytes() == _old_chain_adjacency(e1, e2, alpha).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normalize_bytes_match_the_old_op_chain(dtype):
+    rng = np.random.default_rng(9)
+    a = np.abs(rng.standard_normal((130, 130))).astype(dtype)
+    for x in (a, a.T):  # the backward direction normalizes a transposed view
+        y = np.add(x, np.eye(130, dtype=dtype))
+        want = np.divide(y, y.sum(axis=(1,)).reshape(130, 1))
+        assert normalize(Tensor(x)).data.tobytes() == want.tobytes()
+
+
+def test_learn_adjacency_passes_grad_check():
+    rng = np.random.default_rng(10)
+    e1, e2 = _embeddings(rng, 7, 3)
+    probe = Tensor(rng.standard_normal((7, 7)))
+    for alpha in (0.7, 3.0, 40.0):
+        a = learn_adjacency(e1, e2, alpha).data
+        if alpha == 40.0:
+            # some entries round tanh to 1 and are capped, where the gradient is zero
+            assert np.any(a == np.nextafter(1.0, 0.0))
+        for r in grad_check(lambda: reduce_sum(mul(learn_adjacency(e1, e2, alpha), probe)),
+                            {"e1": e1, "e2": e2}):
+            assert r.passed, f"alpha {alpha}, {r.name}: rel err {r.max_rel_err:.2e}"
+
+
+def test_normalize_passes_grad_check_on_plain_and_transposed_input():
+    rng = np.random.default_rng(11)
+    a = Tensor(rng.uniform(0.0, 1.0, (5, 5)), requires_grad=True)
+    probe = Tensor(rng.standard_normal((5, 5)))
+    for f in (lambda: normalize(a), lambda: normalize(transpose(a, (1, 0)))):
+        for r in grad_check(lambda: reduce_sum(mul(f(), probe)), {"a": a}):
+            assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
 
 
 def test_full_graph_pipeline_is_differentiable():

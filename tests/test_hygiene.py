@@ -5,7 +5,8 @@ gradient check in the release gate.
 The repository has no linter, so these AST scans keep unused imports from
 creeping back into the package and the tests, keep every public top-level
 def of the package named by the package, the benchmarks or the demos, and
-keep every public adiff function that builds a tape node named in
+keep every public package function that builds a tape node (in adiff or,
+through adiff's builders, in any other module) named in
 test_acceptance._op_cases.
 """
 
@@ -115,27 +116,36 @@ def test_reference_scan_sees_callers_outside_the_def():
 
 
 def tape_ops(source: str) -> set[str]:
-    """Public functions of an adiff source that build a tape node."""
+    """Public functions of a package source that build a tape node, calling an
+    adiff builder by name (in adiff) or as adiff.<builder> (elsewhere)."""
     builders = {"_from_op", "_binary", "_reduce"}
+
+    def builds(call) -> bool:
+        f = call.func
+        return ((isinstance(f, ast.Name) and f.id in builders)
+                or (isinstance(f, ast.Attribute) and f.attr in builders
+                    and isinstance(f.value, ast.Name) and f.value.id == "adiff"))
+
     return {
         node.name for node in ast.parse(source).body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id in builders
-                for c in ast.walk(node))
+        and any(isinstance(c, ast.Call) and builds(c) for c in ast.walk(node))
     }
 
 
 def gate_checked_ops(source: str) -> set[str]:
-    """Every adiff.<name> the release gate's _op_cases refers to."""
+    """Every adiff.<name> the release gate's _op_cases refers to, and every function it calls by name."""
     cases = next(node for node in ast.parse(source).body
                  if isinstance(node, ast.FunctionDef) and node.name == "_op_cases")
-    return {node.attr for node in ast.walk(cases)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "adiff"}
+    return ({node.attr for node in ast.walk(cases)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "adiff"}
+            | {node.func.id for node in ast.walk(cases)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)})
 
 
 def test_every_tape_op_has_a_gate_gradient_check():
-    ops = tape_ops((ROOT / "src" / "ensograph" / "adiff.py").read_text())
-    assert {"add", "matmul", "gated", "taps", "concat", "reduce_mean"} <= ops
+    ops = set().union(*(tape_ops(p.read_text()) for p in sorted((ROOT / "src" / "ensograph").glob("*.py"))))
+    assert {"add", "matmul", "gated", "taps", "concat", "reduce_mean", "learn_adjacency", "normalize"} <= ops
     missing = sorted(ops - gate_checked_ops((ROOT / "tests" / "test_acceptance.py").read_text()))
     assert not missing, f"tape ops with no float64 case in test_acceptance._op_cases: {missing}"
 
@@ -148,5 +158,14 @@ def test_tape_op_scan_sees_builders_and_gate_cases():
         "def backward(loss):\n    return None\n"
     )
     assert tape_ops(adiff_source) == {"add", "total"}
-    gate_source = "def _op_cases(rng):\n    return [adiff.add(1, 2)]\ndef other():\n    adiff.total(1)\n"
-    assert gate_checked_ops(gate_source) == {"add"}
+    # another module builds its nodes through the adiff module attribute; a composition of ops is no node
+    graph_source = (
+        "from . import adiff\n"
+        "def fused(x):\n    return adiff._from_op(x, (x,), lambda g: adiff._accum(x, g))\n"
+        "def composed(x):\n    return adiff.add(x, x)\n"
+        "def other(x):\n    return numpy._from_op(x)\n"
+    )
+    assert tape_ops(graph_source) == {"fused"}
+    gate_source = ("def _op_cases(rng):\n    return [adiff.add(1, 2), fused(x), leaf]\n"
+                   "def other():\n    adiff.total(1)\n    composed(1)\n")
+    assert gate_checked_ops(gate_source) == {"add", "fused"}

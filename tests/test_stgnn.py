@@ -13,6 +13,7 @@ from ensograph.stgnn import (
     ModelConfig,
     ModelParams,
     forward,
+    hop_matrix,
     init_params,
     load_checkpoint,
     mixhop_conv,
@@ -22,7 +23,7 @@ from ensograph.stgnn import (
     temporal_block,
 )
 from ensograph.train import mae_loss
-from helpers import tiny_config
+from helpers import poisoned_checkpoint, tiny_config
 
 
 def _zero_params(config):
@@ -247,7 +248,8 @@ def test_mixhop_matches_numpy_reference():
     w = rng.standard_normal(((2 * D + 1) * C, Co))
     b = rng.standard_normal(Co)
 
-    out = mixhop_conv(Tensor(h), Tensor(a_fwd), Tensor(a_bwd), beta, D, Tensor(w), Tensor(b)).data
+    out = mixhop_conv(Tensor(h), hop_matrix(Tensor(a_fwd), beta), hop_matrix(Tensor(a_bwd), beta),
+                      beta, D, Tensor(w), Tensor(b)).data
     # the layer input's block acts once; hop blocks follow, forward then backward
     blocks = _blocks(w, 2 * D + 1)
     wf = blocks[:D + 1]
@@ -263,7 +265,8 @@ def test_mixhop_identity_adjacency_collapses_hops():
     eye = np.eye(N)
     w = rng.standard_normal((5 * C, C))
     b = np.zeros(C)
-    out = mixhop_conv(Tensor(h), Tensor(eye), Tensor(eye), 0.05, 2, Tensor(w), Tensor(b)).data
+    m = hop_matrix(Tensor(eye), 0.05)
+    out = mixhop_conv(Tensor(h), m, m, 0.05, 2, Tensor(w), Tensor(b)).data
     # with A = I every hop state equals h, so the sum collapses to h @ sum(Wj)
     wsum = sum(_blocks(w, 5))
     ref = np.einsum("co,nbtc->nbto", wsum, h)
@@ -279,33 +282,37 @@ def test_mixhop_beta_one_ignores_the_graph():
     a_t = (raw.T + np.eye(N)) / (raw.T + np.eye(N)).sum(axis=1, keepdims=True)
     w = Tensor(rng.standard_normal((3 * C, C)))
     b = Tensor(rng.standard_normal(C))
-    eye = Tensor(np.eye(N))
-    out_a = mixhop_conv(Tensor(h), Tensor(a), Tensor(a_t), 1.0, 1, w, b).data
+    eye = hop_matrix(Tensor(np.eye(N)), 1.0)
+    out_a = mixhop_conv(Tensor(h), hop_matrix(Tensor(a), 1.0), hop_matrix(Tensor(a_t), 1.0), 1.0, 1, w, b).data
     out_i = mixhop_conv(Tensor(h), eye, eye, 1.0, 1, w, b).data
     np.testing.assert_allclose(out_a, out_i, atol=1e-12)
 
 
-def test_mixhop_rejects_non_row_stochastic():
-    h = Tensor(np.zeros((3, 1, 2, 2)))
+def test_hop_matrix_rejects_non_row_stochastic():
     bad = Tensor(np.full((3, 3), 0.9))
     eye = Tensor(np.eye(3))
-    w = Tensor(np.zeros((2, 2)))
-    b = Tensor(np.zeros(2))
-    with pytest.raises(ValueError, match="row-stochastic"):
-        mixhop_conv(h, bad, eye, 0.05, 0, w, b)
-    with pytest.raises(ValueError, match="row-stochastic"):
-        mixhop_conv(h, eye, bad, 0.05, 0, w, b)
+    # forward checks the forward direction's adjacency first, then the backward one's
+    for pair in ((bad, eye), (eye, bad)):
+        with pytest.raises(ValueError, match="row-stochastic"):
+            for a in pair:
+                hop_matrix(a, 0.05)
 
 
-def test_mixhop_rejects_nan_adjacency():
-    h = Tensor(np.zeros((3, 1, 2, 2)))
+def test_hop_matrix_rejects_nan_adjacency():
     eye = np.eye(3)
     nan = eye.copy()
     nan[1, 2] = np.nan
-    w = Tensor(np.zeros((2, 2)))
-    b = Tensor(np.zeros(2))
     with pytest.raises(NumericalError, match="mix-hop"):
-        mixhop_conv(h, Tensor(nan), Tensor(eye), 0.05, 0, w, b)
+        for a in (Tensor(nan), Tensor(eye)):
+            hop_matrix(a, 0.05)
+
+
+def test_forward_flags_a_nan_embedding_before_mix_hop():
+    cfg = tiny_config()
+    params = init_params(cfg, seed=0)
+    params["e1"].data[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="mix-hop"):
+        forward(params, cfg, _rand_input(np.random.default_rng(2), cfg))
 
 
 # ------------------------------------------------------------------ forward
@@ -438,10 +445,12 @@ def _count_tape_nodes(monkeypatch):
     return made
 
 
-def test_gate_config_forward_and_loss_make_69_tape_nodes(monkeypatch):
-    # one node per stage: a projection is one biased matmul, the gate one
-    # gated node, a mix-hop step one matmul and one add, and each of the
-    # temporal conv, residual and skip one taps node
+def test_gate_config_forward_and_loss_make_47_tape_nodes(monkeypatch):
+    # one node per stage: adjacency learning, top-k and each normalization
+    # one node, a projection one biased matmul, the gate one gated node, a
+    # mix-hop step one matmul taking beta*h as its bias, and each of the
+    # temporal conv, residual and skip one taps node; the two adjacencies
+    # are scaled to hop matrices once, not once per layer
     cfg = ModelConfig(n_nodes=130, horizon=4)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(12)
@@ -449,10 +458,10 @@ def test_gate_config_forward_and_loss_make_69_tape_nodes(monkeypatch):
     target = Tensor(rng.standard_normal((2, cfg.horizon, cfg.n_nodes)).astype(np.float32))
     made = _count_tape_nodes(monkeypatch)
     backward(mae_loss(forward(params, cfg, x), target))
-    assert len(made) == 69
+    assert len(made) == 47
 
 
-def test_gate_config_eval_sequence_forward_makes_66_tape_nodes(monkeypatch):
+def test_gate_config_eval_sequence_forward_makes_44_tape_nodes(monkeypatch):
     # eval's detached forward over 66 months (64 windows); the skip is one
     # taps node at every P, so the count does not grow with P
     cfg = ModelConfig(n_nodes=130, horizon=4)
@@ -461,7 +470,7 @@ def test_gate_config_eval_sequence_forward_makes_66_tape_nodes(monkeypatch):
     made = _count_tape_nodes(monkeypatch)
     out = forward(params, cfg, Tensor(x.astype(np.float32)))
     assert out.shape == (64, cfg.horizon, cfg.n_nodes)
-    assert len(made) == 66
+    assert len(made) == 44
 
 
 def test_forward_backward_fills_every_parameter():
@@ -589,6 +598,24 @@ def test_save_checkpoint_refuses_what_load_would(tmp_path, field, value):
     with pytest.raises(ValueError, match=field):
         save_checkpoint(path, init_params(cfg, seed=0), cfg, **fields)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name, value", [("e1", np.nan), ("end2_b", np.nan), ("l0_mix_w", np.inf),
+                                         ("start_b", -np.inf)])
+def test_checkpoint_refuses_a_non_finite_tensor(tmp_path, name, value):
+    cfg = tiny_config()
+    params = init_params(cfg, seed=0)
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, params, cfg, **CHECKPOINT_FIELDS)
+    clean = path.read_bytes()
+    params[name].data.flat[0] = value
+    with pytest.raises(ValueError, match=f"tensor {name} holds a non-finite value"):
+        save_checkpoint(path, params, cfg, **CHECKPOINT_FIELDS)
+    assert path.read_bytes() == clean  # nothing was written
+
+    path.write_bytes(poisoned_checkpoint(clean, name, value))
+    with pytest.raises(ValidationError, match=f"tensor {name} holds a non-finite value"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_tampering(tmp_path):
