@@ -162,10 +162,8 @@ def matmul(a, b, bias=None):
     gradient runs one: a's sums one GEMM per _PIECE columns of b's trailing
     axes, in order, and b's sums one GEMM per slice of a's first axis (when a
     is 2-D the single slice is taken as it is, not summed). bias, when given,
-    is added in place on the product. It has either b's trailing shape, and
-    its gradient is g summed over a's leading axes, or the product's full
-    shape, and its gradient is g itself, kept by reference; a mix-hop step
-    beta*h + A' @ s is then one node.
+    has b's trailing shape and is added in place on the product; its
+    gradient is g summed over a's leading axes.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -178,10 +176,9 @@ def matmul(a, b, bias=None):
     shape = a.data.shape[:-1] + b.data.shape[1:]
     if bias is not None:
         bias = as_tensor(bias)
-        full = bias.data.shape == shape
-        if not full and bias.data.shape != b.data.shape[1:]:
-            raise ValueError(f"bias shape {bias.data.shape} matches neither {b.data.shape[1:]} nor {shape}")
-        data += bias.data.reshape(data.shape if full else -1)
+        if bias.data.shape != b.data.shape[1:]:
+            raise ValueError(f"bias shape {bias.data.shape} does not match {b.data.shape[1:]}")
+        data += bias.data.reshape(-1)
     data = data.reshape(shape)
 
     def _bw(g):
@@ -193,7 +190,7 @@ def matmul(a, b, bias=None):
             gb = np.matmul(np.swapaxes(a2.reshape(lead, -1, k), 1, 2), g2.reshape(lead, -1, b2.shape[1]))
             _accum(b, (gb[0] if lead == 1 else gb.sum(axis=0)).reshape(b.data.shape))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g if full else g2.sum(axis=0).reshape(bias.data.shape))
+            _accum(bias, g2.sum(axis=0).reshape(bias.data.shape))
 
     return _from_op(data, (a, b) if bias is None else (a, b, bias), _bw)
 
@@ -281,21 +278,6 @@ def taps(x, starts: range, length: int):
     return _from_op(data, (x,), _bw)
 
 
-def concat(xs, axis):
-    """Join tensors along one axis; each input's gradient is its slice of g."""
-    xs = [as_tensor(x) for x in xs]
-    data = np.concatenate([x.data for x in xs], axis=axis)
-    axis %= data.ndim
-    bounds = np.cumsum([0] + [x.data.shape[axis] for x in xs])
-
-    def _bw(g):
-        for x, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
-            if x.requires_grad:
-                _accum(x, g[(slice(None),) * axis + (slice(lo, hi),)])
-
-    return _from_op(data, xs, _bw)
-
-
 # ------------------------------------------------------------------ reduces
 
 def _norm_axes(axes, ndim):
@@ -312,8 +294,8 @@ def _norm_axes(axes, ndim):
 def _reduce(x, axes, mean):
     x = as_tensor(x)
     axes = _norm_axes(axes, x.ndim)
-    count = int(np.prod([x.data.shape[a] for a in axes])) if axes else 1
-    data = x.data.sum(axis=axes if axes else None)
+    count = int(np.prod([x.data.shape[a] for a in axes]))
+    data = x.data.sum(axis=axes)
     if mean:
         data = data / count
 

@@ -1,10 +1,10 @@
 """Spatiotemporal graph network forecasting node anomalies at several leads.
 
 Activations are node-major, [N, B, T, C], from the start projection to the
-head, and every learned stage is one adiff.matmul node, which contracts the
-last axis of its left operand with the first axis of its right one: a
-channel projection is x @ w + b with a 2-D weight [C_in, C_out] and a
-[C_out] bias, and the node mix is A @ x with an [N, N] adjacency.
+head, and every learned stage is one tape node whose GEMMs are 2-D: a
+channel projection is one adiff.matmul node, x @ w + b with a 2-D weight
+[C_in, C_out] and a [C_out] bias, and a layer's mix-hop is one mixhop_conv
+node, whose node mix is A @ x with an [N, N] adjacency on [N, B*T*C] views.
 
 Architecture, per forward pass: a channel projection lifts the input months
 (transposed once from [B, 1, N, T] to [N, B, T, 1]) to the residual width,
@@ -12,9 +12,9 @@ then each layer applies a gated dilated temporal convolution (one weight
 whose first half of output columns is the tanh filter and second half the
 sigmoid gate; valid-only, so time shrinks and no padding leaks), a mix-hop
 graph convolution over the adjacency learned from node embeddings (the
-layer input and its hops along both edge directions, each hop one matmul
-node, side by side on the channel axis and projected once), a residual
-add of the input's trailing months, and a skip projection: a time
+layer input and its hops along both edge directions, each state projected
+by its own block of one weight and the terms summed, in one tape node), a
+residual add of the input's trailing months, and a skip projection: a time
 convolution of length L, the time axis a window of w months leaves at
 that layer. The relu'd skip sum feeds two projections that emit one
 channel per lead, [N, B, P, H], reshaped to [N, B*P, H] and transposed
@@ -229,25 +229,82 @@ def hop_matrix(a: Tensor, beta: float) -> Tensor:
     return adiff.mul(a, 1.0 - beta)
 
 
-def mixhop_conv(h, m_fwd, m_bwd, beta, depth: int, w, b) -> Tensor:
+def mixhop_conv(h, m_fwd, m_bwd, beta: float, depth: int, w, b) -> Tensor:
     """Mix-hop propagation of node-major h [N, B, T, C] along both edge directions, projected once.
 
     Hop j keeps beta of the layer input and propagates the rest:
     h0 = h, hj = beta*h + ((1-beta)*A) @ hj-1, where A @ h mixes the node
-    axis. m_fwd and m_bwd are the two directions' hop_matrix, (1-beta)*A,
-    so each hop is one matmul node taking beta*h as its full-shape bias.
-    The states [h, fwd hops 1..depth, bwd hops 1..depth] are joined on the
-    channel axis and w [(2*depth+1)*C, C_out] (row s*C + c for state s)
-    projects them with b in one matmul.
+    axis. m_fwd and m_bwd are the two directions' hop_matrix, (1-beta)*A.
+    State s of [h, fwd hops 1..depth, bwd hops 1..depth] meets its block
+    W_s = w[s*C:(s+1)*C] of w [(2*depth+1)*C, C_out], and the output is
+    b + sum_s S_s @ W_s: the states are never joined on the channel axis.
+
+    One tape node. Each hop is a GEMM on [N, B*T*C] views, and each
+    projection term a GEMM on [N*B*T, C] views. The backward walks each hop
+    chain in reverse: hop j's state gradient G_j is its projection term
+    g @ W_j^T plus m^T @ G_j+1; h takes g @ W_0^T and, per direction,
+    beta * sum_j G_j + m^T @ G_1; m takes sum_j G_j @ S_j-1^T and W_s takes
+    S_s^T @ g. Every gradient GEMM is adiff._pieced_matmul, so the long
+    contractions of w (over N*B*T) and of m (over B*T*C) keep their bytes
+    whatever the BLAS thread count.
     """
-    kept = adiff.mul(h, beta)
-    states = [h]
-    for m in (m_fwd, m_bwd):
-        state = h
-        for _ in range(depth):
-            state = adiff.matmul(m, state, kept)
-            states.append(state)
-    return adiff.matmul(adiff.concat(states, -1), w, b)
+    h, w, b = adiff.as_tensor(h), adiff.as_tensor(w), adiff.as_tensor(b)
+    mats = (adiff.as_tensor(m_fwd), adiff.as_tensor(m_bwd)) if depth else ()
+    N, C = h.shape[0], h.shape[-1]
+    if w.shape[0] != (2 * depth + 1) * C:
+        raise ValueError(f"mix-hop weight {w.shape} does not hold {2 * depth + 1} blocks of {C} rows")
+    blocks = [w.data[s * C:(s + 1) * C] for s in range(2 * depth + 1)]
+    flat = h.data.reshape(N, -1)  # [N, B*T*C]: the hops mix the node axis
+    kept = flat * beta
+    chains = []  # per direction, the states h, hop 1, .., hop depth as [N, B*T*C]
+    out = flat.reshape(-1, C) @ blocks[0]
+    for d, m in enumerate(mats):
+        states = [flat]
+        for j in range(depth):
+            s = m.data @ states[-1]
+            s += kept
+            states.append(s)
+            out += s.reshape(-1, C) @ blocks[1 + d * depth + j]
+        chains.append(states)
+    out += b.data
+    c_out = out.shape[-1]
+
+    def _bw(g):
+        g2 = g.reshape(-1, c_out)
+
+        def proj(s):  # g @ W_s^T, the gradient state s takes through its projection term
+            return adiff._pieced_matmul(g2, blocks[s].T).reshape(N, -1)
+
+        gh = proj(0) if h.requires_grad else None
+        gw = [adiff._pieced_matmul(flat.reshape(-1, C).T, g2)] if w.requires_grad else None
+        for d, (m, states) in enumerate(zip(mats, chains)):
+            if w.requires_grad:
+                gw += [adiff._pieced_matmul(s.reshape(-1, C).T, g2) for s in states[1:]]
+            if not (h.requires_grad or m.requires_grad):
+                continue
+            mt = m.data.T
+            gm = total = after = None
+            for j in reversed(range(depth)):
+                gj = proj(1 + d * depth + j)
+                if after is not None:
+                    gj += adiff._pieced_matmul(mt, after)
+                if m.requires_grad:
+                    term = adiff._pieced_matmul(gj, states[j].T)
+                    gm = term if gm is None else gm + term
+                total = gj if total is None else total + gj
+                after = gj
+            if h.requires_grad:
+                gh += beta * total + adiff._pieced_matmul(mt, after)
+            if m.requires_grad:
+                adiff._accum(m, gm)
+        if h.requires_grad:
+            adiff._accum(h, gh.reshape(h.shape))
+        if w.requires_grad:
+            adiff._accum(w, np.concatenate(gw, axis=0))
+        if b.requires_grad:
+            adiff._accum(b, g2.sum(axis=0))
+
+    return adiff._from_op(out.reshape(h.shape[:-1] + (c_out,)), (h, w, b) + mats, _bw)
 
 
 def _check_finite(t: Tensor, layer: int, stage: str):

@@ -1,6 +1,10 @@
 """Shared builders for the test suite."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -68,3 +72,15 @@ def poisoned_checkpoint(raw: bytes, tensor: str, value: float, index: int = 0) -
         offset += 4 * int(np.prod(record["shape"]))
     offset += 4 * index
     return raw[:offset] + np.array([value], dtype="<f4").tobytes() + raw[offset + 4:]
+
+
+def output_at_one_and_two_blas_threads(script: str) -> list[list[str]]:
+    """The stdout lines of `script` run by a fresh Python at OPENBLAS_NUM_THREADS=1 and =2.
+
+    Fresh processes, since OpenBLAS reads its thread count once at import.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
+            .stdout.splitlines() for threads in ("1", "2")]

@@ -23,7 +23,7 @@ from ensograph.graph import learn_adjacency, normalize, topk_sparsify
 from ensograph.grid import ONI_BOX, GridSpec, region_nodes
 from ensograph.samples import make_samples
 from ensograph.skill import forecast_index, table_from_forecasts
-from ensograph.stgnn import ModelConfig, forward, init_params, temporal_block
+from ensograph.stgnn import ModelConfig, forward, init_params, mixhop_conv, temporal_block
 from ensograph.synth import SynthConfig, generate
 from ensograph.train import TrainConfig, train
 from helpers import random_anoms, random_sst, small_grid, tiny_config
@@ -93,10 +93,6 @@ def _op_cases(rng):
     linear("taps_one_slice", lambda: adiff.taps(t5, range(1, 2), 3), (2, 3, 3), {"x": t5})
     linear("taps_every_month", lambda: adiff.taps(t5, range(5), 1), (2, 1, 15), {"x": t5})
     linear("taps_overlapping", lambda: adiff.taps(t5, range(0, 3), 3), (2, 3, 9), {"x": t5})
-    w1 = leaf(rng.standard_normal((2, 1, 4)))
-    w2 = leaf(rng.standard_normal((2, 2, 4)))
-    linear("concat", lambda: adiff.concat([t3, w1, w2], 1), (2, 6, 4),
-           {"x": t3, "w1": w1, "w2": w2})
 
     # the gated temporal conv: K = 2 dilated time slices of node-major [N, B, T, C] into one matmul
     cx = leaf(rng.standard_normal((2, 2, 6, 3)))
@@ -113,7 +109,7 @@ def _op_cases(rng):
     cases.append(("reduce_mean", lambda: adiff.reduce_mean(r), {"x": r}))
     linear("reduce_mean_axes", lambda: adiff.reduce_mean(r, axes=(0, 2)), (4,), {"x": r})
 
-    # the fused graph kernels and the mix-hop step's full-shape bias
+    # the fused graph kernels and the fused mix-hop propagation and projection
     e1 = leaf(rng.standard_normal((5, 3)))
     e2 = leaf(rng.standard_normal((5, 3)))
     linear("learn_adjacency", lambda: learn_adjacency(e1, e2, 1.5), (5, 5), {"e1": e1, "e2": e2})
@@ -121,8 +117,13 @@ def _op_cases(rng):
     adj = leaf(rng.uniform(0.0, 1.0, (4, 4)))
     linear("normalize", lambda: normalize(adj), (4, 4), {"a": adj})
     linear("normalize_transposed", lambda: normalize(adiff.transpose(adj, (1, 0))), (4, 4), {"a": adj})
-    hop = leaf(rng.standard_normal((2, 3, 5)))
-    linear("matmul_full_bias", lambda: adiff.matmul(b1, m2, hop), (2, 3, 5), {"b1": b1, "m2": m2, "bias": hop})
+    mh = leaf(rng.standard_normal((3, 2, 2, 2)))
+    m_fwd = leaf(rng.uniform(0.0, 1.0, (3, 3)))
+    m_bwd = leaf(rng.uniform(0.0, 1.0, (3, 3)))
+    mw = leaf(rng.standard_normal((10, 4)))
+    mb = leaf(rng.standard_normal((4,)))
+    linear("mixhop_conv", lambda: mixhop_conv(mh, m_fwd, m_bwd, 0.05, 2, mw, mb), (3, 2, 2, 4),
+           {"h": mh, "m_fwd": m_fwd, "m_bwd": m_bwd, "w": mw, "b": mb})
 
     return cases
 

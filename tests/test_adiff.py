@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -13,7 +8,6 @@ from ensograph.adiff import (
     add,
     as_tensor,
     backward,
-    concat,
     gated,
     grad_check,
     matmul,
@@ -27,6 +21,7 @@ from ensograph.adiff import (
     taps,
     transpose,
 )
+from helpers import output_at_one_and_two_blas_threads
 
 
 def _t(rng, *shape, away_from_zero=False):
@@ -103,24 +98,10 @@ def test_matmul_bias_values():
         a, b, bias = rng.standard_normal(sa), rng.standard_normal(sb), rng.standard_normal(sb[1:])
         np.testing.assert_allclose(matmul(Tensor(a), Tensor(b), Tensor(bias)).data,
                                    np.tensordot(a, b, 1) + bias, rtol=1e-13)
-    with pytest.raises(ValueError, match="bias shape"):
-        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
-
-
-def test_matmul_full_shape_bias():
-    rng = np.random.default_rng(3)
-    # a full-shape bias is added to the product as it stands, with the bytes of a separate add
-    for sa, sb in (((2, 3, 4), (4, 5)), ((4, 4), (4, 2, 3))):
-        a, b, bias = _t(rng, *sa), _t(rng, *sb), _t(rng, *(sa[:-1] + sb[1:]))
-        out = matmul(a, b, bias)
-        assert out.data.tobytes() == add(bias, matmul(a, b)).data.tobytes()
-        probe = Tensor(rng.standard_normal(out.shape))
-        for r in grad_check(lambda: reduce_sum(mul(matmul(a, b, bias), probe)), {"a": a, "b": b, "bias": bias}):
-            assert r.passed, f"{sa} @ {sb}, {r.name}: rel err {r.max_rel_err:.2e}"
-    with pytest.raises(ValueError, match="bias shape"):
-        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros((2, 4, 5))))
-    with pytest.raises(ValueError, match="bias shape"):
-        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros((3, 5))))
+    # a bias of any other shape, the product's own included, is refused
+    for shape in ((4,), (3, 5), (2, 3, 5)):
+        with pytest.raises(ValueError, match="bias shape"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(shape)))
 
 
 def test_shape_op_values():
@@ -129,12 +110,22 @@ def test_shape_op_values():
     np.testing.assert_array_equal(transpose(Tensor(x), (2, 0, 1)).data, x.transpose(2, 0, 1))
     np.testing.assert_array_equal(reshape(Tensor(x), (6, 4)).data, x.reshape(6, 4))
     np.testing.assert_array_equal(taps(Tensor(x), range(1, 2), 2).data, x[:, 1:3])
-    y, z = rng.standard_normal((2, 1, 4)), rng.standard_normal((2, 5, 4))
-    np.testing.assert_array_equal(concat([Tensor(x), Tensor(y), Tensor(z)], 1).data,
-                                  np.concatenate([x, y, z], axis=1))
     np.testing.assert_allclose(reduce_sum(Tensor(x)).data, x.sum())
     np.testing.assert_allclose(reduce_sum(Tensor(x), 1).data, x.sum(axis=1))
     np.testing.assert_allclose(reduce_mean(Tensor(x), (0, 2)).data, x.mean(axis=(0, 2)))
+
+
+def test_reduce_over_no_axes_is_the_identity():
+    # as numpy's sum(axis=()): no axis is summed, so the values come back as they are
+    x = np.arange(6.0).reshape(2, 3)
+    for reduce in (reduce_sum, reduce_mean):
+        np.testing.assert_array_equal(reduce(Tensor(x), ()).data, x)
+    rng = np.random.default_rng(11)
+    a = _t(rng, 2, 3)
+    probe = Tensor(rng.standard_normal((2, 3)))
+    for reduce in (reduce_sum, reduce_mean):
+        for r in grad_check(lambda: reduce_sum(mul(reduce(a, ()), probe)), {"a": a}):
+            assert r.passed, f"{reduce.__name__}: rel err {r.max_rel_err:.2e}"
 
 
 # ---------------------------------------------------------------- gradients
@@ -180,8 +171,8 @@ def test_matmul_gradient_over_a_long_contraction():
     np.testing.assert_allclose(tb.grad, np.einsum("ik,ijl->kjl", a, c), rtol=1e-12)
 
 
-# Hashes the matmul gradients of every contraction the default model's training
-# runs, in float32: the node mix A [130, 130] @ x [130, L] for L = 16*B*T, every
+# Hashes the matmul gradients, in float32, at the default model's training
+# shapes: a node mix A [130, 130] @ x [130, L] for L = 16*B*T, every
 # multiple of 16 up to 3072 (conv width 16, batches B = 1..64 of single windows
 # at time lengths T = 1..3, and every run shape a batch of up to 64 windows
 # gives), and a channel projection x [130, m, 16] @ w [16, 32] for every
@@ -203,12 +194,7 @@ for a, b, g in mix + proj:
 
 
 def test_matmul_gradient_bytes_do_not_depend_on_blas_threads():
-    # fresh processes, since OpenBLAS reads its thread count once at import
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    runs = [subprocess.run([sys.executable, "-c", GRADIENT_HASHES], capture_output=True, text=True, check=True,
-                           timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
-            .stdout.splitlines() for threads in ("1", "2")]
+    runs = output_at_one_and_two_blas_threads(GRADIENT_HASHES)
     assert len(runs[0]) == 192 + 192
     differ = [one.rsplit(" ", 1)[0] for one, two in zip(*runs) if one != two]
     assert not differ, f"gradient bytes differ between 1 and 2 BLAS threads at {differ}"
@@ -238,7 +224,6 @@ def test_every_op_passes_grad_check():
         "transpose": lambda: reduce_sum(mul(transpose(a, (1, 0)), transpose(mix, (1, 0)))),
         "reshape": lambda: reduce_sum(mul(reshape(a, (4, 3)), reshape(mix, (4, 3)))),
         "taps": lambda: reduce_sum(mul(taps(a, range(2), 2), Tensor(mix_wide.data[:2, :8]))),
-        "concat": lambda: reduce_sum(mul(concat([a, b, m1], 1), mix_wide)),
         "mean": lambda: reduce_mean(mul(a, b)),
         "sum_axis": lambda: reduce_sum(reduce_sum(mul(a, b), 1)),
     }

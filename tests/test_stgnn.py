@@ -23,7 +23,7 @@ from ensograph.stgnn import (
     temporal_block,
 )
 from ensograph.train import mae_loss
-from helpers import poisoned_checkpoint, tiny_config
+from helpers import output_at_one_and_two_blas_threads, poisoned_checkpoint, tiny_config
 
 
 def _zero_params(config):
@@ -288,6 +288,100 @@ def test_mixhop_beta_one_ignores_the_graph():
     np.testing.assert_allclose(out_a, out_i, atol=1e-12)
 
 
+def _chain_ref(h, m_fwd, m_bwd, beta, depth, w, b):
+    """Mix-hop as an op chain: each hop m @ s + beta*h, the states joined on the channel axis, one GEMM."""
+    N, C = h.shape[0], h.shape[-1]
+    states = [h]
+    for m in (m_fwd, m_bwd):
+        s = h
+        for _ in range(depth):
+            s = (m @ s.reshape(N, -1)).reshape(h.shape) + beta * h
+            states.append(s)
+    joined = np.concatenate(states, axis=-1)
+    return (joined.reshape(-1, (2 * depth + 1) * C) @ w + b).reshape(h.shape[:-1] + (-1,))
+
+
+def _mixhop_operands(rng, depth, dtype=np.float64, N=5, B=2, T=3, C=3, C_out=4, beta=0.05):
+    """h, two different hop matrices (1 - beta) * A, w and b as tracked tensors."""
+    mats = []
+    for _ in range(2):
+        raw = rng.uniform(0.0, 1.0, (N, N)) + np.eye(N)
+        mats.append((1.0 - beta) * raw / raw.sum(axis=1, keepdims=True))
+    arrays = [rng.standard_normal((N, B, T, C)), *mats,
+              rng.uniform(-0.5, 0.5, ((2 * depth + 1) * C, C_out)), rng.uniform(-0.5, 0.5, C_out)]
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_mixhop_conv_matches_the_concatenated_chain(depth, dtype, atol):
+    # the summation order of the projection moved, so the match is close but not bitwise
+    for beta in (0.0, 0.05, 1.0):
+        rng = np.random.default_rng(20 + depth)
+        h, m_fwd, m_bwd, w, b = _mixhop_operands(rng, depth, dtype, N=7, B=3, beta=beta)
+        out = mixhop_conv(h, m_fwd, m_bwd, beta, depth, w, b).data
+        assert out.dtype == dtype and out.shape == (7, 3, 3, 4)
+        ref = _chain_ref(*(t.data.astype(np.float64) for t in (h, m_fwd, m_bwd)), beta, depth,
+                         w.data.astype(np.float64), b.data.astype(np.float64))
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("beta", [0.0, 0.05, 1.0])
+def test_mixhop_conv_grad_check(depth, beta):
+    rng = np.random.default_rng(30 + depth)
+    h, m_fwd, m_bwd, w, b = _mixhop_operands(rng, depth, beta=beta)
+    probe = Tensor(rng.standard_normal((5, 2, 3, 4)))
+    f = lambda: reduce_sum(mul(mixhop_conv(h, m_fwd, m_bwd, beta, depth, w, b), probe))
+    for r in grad_check(f, {"h": h, "m_fwd": m_fwd, "m_bwd": m_bwd, "w": w, "b": b}):
+        assert r.passed, f"depth {depth} beta {beta} {r.name}: rel err {r.max_rel_err:.2e}"
+    if depth == 0:
+        # the hop matrices take no part, so they read back an exact zero gradient
+        assert not m_fwd.grad.any() and not m_bwd.grad.any()
+
+
+def test_mixhop_conv_is_one_tape_node(monkeypatch):
+    h, m_fwd, m_bwd, w, b = _mixhop_operands(np.random.default_rng(40), 2)
+    made = _count_tape_nodes(monkeypatch)
+    out = mixhop_conv(h, m_fwd, m_bwd, 0.05, 2, w, b)
+    assert len(made) == 1 and out._parents == (h, w, b, m_fwd, m_bwd)
+    with pytest.raises(ValueError, match="blocks"):
+        mixhop_conv(h, m_fwd, m_bwd, 0.05, 1, w, b)
+
+
+# Hashes mixhop_conv's float32 gradients at the default model's node count and
+# width (N = 130, C = C_out = 16, depth 2) for every B*T from 1 to 64: w's
+# contraction runs over N*B*T and each hop matrix's over B*T*C, so this covers
+# every length a training batch of up to 64 windows gives.
+MIXHOP_HASHES = r"""
+import hashlib
+import numpy as np
+from ensograph.adiff import Tensor, backward, mul, reduce_sum
+from ensograph.stgnn import mixhop_conv
+rng = np.random.default_rng(0)
+pool = rng.standard_normal((2, 130, 64 * 16)).astype(np.float32)
+raw = rng.uniform(0.0, 1.0, (2, 130, 130)) + np.eye(130)
+mats = (0.95 * raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+w0 = rng.uniform(-0.25, 0.25, (5 * 16, 16)).astype(np.float32)
+b0 = rng.uniform(-0.25, 0.25, 16).astype(np.float32)
+for bt in range(1, 65):
+    h = Tensor(pool[0, :, :16 * bt].reshape(130, bt, 1, 16).copy(), requires_grad=True)
+    m_fwd, m_bwd = (Tensor(m.copy(), requires_grad=True) for m in mats)
+    w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+    probe = Tensor(pool[1, :, :16 * bt].reshape(130, bt, 1, 16).copy())
+    backward(reduce_sum(mul(mixhop_conv(h, m_fwd, m_bwd, 0.05, 2, w, b), probe)))
+    grads = b"".join(t.grad.tobytes() for t in (h, m_fwd, m_bwd, w, b))
+    print(bt, hashlib.sha256(grads).hexdigest())
+"""
+
+
+def test_mixhop_gradient_bytes_do_not_depend_on_blas_threads():
+    runs = output_at_one_and_two_blas_threads(MIXHOP_HASHES)
+    assert len(runs[0]) == 64
+    differ = [one.split(" ", 1)[0] for one, two in zip(*runs) if one != two]
+    assert not differ, f"mix-hop gradient bytes differ between 1 and 2 BLAS threads at B*T = {differ}"
+
+
 def test_hop_matrix_rejects_non_row_stochastic():
     bad = Tensor(np.full((3, 3), 0.9))
     eye = Tensor(np.eye(3))
@@ -445,12 +539,12 @@ def _count_tape_nodes(monkeypatch):
     return made
 
 
-def test_gate_config_forward_and_loss_make_47_tape_nodes(monkeypatch):
+def test_gate_config_forward_and_loss_make_35_tape_nodes(monkeypatch):
     # one node per stage: adjacency learning, top-k and each normalization
     # one node, a projection one biased matmul, the gate one gated node, a
-    # mix-hop step one matmul taking beta*h as its bias, and each of the
-    # temporal conv, residual and skip one taps node; the two adjacencies
-    # are scaled to hop matrices once, not once per layer
+    # layer's mix-hop propagation and projection one mixhop_conv node, and
+    # each of the temporal conv, residual and skip one taps node; the two
+    # adjacencies are scaled to hop matrices once, not once per layer
     cfg = ModelConfig(n_nodes=130, horizon=4)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(12)
@@ -458,10 +552,10 @@ def test_gate_config_forward_and_loss_make_47_tape_nodes(monkeypatch):
     target = Tensor(rng.standard_normal((2, cfg.horizon, cfg.n_nodes)).astype(np.float32))
     made = _count_tape_nodes(monkeypatch)
     backward(mae_loss(forward(params, cfg, x), target))
-    assert len(made) == 47
+    assert len(made) == 35
 
 
-def test_gate_config_eval_sequence_forward_makes_44_tape_nodes(monkeypatch):
+def test_gate_config_eval_sequence_forward_makes_32_tape_nodes(monkeypatch):
     # eval's detached forward over 66 months (64 windows); the skip is one
     # taps node at every P, so the count does not grow with P
     cfg = ModelConfig(n_nodes=130, horizon=4)
@@ -470,7 +564,7 @@ def test_gate_config_eval_sequence_forward_makes_44_tape_nodes(monkeypatch):
     made = _count_tape_nodes(monkeypatch)
     out = forward(params, cfg, Tensor(x.astype(np.float32)))
     assert out.shape == (64, cfg.horizon, cfg.n_nodes)
-    assert len(made) == 44
+    assert len(made) == 32
 
 
 def test_forward_backward_fills_every_parameter():
