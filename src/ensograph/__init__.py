@@ -36,6 +36,7 @@ from .stgnn import (
     ModelConfig,
     ModelParams,
     forward,
+    hop_matrices,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -75,6 +76,7 @@ __all__ = [
     "forward",
     "generate",
     "grad_check",
+    "hop_matrices",
     "init_params",
     "learn_adjacency",
     "load_checkpoint",

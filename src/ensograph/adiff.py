@@ -236,8 +236,8 @@ def abs_(x):
 def transpose(x, axes):
     x = as_tensor(x)
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
     data = np.transpose(x.data, axes)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _from_op(data, (x,), lambda g: _accum(x, np.transpose(g, inverse)))
 
 

@@ -58,6 +58,9 @@ class _BaseCube:
             raise ValidationError("cube must cover at least one month")
         if self.missing.shape != self.values.shape:
             raise ValidationError("missing mask shape does not match values")
+        self._check_values()
+
+    def _check_values(self):
         if not np.all(np.isfinite(self.values) | self.missing):
             raise ValidationError("non-finite value without missing flag")
 
@@ -84,8 +87,13 @@ class SstCube(_BaseCube):
     [-5, 45] degC; construction rejects anything outside it.
     """
 
-    def _check(self):
-        super()._check()
+    def _check_values(self):
+        # when every value, flagged or not, is a plausible temperature, no check
+        # below can fail, and two reductions make no whole-cube temporary; min and
+        # max read NaN when one is present, so NaN fails this test as infinities do
+        if SST_MIN <= self.values.min() and self.values.max() <= SST_MAX:
+            return
+        super()._check_values()
         bad = ((self.values < SST_MIN) | (self.values > SST_MAX)) & ~self.missing
         if bad.any():
             first = self.values.flat[np.argmax(bad)]
@@ -223,16 +231,17 @@ def climatology(cube: _BaseCube, base_years: tuple[int, int]) -> Climatology:
     vals = np.zeros((12, cube.grid.n_lat, cube.grid.n_lon), dtype=np.float64)
     miss = np.zeros_like(vals, dtype=bool)
     for m in range(1, 13):
-        sel = in_base & (mons == m)
-        if not sel.any():
+        sel = np.flatnonzero(in_base & (mons == m))
+        if not sel.size:
             raise ValidationError(
                 f"base period {y0}:{y1} contains no data for calendar month {m}"
             )
-        # only this month's base rows are widened to float64
-        data, missing = cube.values[sel].astype(np.float64), cube.missing[sel]
-        data[missing] = 0.0
-        counts = (~missing).sum(axis=0)
-        sums = data.sum(axis=0)
+        # this month's base rows are every 12th row from its first: a strided view,
+        # summed in float64 row by row, as a sum of the widened rows would be
+        rows = slice(sel[0], sel[-1] + 1, 12)
+        live = ~cube.missing[rows]
+        counts = live.sum(axis=0)
+        sums = np.sum(cube.values[rows], axis=0, dtype=np.float64, where=live)
         empty = counts == 0
         counts_safe = np.where(empty, 1, counts)
         vals[m - 1] = sums / counts_safe
@@ -249,8 +258,8 @@ def anomalies(cube: _BaseCube, clim: Climatology) -> AnomalyCube:
     # float64 differences one calendar-month stride at a time, stored as float32
     out = np.empty(cube.values.shape, dtype=np.float32)
     for k in range(min(12, cube.n_time)):
-        out[k::12] = cube.values[k::12].astype(np.float64) - clim.values[idx[k]]
-    miss = cube.missing | clim.missing[idx]
+        np.subtract(cube.values[k::12], clim.values[idx[k]], dtype=np.float64, out=out[k::12])
+    miss = cube.missing | clim.missing[idx] if clim.missing.any() else cube.missing.copy()
     out[miss] = 0.0
     return AnomalyCube(cube.grid, cube.start, out, miss)
 

@@ -74,8 +74,15 @@ def learn_adjacency(e1: Tensor, e2: Tensor, alpha: float) -> Tensor:
 def topk_sparsify(a: Tensor, k: int) -> Tensor:
     """Keep the k largest entries of each row, zeroing the rest.
 
-    Ties break toward the lower column index. The mask is a constant, so
-    gradients flow only through the retained entries.
+    Ties break toward the lower column index, so on finite input the kept
+    entries are a stable descending argsort's first k columns. Each row's
+    threshold, its k-th largest entry, comes from one np.partition, and
+    the entries at or above it are kept. When some row keeps more than k,
+    its entries equal to the threshold are thinned, lowest columns first,
+    to the k - (entries above it) that fit. The count is per row: a NaN
+    row keeps fewer than k and would hide a tied row's excess in a total.
+    The mask is a constant, so gradients flow only through the retained
+    entries.
     """
     a = as_tensor(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -85,10 +92,12 @@ def topk_sparsify(a: Tensor, k: int) -> Tensor:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= n:
         return a
-    order = np.argsort(-a.data, axis=1, kind="stable")
-    mask = np.zeros_like(a.data)
-    rows = np.arange(n)[:, None]
-    mask[rows, order[:, :k]] = 1.0
+    thr = np.partition(a.data, n - k, axis=1)[:, n - k:n - k + 1]
+    mask = a.data >= thr
+    if (mask.sum(axis=1) > k).any():
+        tied = a.data == thr
+        room = k - (a.data > thr).sum(axis=1, keepdims=True)
+        mask &= ~tied | (np.cumsum(tied, axis=1) <= room)
     return adiff.mul(a, Tensor(mask, dtype=a.data.dtype))
 
 

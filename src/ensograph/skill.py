@@ -18,7 +18,7 @@ from .grid import ONI_BOX, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, running_mean
 from .months import Month, add_months, month_range
 from .samples import consecutive_runs, make_samples, run_inputs
-from .stgnn import ModelConfig, ModelParams, forward, predicted_index
+from .stgnn import ModelConfig, ModelParams, forward, hop_matrices, predicted_index
 
 
 class ZeroVarianceError(ValueError):
@@ -150,6 +150,8 @@ def forecast_index(
 
     The model runs on detached copies of `params` that share their buffers,
     so the forward builds no tape and the caller's tensors are untouched.
+    The learned graph's hop_matrices pair is built once per call and passed
+    to every forward.
     Each forward takes one run of chunk + w - 1 consecutive months
     (samples.run_inputs, the builder training uses) and returns the
     forecasts of the `chunk` windows it holds, so each month passes the
@@ -193,11 +195,12 @@ def forecast_index(
     w = config.window
     if predictor is None:
         detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
+        hops = hop_matrices(detached, config)
         scale = np.float32(input_scale)
 
         def run(r):
             xb = (run_inputs(samples.inputs, [r.start], len(r)) / scale).astype(np.float32, copy=False)
-            return forward(detached, config, Tensor(xb)).data
+            return forward(detached, config, Tensor(xb), hops).data
     else:
         def run(r):
             return np.asarray(predictor(samples.inputs[r.start:r.stop]))

@@ -221,9 +221,9 @@ def hop_matrix(a: Tensor, beta: float) -> Tensor:
     than 1e-4 raises ValueError, before the scaling.
     """
     sums = a.data.sum(axis=1)
-    if not np.all(np.isfinite(sums)):
+    if not np.isfinite(sums).all():
         raise NumericalError("non-finite adjacency row sum entering mix-hop propagation")
-    worst = float(np.max(np.abs(sums - 1.0)))
+    worst = float(np.abs(sums - 1.0).max())
     if worst > 1e-4:
         raise ValueError(f"adjacency is not row-stochastic (row sum off by {worst:.2e})")
     return adiff.mul(a, 1.0 - beta)
@@ -308,11 +308,26 @@ def mixhop_conv(h, m_fwd, m_bwd, beta: float, depth: int, w, b) -> Tensor:
 
 
 def _check_finite(t: Tensor, layer: int, stage: str):
-    if not np.all(np.isfinite(t.data)):
+    if not np.isfinite(t.data).all():
         raise NumericalError(f"non-finite activation at layer {layer} ({stage})")
 
 
-def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
+def hop_matrices(params: ModelParams, config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """The learned graph as the (m_fwd, m_bwd) pair every layer's mix-hop propagates by.
+
+    The adjacency learned from the embeddings e1 and e2 is sparsified to its
+    top-k entries per row; that matrix and its transpose are each
+    normalized and scaled by hop_matrix. The pair depends on the two
+    embeddings and the config alone, so one pair serves every forward made
+    with the same parameters.
+    """
+    a_sparse = topk_sparsify(learn_adjacency(params["e1"], params["e2"], config.graph.alpha),
+                             config.graph.topk)
+    return (hop_matrix(normalize(a_sparse), config.beta),
+            hop_matrix(normalize(adiff.transpose(a_sparse, (1, 0))), config.beta))
+
+
+def forward(params: ModelParams, config: ModelConfig, x: Tensor, hops=None) -> Tensor:
     """Full model: months [B, 1, N, T] -> per-lead node predictions [B*P, H, N].
 
     T may be any length >= the window w; row b*P + p, with P = T - w + 1,
@@ -322,20 +337,18 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     [N, B, P, H] is reshaped to [N, B*P, H] and transposed back once. Layer
     l's skip joins the L = time_lengths()[l + 1] shifted slices
     h[:, :, j : j + P] on the channel axis (row j*C + c of the skip weight
-    reads channel c at position j) and projects them in one matmul. The
-    two normalized adjacencies are checked and scaled to hop matrices once
-    per forward, and every layer's mix-hop shares them.
+    reads channel c at position j) and projects them in one matmul. Every
+    layer's mix-hop shares one hop_matrices pair: `hops` when given, which
+    must be hop_matrices(params, config), or else one built here. A caller
+    running several forwards on unchanging parameters builds the pair once
+    and passes it to each; the output bytes are the same either way.
     """
     x = adiff.as_tensor(x)
     if x.ndim != 4 or x.shape[1:3] != (1, config.n_nodes) or x.shape[3] < config.window:
         raise ValueError(f"input shape {x.shape} does not match [B, 1, {config.n_nodes}, T >= {config.window}]")
-    if not np.all(np.isfinite(x.data)):
+    if not np.isfinite(x.data).all():
         raise NumericalError("non-finite model input")
-
-    a_raw = learn_adjacency(params["e1"], params["e2"], config.graph.alpha)
-    a_sparse = topk_sparsify(a_raw, config.graph.topk)
-    m_fwd = hop_matrix(normalize(a_sparse), config.beta)
-    m_bwd = hop_matrix(normalize(adiff.transpose(a_sparse, (1, 0))), config.beta)
+    m_fwd, m_bwd = hop_matrices(params, config) if hops is None else hops
 
     P = x.shape[3] - config.window + 1
     h = adiff.matmul(adiff.transpose(x, (2, 0, 3, 1)), params["start_w"], params["start_b"])

@@ -35,7 +35,7 @@ from . import adiff
 from .adiff import Tensor
 from .errors import NumericalError, _check_types
 from .samples import SampleSet, consecutive_runs, run_inputs
-from .stgnn import ModelConfig, ModelParams, forward, init_params
+from .stgnn import ModelConfig, ModelParams, forward, hop_matrices, init_params
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 5.0
@@ -156,12 +156,13 @@ def run_windows(batch_size: int) -> int:
 
 def _eval_loss(params, config, inputs, targets, start_months) -> float:
     # detached copies share the buffers, so the validation forward builds no tape;
-    # one forward per run of up to 256 windows
+    # one forward per run of up to 256 windows, all on one learned graph
     detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
+    hops = hop_matrices(detached, config)
     total = 0.0
     for r in consecutive_runs(start_months, 256):
         xb = Tensor(run_inputs(inputs, [r.start], len(r)))
-        total += mae_loss(forward(detached, config, xb), Tensor(targets[r.start:r.stop])).item() * len(r)
+        total += mae_loss(forward(detached, config, xb, hops), Tensor(targets[r.start:r.stop])).item() * len(r)
     return total / inputs.shape[0]
 
 

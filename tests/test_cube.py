@@ -56,6 +56,34 @@ def test_sst_plausibility_gate():
     AnomalyCube(g, (1950, 1), values - 20.0, missing)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "non-finite value without missing flag"),
+    (np.inf, "non-finite value without missing flag"),
+    (-np.inf, "non-finite value without missing flag"),
+    (45.5, r"temperature 45\.500 degC outside plausible range \[-5\.0, 45\.0\]"),
+    (-7.0, r"temperature -7\.000 degC outside plausible range \[-5\.0, 45\.0\]"),
+])
+def test_sst_checks_give_each_value_its_outcome_and_message(bad, message):
+    g = small_grid()
+    values = np.full((3, g.n_lat, g.n_lon), 20.0, dtype=np.float32)
+    missing = np.zeros(values.shape, dtype=bool)
+    values[2, 1, 3] = bad
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SstCube(g, (1950, 1), values, missing)
+    missing[2, 1, 3] = True  # a flagged cell may hold anything
+    SstCube(g, (1950, 1), values, missing)
+
+
+@pytest.mark.parametrize("non_finite", [np.nan, np.inf])
+def test_non_finite_value_is_reported_before_an_out_of_range_one(non_finite):
+    g = small_grid()
+    values = np.full((3, g.n_lat, g.n_lon), 20.0, dtype=np.float32)
+    values[0, 0, 0] = 60.0  # first in memory order
+    values[1, 2, 2] = non_finite
+    with pytest.raises(ValidationError, match="^non-finite value without missing flag$"):
+        SstCube(g, (1950, 1), values, np.zeros(values.shape, dtype=bool))
+
+
 def test_month_bookkeeping():
     cube = random_sst(np.random.default_rng(0), n_time=14, start=(1999, 11))
     assert cube.month_of(0) == (1999, 11)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ensograph import skill, train
+from ensograph import skill, stgnn, train
 from ensograph.adiff import Tensor
 from ensograph.errors import ValidationError
+from ensograph.graph import learn_adjacency
 from ensograph.grid import ONI_BOX, region_nodes
 from ensograph.indices import IndexSeries, area_mean
 from ensograph.months import add_months
@@ -225,8 +226,8 @@ def test_forecast_chunking_is_consistent():
 def _record_forward(monkeypatch, module):
     outputs = []
 
-    def recording(params, config, x):
-        out = forward(params, config, x)
+    def recording(params, config, x, hops=None):
+        out = forward(params, config, x, hops)
         outputs.append(out)
         return out
 
@@ -279,9 +280,9 @@ def test_forecast_index_passes_each_month_once_per_segment(monkeypatch):
     params = init_params(config)
     rows = []
 
-    def counting(params, config, x):
+    def counting(params, config, x, hops=None):
         rows.append(x.shape[0] * x.shape[3])  # the start projection's rows per node
-        return forward(params, config, x)
+        return forward(params, config, x, hops)
 
     monkeypatch.setattr(skill, "forward", counting)
     S, w, chunk = 60 - config.window - config.horizon + 1, config.window, 10
@@ -314,6 +315,52 @@ def test_validation_loss_builds_no_tape(monkeypatch):
     singles = [train.mae_loss(forward(params, config, Tensor(samples.inputs[s:s + 1].transpose(0, 2, 1)[:, None])),
                               Tensor(samples.node_targets[s:s + 1])).item() for s in range(len(samples))]
     assert loss == pytest.approx(np.mean(singles), rel=1e-6)
+
+
+def _count_graph_builds(monkeypatch):
+    builds = []
+
+    def counting(*args):
+        builds.append(1)
+        return learn_adjacency(*args)
+
+    monkeypatch.setattr(stgnn, "learn_adjacency", counting)
+    return builds
+
+
+def _forward_building_its_own_graph(params, config, x, hops=None):
+    return forward(params, config, x)
+
+
+def test_forecast_index_builds_the_graph_once_with_per_run_bytes(monkeypatch):
+    grid = small_grid()
+    anoms = random_anoms(np.random.default_rng(23), grid, n_time=38)
+    config = tiny_config(n_nodes=12, horizon=4, seed=6)
+    params = init_params(config)
+    builds = _count_graph_builds(monkeypatch)
+    hoisted = forecast_index(params, config, anoms, leads=(1, 3), k=3, chunk=8)
+    assert len(builds) == 1  # 32 windows in 4 forwards, one graph
+    monkeypatch.setattr(skill, "forward", _forward_building_its_own_graph)
+    per_run = forecast_index(params, config, anoms, leads=(1, 3), k=3, chunk=8)
+    assert len(builds) == 1 + 1 + 4
+    for n in (1, 3):
+        np.testing.assert_array_equal(hoisted[n].predicted.view(np.uint64), per_run[n].predicted.view(np.uint64))
+
+
+def test_validation_loss_builds_the_graph_once_with_per_run_bytes(monkeypatch):
+    config = tiny_config(n_nodes=5, horizon=2, seed=3)
+    params = init_params(config)
+    anoms = random_anoms(np.random.default_rng(12), small_grid(n_lat=1, n_lon=5), n_time=30)
+    anoms.missing[9] = True  # two runs of windows, on either side of the gap
+    samples = make_samples(anoms, [(0, j) for j in range(5)], config.window, config.horizon)
+    args = (params, config, samples.inputs, samples.node_targets, samples.start_months)
+    builds = _count_graph_builds(monkeypatch)
+    hoisted = train._eval_loss(*args)
+    assert len(builds) == 1
+    monkeypatch.setattr(train, "forward", _forward_building_its_own_graph)
+    per_run = train._eval_loss(*args)
+    assert len(builds) == 1 + 1 + 2
+    assert np.float64(hoisted).tobytes() == np.float64(per_run).tobytes()
 
 
 def test_skill_table_with_untrained_model():

@@ -13,6 +13,7 @@ from ensograph.stgnn import (
     ModelConfig,
     ModelParams,
     forward,
+    hop_matrices,
     hop_matrix,
     init_params,
     load_checkpoint,
@@ -565,6 +566,19 @@ def test_gate_config_eval_sequence_forward_makes_32_tape_nodes(monkeypatch):
     out = forward(params, cfg, Tensor(x.astype(np.float32)))
     assert out.shape == (64, cfg.horizon, cfg.n_nodes)
     assert len(made) == 32
+
+
+def test_gate_config_eval_sequence_forward_given_hops_makes_25_tape_nodes(monkeypatch):
+    # the same forward given its hop_matrices pair skips the graph's 7 nodes:
+    # adjacency learning, top-k, the transpose, two normalizations and two scalings
+    cfg = ModelConfig(n_nodes=130, horizon=4)
+    params = ModelParams({name: Tensor(t.data) for name, t in init_params(cfg, seed=0).items()})
+    x = Tensor(np.random.default_rng(13).standard_normal((1, 1, cfg.n_nodes, cfg.window + 63)).astype(np.float32))
+    hops = hop_matrices(params, cfg)
+    made = _count_tape_nodes(monkeypatch)
+    out = forward(params, cfg, x, hops)
+    assert len(made) == 25
+    np.testing.assert_array_equal(out.data.view(np.uint32), forward(params, cfg, x).data.view(np.uint32))
 
 
 def test_forward_backward_fills_every_parameter():
