@@ -20,7 +20,7 @@ from .cube import (
     split_by_years,
 )
 from .errors import EnsographError, NumericalError, ValidationError
-from .graph import GraphLearnConfig, correlation_graph, export_edges, learn_adjacency, normalize, topk_sparsify
+from .graph import GraphLearnConfig, correlation_graph, export_edges, learn_adjacency, topk_sparsify
 from .grid import ONI_BOX, GridSpec, RegionBox, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, oni, running_mean
 from .samples import SampleSet, make_samples
@@ -83,7 +83,6 @@ __all__ = [
     "load_cube",
     "make_samples",
     "node_weights",
-    "normalize",
     "oni",
     "pearson",
     "region_nodes",

@@ -151,19 +151,38 @@ def _pieced_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """a2 [m, k] @ b2 [k, n]. A length-1 contraction is the outer product a2 * b2:
+    each output is the one product a GEMM would give, without a GEMM's set-up."""
+    return a2 * b2 if a2.shape[1] == 1 else a2 @ b2
+
+
+def _weight_grad(a2: np.ndarray, g2: np.ndarray, lead: int) -> np.ndarray:
+    """a2 [m, k]^T @ g2 [m, n] as `lead` GEMMs over equal blocks of the m rows, summed
+    in order, so no GEMM contracts over more than one block (a single block is taken
+    as it is, not summed)."""
+    gb = np.matmul(np.swapaxes(a2.reshape(lead, -1, a2.shape[1]), 1, 2), g2.reshape(lead, -1, g2.shape[1]))
+    return gb[0] if lead == 1 else gb.sum(axis=0)
+
+
+def _bias_grad(g2: np.ndarray) -> np.ndarray:
+    """g2 [m, n] summed over its rows; the bytes of g2.sum(axis=0), in less time."""
+    return np.einsum("ij->j", g2)
+
+
 def matmul(a, b, bias=None):
     """Contract the last axis of a with the first axis of b, plus an optional bias.
 
     [.., k] @ [k, ..] gives a's leading axes followed by b's trailing ones,
-    so one rule serves a channel projection (x [N, B, T, C] @ w [C, C_out]),
-    the node mix (A [N, N] @ x [N, B, T, C]) and a plain 2-D product. The
-    forward is one 2-D GEMM on reshape views, [m, k] @ [k, n]. A long
-    contraction rounds differently with the BLAS thread count, so neither
-    gradient runs one: a's sums one GEMM per _PIECE columns of b's trailing
-    axes, in order, and b's sums one GEMM per slice of a's first axis (when a
-    is 2-D the single slice is taken as it is, not summed). bias, when given,
-    has b's trailing shape and is added in place on the product; its
-    gradient is g summed over a's leading axes.
+    so one rule serves a channel projection (x [N, B, T, C] @ w [C, C_out])
+    and a plain 2-D product. The forward is one 2-D product on reshape
+    views, [m, k] @ [k, n] (_product). A long contraction rounds differently
+    with the BLAS thread count, so neither gradient runs one: a's sums one
+    GEMM per _PIECE columns of b's trailing axes, in order, and b's sums one
+    GEMM per slice of a's first axis (_weight_grad; when a is 2-D the single
+    slice is taken as it is). bias, when given, has b's trailing shape and
+    is added in place on the product; its gradient is g summed over a's
+    leading axes.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -172,7 +191,7 @@ def matmul(a, b, bias=None):
     if b.data.shape[0] != k:
         raise ValueError(f"inner dimensions differ: {a.data.shape} @ {b.data.shape}")
     a2, b2 = a.data.reshape(-1, k), b.data.reshape(k, -1)
-    data = a2 @ b2
+    data = _product(a2, b2)
     shape = a.data.shape[:-1] + b.data.shape[1:]
     if bias is not None:
         bias = as_tensor(bias)
@@ -186,28 +205,14 @@ def matmul(a, b, bias=None):
         if a.requires_grad:
             _accum(a, _pieced_matmul(g2, b2.T).reshape(a.data.shape))
         if b.requires_grad:
-            lead = a.data.shape[0] if a.ndim > 2 else 1
-            gb = np.matmul(np.swapaxes(a2.reshape(lead, -1, k), 1, 2), g2.reshape(lead, -1, b2.shape[1]))
-            _accum(b, (gb[0] if lead == 1 else gb.sum(axis=0)).reshape(b.data.shape))
+            _accum(b, _weight_grad(a2, g2, a.data.shape[0] if a.ndim > 2 else 1).reshape(b.data.shape))
         if bias is not None and bias.requires_grad:
-            _accum(bias, g2.sum(axis=0).reshape(bias.data.shape))
+            _accum(bias, _bias_grad(g2).reshape(bias.data.shape))
 
     return _from_op(data, (a, b) if bias is None else (a, b, bias), _bw)
 
 
 # ----------------------------------------------------------------- unary ops
-
-def _stable_sigmoid(x):
-    # the same function as 1 / (1 + exp(-x)), but tanh saturates instead of overflowing
-    return 0.5 * np.tanh(0.5 * x) + 0.5
-
-
-def relu(x):
-    x = as_tensor(x)
-    data = np.maximum(x.data, 0)
-    # subgradient at 0 is taken as 0
-    return _from_op(data, (x,), lambda g: _accum(x, g * (x.data > 0)))
-
 
 def tanh(x):
     x = as_tensor(x)
@@ -215,67 +220,40 @@ def tanh(x):
     return _from_op(y, (x,), lambda g: _accum(x, g * (1.0 - y * y)))
 
 
-def gated(y):
-    """tanh of the first half of y's last axis times the sigmoid of the second: [.., 2C] -> [.., C]."""
-    y = as_tensor(y)
-    half, odd = divmod(y.data.shape[-1], 2)
-    if odd:
-        raise ValueError(f"gated needs an even last axis, got {y.data.shape[-1]}")
-    f, s = np.tanh(y.data[..., :half]), _stable_sigmoid(y.data[..., half:])
-    return _from_op(f * s, (y,), lambda g: _accum(
-        y, np.concatenate([g * s * (1.0 - f * f), g * f * s * (1.0 - s)], axis=-1)))
-
-
 def abs_(x):
     x = as_tensor(x)
     return _from_op(np.abs(x.data), (x,), lambda g: _accum(x, g * np.sign(x.data)))
 
 
-# ---------------------------------------------------------------- shape ops
+# ------------------------------------------------------------ time slices
 
-def transpose(x, axes):
-    x = as_tensor(x)
-    axes = tuple(axes)
-    data = np.transpose(x.data, axes)
-    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    return _from_op(data, (x,), lambda g: _accum(x, np.transpose(g, inverse)))
-
-
-def reshape(x, shape):
-    x = as_tensor(x)
-    shape = tuple(shape)
-    data = np.reshape(x.data, shape)
-    return _from_op(data, (x,), lambda g: _accum(x, np.reshape(g, x.data.shape)))
-
-
-def taps(x, starts: range, length: int):
-    """Time slices x[..., s:s+length, :] for s in starts, joined on the last axis.
+def _time_slices(x: np.ndarray, starts: range, length: int):
+    """Time slices x[..., s:s+length, :] for s in starts, joined on the last axis, and their gradient rule.
 
     [.., T, C] -> [.., length, len(starts)*C], column i*C + c holding channel
     c of slice i. Where the slices form one block of x (one slice, or single
-    months in a row) the result is a view of x. The gradient is zero outside
-    the slices.
+    months in a row) the result is a view of x. The returned rule maps a
+    gradient of the slices back to x's shape, zero outside the slices.
     """
-    x = as_tensor(x)
-    *lead, T, C = x.data.shape
+    *lead, T, C = x.shape
     if not (starts and starts.step > 0 and starts[0] >= 0 and 1 <= length <= T - starts[-1]):
         raise ValueError(f"time axis of {T} does not hold slices of {length} at {starts}")
     block = len(starts) == 1 or (length == 1 and starts.step == 1)
     if block:
-        data = x.data[..., starts[0]:starts[-1] + length, :].reshape(*lead, length, len(starts) * C)
+        data = x[..., starts[0]:starts[-1] + length, :].reshape(*lead, length, len(starts) * C)
     else:
-        data = np.concatenate([x.data[..., s:s + length, :] for s in starts], axis=-1)
-    whole = block and data.size == x.data.size
+        data = np.concatenate([x[..., s:s + length, :] for s in starts], axis=-1)
+    whole = block and data.size == x.size
 
-    def _bw(g):
+    def unslice(g):
         if whole:
-            return _accum(x, g.reshape(x.data.shape))
-        full = np.zeros_like(x.data)
+            return g.reshape(x.shape)
+        full = np.zeros_like(x)
         for i, s in enumerate(starts):
             full[..., s:s + length, :] += g[..., i * C:(i + 1) * C]
-        _accum(x, full)
+        return full
 
-    return _from_op(data, (x,), _bw)
+    return data, unslice
 
 
 # ------------------------------------------------------------------ reduces

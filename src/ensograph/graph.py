@@ -4,13 +4,16 @@ The learned construction follows A = relu(tanh(alpha * (E1 E2^T - E2 E1^T))).
 The pre-activation is antisymmetric, so the diagonal is exactly zero and at
 most one direction of each node pair survives the relu; weights land in
 [0, 1). Rows are then sparsified to the top-k entries and normalized to
-D^-1 (A + I) for propagation. Each of the three steps is one adiff tape
-node, adjacency learning and normalization with a hand-written backward,
-so gradients flow back into the embeddings (through retained entries only).
+D^-1 (A + I) for propagation. learn_adjacency and topk_sparsify are tape
+nodes of their own (graph-export runs them); the model's graph is
+propagation_matrices, one node over the same code that also normalizes
+both edge directions and scales them for mix-hop propagation. Gradients
+flow back into the embeddings through retained entries only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import numpy as np
 from . import adiff
 from .adiff import Tensor, as_tensor
 from .cube import AnomalyCube
-from .errors import ValidationError, _check_types
+from .errors import NumericalError, ValidationError, _check_types
 from .grid import GridSpec, NodeId, node_coords
 
 
@@ -39,6 +42,28 @@ class GraphLearnConfig:
             raise ValueError("topk must be >= 1")
 
 
+def _adjacency(e1: np.ndarray, e2: np.ndarray, alpha: float):
+    """The learned adjacency of learn_adjacency, with its tanh output y and float alpha."""
+    if e1.shape != e2.shape or e1.ndim != 2:
+        raise ValueError(f"embeddings must share shape [N, d], got {e1.shape} and {e2.shape}")
+    m = e1 @ e2.T
+    scale = m.dtype.type(alpha)
+    y = np.tanh(np.multiply(np.subtract(m, m.T), scale))
+    out = np.maximum(y, 0)
+    np.minimum(out, np.nextafter(m.dtype.type(1.0), m.dtype.type(0.0)), out=out)
+    return out, y, scale
+
+
+def _adjacency_backward(g: np.ndarray, y: np.ndarray, scale, e1: Tensor, e2: Tensor):
+    """Accumulate the embeddings' gradients from g, the adjacency's gradient."""
+    gs = g * (y > 0) * (1.0 - y * y) * scale
+    gm = gs - gs.T
+    if e1.requires_grad:
+        adiff._accum(e1, adiff._pieced_matmul(gm, e2.data))
+    if e2.requires_grad:
+        adiff._accum(e2, adiff._pieced_matmul(gm.T, e1.data))
+
+
 def learn_adjacency(e1: Tensor, e2: Tensor, alpha: float) -> Tensor:
     """Adjacency from two node embedding tables, as one tape node.
 
@@ -52,23 +77,26 @@ def learn_adjacency(e1: Tensor, e2: Tensor, alpha: float) -> Tensor:
     (G - G^T) @ e2, e2 takes (G - G^T)^T @ e1.
     """
     e1, e2 = as_tensor(e1), as_tensor(e2)
-    if e1.shape != e2.shape or e1.ndim != 2:
-        raise ValueError(f"embeddings must share shape [N, d], got {e1.shape} and {e2.shape}")
-    m = e1.data @ e2.data.T
-    scale = m.dtype.type(alpha)
-    y = np.tanh(np.multiply(np.subtract(m, m.T), scale))
-    out = np.maximum(y, 0)
-    np.minimum(out, np.nextafter(m.dtype.type(1.0), m.dtype.type(0.0)), out=out)
+    out, y, scale = _adjacency(e1.data, e2.data, alpha)
+    return adiff._from_op(out, (e1, e2), lambda g: _adjacency_backward(g, y, scale, e1, e2))
 
-    def _bw(g):
-        gs = g * (y > 0) * (1.0 - y * y) * scale
-        gm = gs - gs.T
-        if e1.requires_grad:
-            adiff._accum(e1, adiff._pieced_matmul(gm, e2.data))
-        if e2.requires_grad:
-            adiff._accum(e2, adiff._pieced_matmul(gm.T, e1.data))
 
-    return adiff._from_op(out, (e1, e2), _bw)
+def _topk_mask(a: np.ndarray, k: int):
+    """The 0/1 mask, in a's dtype, of each row's k kept entries; None when k >= n keeps them all."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got {a.shape}")
+    n = a.shape[0]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k >= n:
+        return None
+    thr = np.partition(a, n - k, axis=1)[:, n - k:n - k + 1]
+    mask = a >= thr
+    if (mask.sum(axis=1) > k).any():
+        tied = a == thr
+        room = k - (a > thr).sum(axis=1, keepdims=True)
+        mask &= ~tied | (np.cumsum(tied, axis=1) <= room)
+    return mask.astype(a.dtype)
 
 
 def topk_sparsify(a: Tensor, k: int) -> Tensor:
@@ -85,37 +113,55 @@ def topk_sparsify(a: Tensor, k: int) -> Tensor:
     entries.
     """
     a = as_tensor(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    n = a.shape[0]
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k >= n:
-        return a
-    thr = np.partition(a.data, n - k, axis=1)[:, n - k:n - k + 1]
-    mask = a.data >= thr
-    if (mask.sum(axis=1) > k).any():
-        tied = a.data == thr
-        room = k - (a.data > thr).sum(axis=1, keepdims=True)
-        mask &= ~tied | (np.cumsum(tied, axis=1) <= room)
-    return adiff.mul(a, Tensor(mask, dtype=a.data.dtype))
+    mask = _topk_mask(a.data, k)
+    return a if mask is None else adiff.mul(a, Tensor(mask))
 
 
-def normalize(a: Tensor) -> Tensor:
-    """Row-normalize with a self-loop, D^-1 (A + I), as one tape node; rows sum to one.
+def _normalized(a: np.ndarray, eye: np.ndarray):
+    """D^-1 (A + I) and the row sums D, as an [N, 1] column, given I."""
+    y = np.add(a, eye)
+    s = y.sum(axis=1).reshape(-1, 1)
+    return np.divide(y, s), s
 
-    With s the row sums of A + I and out the result, a's gradient is
-    (g - rowsum(g * out)) / s.
+
+def _normalized_backward(g: np.ndarray, out: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """A's gradient through out = D^-1 (A + I): (g - rowsum(g * out)) / D."""
+    return (g - (g * out).sum(axis=1, keepdims=True)) / s
+
+
+def propagation_matrices(e1: Tensor, e2: Tensor, config: GraphLearnConfig, beta: float) -> Tensor:
+    """The matrices mix-hop propagates by along both edge directions, [2, N, N], as one tape node.
+
+    Entry 0 is (1 - beta) * D^-1 (A + I) and entry 1 the same of A^T, for
+    A = topk_sparsify(learn_adjacency(e1, e2, alpha), topk) and D the row
+    sums of the matrix plus I, with the bytes of that chain of ops. A
+    non-finite row sum (a NaN embedding gives one) raises NumericalError
+    before anything is scaled; a finite A is row-stochastic after
+    normalization by construction. The backward runs each direction's
+    normalization rule, sums the two (the second transposed), masks the
+    sum to the kept entries and runs the adjacency rule once.
     """
-    a = as_tensor(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    n = a.shape[0]
-    y = np.add(a.data, np.eye(n, dtype=a.data.dtype))
-    s = y.sum(axis=1).reshape(n, 1)
-    out = np.divide(y, s)
-    return adiff._from_op(out, (a,), lambda g: adiff._accum(
-        a, (g - (g * out).sum(axis=1, keepdims=True)) / s))
+    e1, e2 = as_tensor(e1), as_tensor(e2)
+    adj, y, scale = _adjacency(e1.data, e2.data, config.alpha)
+    mask = _topk_mask(adj, config.topk)
+    kept = adj if mask is None else np.multiply(adj, mask)
+    keep = adj.dtype.type(1.0 - beta)
+    hops = np.empty((2,) + adj.shape, dtype=adj.dtype)
+    eye = np.eye(adj.shape[0], dtype=adj.dtype)
+    factors = []
+    for d, a in enumerate((kept, kept.T)):
+        out, s = _normalized(a, eye)
+        if not math.isfinite(s.sum()):
+            raise NumericalError("non-finite adjacency row sum entering mix-hop propagation")
+        np.multiply(out, keep, out=hops[d])
+        factors.append((out, s))
+
+    def _bw(g):
+        g_fwd, g_bwd = (_normalized_backward(g[d] * keep, out, s) for d, (out, s) in enumerate(factors))
+        ga = g_fwd + g_bwd.T
+        _adjacency_backward(ga if mask is None else ga * mask, y, scale, e1, e2)
+
+    return adiff._from_op(hops, (e1, e2), _bw)
 
 
 def correlation_graph(anoms: AnomalyCube, nodes: list[NodeId], tau: float) -> np.ndarray:

@@ -1,31 +1,32 @@
 """Spatiotemporal graph network forecasting node anomalies at several leads.
 
 Activations are node-major, [N, B, T, C], from the start projection to the
-head, and every learned stage is one tape node whose GEMMs are 2-D: a
-channel projection is one adiff.matmul node, x @ w + b with a 2-D weight
-[C_in, C_out] and a [C_out] bias, and a layer's mix-hop is one mixhop_conv
-node, whose node mix is A @ x with an [N, N] adjacency on [N, B*T*C] views.
+head, and every stage is one tape node with a hand-written backward whose
+GEMMs are 2-D: a weight is a 2-D [C_in, C_out] matrix with a [C_out] bias,
+and the node mix is A @ x with an [N, N] adjacency on [N, B*T*C] views.
 
-Architecture, per forward pass: a channel projection lifts the input months
-(transposed once from [B, 1, N, T] to [N, B, T, 1]) to the residual width,
-then each layer applies a gated dilated temporal convolution (one weight
+Architecture, per forward pass: the learned graph (hop_matrices, built from
+node embeddings) gives the [2, N, N] stack of hop matrices every layer
+shares. A channel projection lifts the input months (read through their
+node-major view, [N, B, T, 1]) to the residual width. Each layer then
+applies a gated dilated temporal convolution (temporal_block: one weight
 whose first half of output columns is the tanh filter and second half the
-sigmoid gate; valid-only, so time shrinks and no padding leaks), a mix-hop
-graph convolution over the adjacency learned from node embeddings (the
-layer input and its hops along both edge directions, each state projected
-by its own block of one weight and the terms summed, in one tape node), a
-residual add of the input's trailing months, and a skip projection: a time
-convolution of length L, the time axis a window of w months leaves at
-that layer. The relu'd skip sum feeds two projections that emit one
-channel per lead, [N, B, P, H], reshaped to [N, B*P, H] and transposed
-once more to [B*P, H, N].
+sigmoid gate; valid-only, so time shrinks and no padding leaks), and a
+mix-hop graph convolution over the learned graph (mixhop_conv: the block
+output and its hops along both edge directions, each state projected by
+its own block of one weight and the terms summed, plus a residual add of
+the layer input's trailing months). The head takes every layer's output:
+a skip projection per layer, a time convolution of length L, the time axis
+a window of w months leaves at that layer; the relu'd skip sum feeds two
+projections that emit one channel per lead, [N, B, P, H], returned as
+[B*P, H, N].
 
 The temporal convolution, the residual and the skip each join shifted time
-slices on the channel axis with one adiff.taps node, so every stage is
-convolutional in time: a sequence of T >= w consecutive months holds its
-P = T - w + 1 windows, and one pass over it gives each window's forecast
-(row b*P + p for the window ending at month p + w - 1 of batch row b) with
-the bytes a forward of that window alone would give.
+slices on the channel axis with one rule (adiff._time_slices), so every
+stage is convolutional in time: a sequence of T >= w consecutive months
+holds its P = T - w + 1 windows, and one pass over it gives each window's
+forecast (row b*P + p for the window ending at month p + w - 1 of batch row
+b) with the bytes a forward of that window alone would give.
 
 Temporal receptive field is 1 + sum(dilation_l * (K - 1)); configs whose
 receptive field exceeds the window are rejected outright.
@@ -43,7 +44,7 @@ import numpy as np
 from . import adiff
 from .adiff import Tensor
 from .errors import NumericalError, ValidationError, _check_types
-from .graph import GraphLearnConfig, learn_adjacency, normalize, topk_sparsify
+from .graph import GraphLearnConfig, propagation_matrices
 from .grid import GridSpec
 
 CHECKPOINT_VERSION = 3
@@ -199,45 +200,70 @@ def init_params(config: ModelConfig, seed: int | None = None, dtype=np.float32) 
     return ModelParams(tensors)
 
 
+def _linear_checks(k: int, w: Tensor, b: Tensor, what: str):
+    if w.ndim != 2 or w.shape[0] != k:
+        raise ValueError(f"inner dimensions differ: {k} columns ({what}) against weight {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ValueError(f"bias shape {b.shape} does not match {w.shape[1:]}")
+
+
 def temporal_block(x, w, b, dilation: int) -> Tensor:
-    """Gated temporal convolution on node-major x [N, B, T, C]: tanh(filter) * sigmoid(gate).
+    """Gated temporal convolution on node-major x [N, B, T, C]: tanh(filter) * sigmoid(gate), as one tape node.
 
-    One adiff.taps node joins the K = w.shape[0] / C time slices
-    x[:, :, k*dilation : k*dilation + T_out] on the channel axis, so one
-    matmul with w [K*C, 2*C_out] (row k*C + c) and b is the dilated
-    convolution. Its first C_out output columns are the filter, the last
-    C_out the gate, and adiff.gated joins them. Valid-only, so
-    T_out = T - dilation*(K - 1); the output is [N, B, T_out, C_out].
+    The K = w.shape[0] / C time slices x[:, :, k*dilation : k*dilation + T_out]
+    are joined on the channel axis (row k*C + c of w reads channel c of
+    slice k), so the dilated convolution is a product with w [K*C, 2*C_out]
+    and b: its first C_out columns are the filter, the last C_out the gate.
+    Each half is its own product, so the activations run in place on
+    contiguous arrays, the sigmoid as 0.5*tanh(0.5*x) + 0.5, which
+    saturates instead of overflowing; each half has the bytes of its
+    columns of one product. Valid-only, so T_out = T - dilation*(K - 1);
+    the output is [N, B, T_out, C_out]. w's gradient is matmul's per-node
+    rule (adiff._weight_grad) and the slices' one adiff._pieced_matmul.
     """
-    K = w.shape[0] // x.shape[3]
-    slices = adiff.taps(x, range(0, K * dilation, dilation), x.shape[2] - dilation * (K - 1))
-    return adiff.gated(adiff.matmul(slices, w, b))
+    x, w, b = adiff.as_tensor(x), adiff.as_tensor(w), adiff.as_tensor(b)
+    N, _, T, C = x.shape
+    K = w.shape[0] // C
+    _linear_checks(K * C, w, b, f"{K} time slices of {C} channels")
+    c_out, odd = divmod(w.shape[1], 2)
+    if odd:
+        raise ValueError(f"the temporal block needs an even number of weight columns, got {w.shape[1]}")
+    cols, unslice = adiff._time_slices(x.data, range(0, K * dilation, dilation), T - dilation * (K - 1))
+    x2 = cols.reshape(-1, K * C)
+    f = adiff._product(x2, w.data[:, :c_out])
+    f += b.data[:c_out]
+    np.tanh(f, out=f)
+    s = adiff._product(x2, w.data[:, c_out:])
+    s += b.data[c_out:]
+    s *= 0.5
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+
+    def _bw(g):
+        g2 = g.reshape(f.shape)
+        gy = np.concatenate([g2 * s * (1.0 - f * f), g2 * f * s * (1.0 - s)], axis=1)
+        if x.requires_grad:
+            adiff._accum(x, unslice(adiff._pieced_matmul(gy, w.data.T).reshape(cols.shape)))
+        if w.requires_grad:
+            adiff._accum(w, adiff._weight_grad(x2, gy, N))
+        if b.requires_grad:
+            adiff._accum(b, adiff._bias_grad(gy))
+
+    return adiff._from_op((f * s).reshape(cols.shape[:-1] + (c_out,)), (x, w, b), _bw)
 
 
-def hop_matrix(a: Tensor, beta: float) -> Tensor:
-    """(1 - beta) * A, the matrix a mix-hop step propagates by, for a row-stochastic A.
-
-    A non-finite row sum raises NumericalError and a row sum off one by more
-    than 1e-4 raises ValueError, before the scaling.
-    """
-    sums = a.data.sum(axis=1)
-    if not np.isfinite(sums).all():
-        raise NumericalError("non-finite adjacency row sum entering mix-hop propagation")
-    worst = float(np.abs(sums - 1.0).max())
-    if worst > 1e-4:
-        raise ValueError(f"adjacency is not row-stochastic (row sum off by {worst:.2e})")
-    return adiff.mul(a, 1.0 - beta)
-
-
-def mixhop_conv(h, m_fwd, m_bwd, beta: float, depth: int, w, b) -> Tensor:
+def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor:
     """Mix-hop propagation of node-major h [N, B, T, C] along both edge directions, projected once.
 
     Hop j keeps beta of the layer input and propagates the rest:
     h0 = h, hj = beta*h + ((1-beta)*A) @ hj-1, where A @ h mixes the node
-    axis. m_fwd and m_bwd are the two directions' hop_matrix, (1-beta)*A.
-    State s of [h, fwd hops 1..depth, bwd hops 1..depth] meets its block
-    W_s = w[s*C:(s+1)*C] of w [(2*depth+1)*C, C_out], and the output is
-    b + sum_s S_s @ W_s: the states are never joined on the channel axis.
+    axis. hops [2, N, N] holds the two directions' (1-beta)*A, as
+    hop_matrices builds them. State s of [h, fwd hops 1..depth, bwd hops
+    1..depth] meets its block W_s = w[s*C:(s+1)*C] of w [(2*depth+1)*C, C_out],
+    and the output is b + sum_s S_s @ W_s: the states are never joined on
+    the channel axis. residual, when given, is a node-major [N, B, T_in, C_out]
+    tensor whose trailing T months are added last.
 
     One tape node. Each hop is a GEMM on [N, B*T*C] views, and each
     projection term a GEMM on [N*B*T, C] views. The backward walks each hop
@@ -249,7 +275,7 @@ def mixhop_conv(h, m_fwd, m_bwd, beta: float, depth: int, w, b) -> Tensor:
     whatever the BLAS thread count.
     """
     h, w, b = adiff.as_tensor(h), adiff.as_tensor(w), adiff.as_tensor(b)
-    mats = (adiff.as_tensor(m_fwd), adiff.as_tensor(m_bwd)) if depth else ()
+    hops = adiff.as_tensor(hops) if depth else None
     N, C = h.shape[0], h.shape[-1]
     if w.shape[0] != (2 * depth + 1) * C:
         raise ValueError(f"mix-hop weight {w.shape} does not hold {2 * depth + 1} blocks of {C} rows")
@@ -258,16 +284,24 @@ def mixhop_conv(h, m_fwd, m_bwd, beta: float, depth: int, w, b) -> Tensor:
     kept = flat * beta
     chains = []  # per direction, the states h, hop 1, .., hop depth as [N, B*T*C]
     out = flat.reshape(-1, C) @ blocks[0]
-    for d, m in enumerate(mats):
+    for d, m in enumerate(hops.data if depth else ()):
         states = [flat]
         for j in range(depth):
-            s = m.data @ states[-1]
+            s = m @ states[-1]
             s += kept
             states.append(s)
             out += s.reshape(-1, C) @ blocks[1 + d * depth + j]
         chains.append(states)
     out += b.data
     c_out = out.shape[-1]
+    out = out.reshape(h.shape[:-1] + (c_out,))
+    parents = (h, w, b) + (() if hops is None else (hops,))
+    if residual is not None:
+        residual = adiff.as_tensor(residual)
+        T, T_in = h.shape[2], residual.shape[2]
+        r, unslice = adiff._time_slices(residual.data, range(T_in - T, T_in - T + 1), T)
+        out += r
+        parents += (residual,)
 
     def _bw(g):
         g2 = g.reshape(-1, c_out)
@@ -277,34 +311,100 @@ def mixhop_conv(h, m_fwd, m_bwd, beta: float, depth: int, w, b) -> Tensor:
 
         gh = proj(0) if h.requires_grad else None
         gw = [adiff._pieced_matmul(flat.reshape(-1, C).T, g2)] if w.requires_grad else None
-        for d, (m, states) in enumerate(zip(mats, chains)):
+        gm = []
+        for d, states in enumerate(chains):
             if w.requires_grad:
                 gw += [adiff._pieced_matmul(s.reshape(-1, C).T, g2) for s in states[1:]]
-            if not (h.requires_grad or m.requires_grad):
+            if not (h.requires_grad or hops.requires_grad):
                 continue
-            mt = m.data.T
-            gm = total = after = None
+            mt = hops.data[d].T
+            gmd = total = after = None
             for j in reversed(range(depth)):
                 gj = proj(1 + d * depth + j)
                 if after is not None:
                     gj += adiff._pieced_matmul(mt, after)
-                if m.requires_grad:
+                if hops.requires_grad:
                     term = adiff._pieced_matmul(gj, states[j].T)
-                    gm = term if gm is None else gm + term
+                    gmd = term if gmd is None else gmd + term
                 total = gj if total is None else total + gj
                 after = gj
             if h.requires_grad:
                 gh += beta * total + adiff._pieced_matmul(mt, after)
-            if m.requires_grad:
-                adiff._accum(m, gm)
+            gm.append(gmd)
+        if hops is not None and hops.requires_grad:
+            adiff._accum(hops, np.stack(gm))
         if h.requires_grad:
             adiff._accum(h, gh.reshape(h.shape))
         if w.requires_grad:
             adiff._accum(w, np.concatenate(gw, axis=0))
         if b.requires_grad:
-            adiff._accum(b, g2.sum(axis=0))
+            adiff._accum(b, adiff._bias_grad(g2))
+        if residual is not None and residual.requires_grad:
+            adiff._accum(residual, unslice(g))
 
-    return adiff._from_op(out.reshape(h.shape[:-1] + (c_out,)), (h, w, b) + mats, _bw)
+    return adiff._from_op(out, parents, _bw)
+
+
+def head(outputs, skips, end1, end2, windows: int) -> Tensor:
+    """Skip projections of every layer's output, summed, then relu, end1, relu and end2, as one tape node.
+
+    outputs are the layers' node-major [N, B, T_l, C] outputs and skips
+    their (w, b) pairs. With P = windows, layer l's skip joins the
+    L = T_l - P + 1 shifted slices h[:, :, j : j + P] on the channel axis
+    (row j*C + c of w [L*C, C_s] reads channel c at position j) and
+    projects them in one product. end1 = (w [C_s, C_e], b) and
+    end2 = (w [C_e, H], b). The [N, B, P, H] result is returned as its
+    [B*P, H, N] view, row b*P + p for window p of batch row b. Every
+    weight's gradient is matmul's per-node rule and every other gradient
+    GEMM adiff._pieced_matmul; relu's subgradient at 0 is taken as 0.
+    """
+    outputs = [adiff.as_tensor(h) for h in outputs]
+    skips = [(adiff.as_tensor(w), adiff.as_tensor(b)) for w, b in skips]
+    (w1, b1), (w2, b2) = [(adiff.as_tensor(w), adiff.as_tensor(b)) for w, b in (end1, end2)]
+    if len(outputs) != len(skips) or not outputs:
+        raise ValueError(f"{len(outputs)} layer outputs against {len(skips)} skip projections")
+    N, B = outputs[0].shape[:2]
+    P = windows
+    joined = []  # per layer, the joined slices as [N*B*P, L*C] and their gradient rule
+    hidden = None
+    for h, (w, b) in zip(outputs, skips):
+        T, C = h.shape[2:]
+        cols, unslice = adiff._time_slices(h.data, range(T - P + 1), P)
+        _linear_checks(cols.shape[-1], w, b, f"skip of {T - P + 1} positions of {C} channels")
+        x2 = cols.reshape(-1, cols.shape[-1])
+        s = adiff._product(x2, w.data)
+        s += b.data
+        hidden = s if hidden is None else np.add(hidden, s, out=hidden)
+        joined.append((x2, unslice))
+    np.maximum(hidden, 0, out=hidden)
+    _linear_checks(hidden.shape[1], w1, b1, "end1")
+    e = adiff._product(hidden, w1.data)
+    e += b1.data
+    np.maximum(e, 0, out=e)
+    _linear_checks(e.shape[1], w2, b2, "end2")
+    out = adiff._product(e, w2.data)
+    out += b2.data
+    H = out.shape[1]
+
+    def _bw(g):
+        g2 = np.reshape(np.transpose(g, (2, 0, 1)), (-1, H))  # [N*B*P, H]
+        ge = adiff._pieced_matmul(g2, w2.data.T) * (e > 0)
+        gs = adiff._pieced_matmul(ge, w1.data.T) * (hidden > 0)
+        for (w, b), (x2, gy) in (((w2, b2), (e, g2)), ((w1, b1), (hidden, ge))):
+            if w.requires_grad:
+                adiff._accum(w, adiff._weight_grad(x2, gy, N))
+            if b.requires_grad:
+                adiff._accum(b, adiff._bias_grad(gy))
+        for h, (w, b), (x2, unslice) in zip(outputs, skips, joined):
+            if w.requires_grad:
+                adiff._accum(w, adiff._weight_grad(x2, gs, N))
+            if b.requires_grad:
+                adiff._accum(b, adiff._bias_grad(gs))
+            if h.requires_grad:
+                adiff._accum(h, unslice(adiff._pieced_matmul(gs, w.data.T).reshape(N, B, P, -1)))
+
+    parents = tuple(outputs) + tuple(t for pair in skips for t in pair) + (w1, b1, w2, b2)
+    return adiff._from_op(np.transpose(out.reshape(N, B * P, H), (1, 2, 0)), parents, _bw)
 
 
 def _check_finite(t: Tensor, layer: int, stage: str):
@@ -312,19 +412,16 @@ def _check_finite(t: Tensor, layer: int, stage: str):
         raise NumericalError(f"non-finite activation at layer {layer} ({stage})")
 
 
-def hop_matrices(params: ModelParams, config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """The learned graph as the (m_fwd, m_bwd) pair every layer's mix-hop propagates by.
+def hop_matrices(params: ModelParams, config: ModelConfig) -> Tensor:
+    """The learned graph as the [2, N, N] stack of hop matrices every layer's mix-hop propagates by.
 
-    The adjacency learned from the embeddings e1 and e2 is sparsified to its
-    top-k entries per row; that matrix and its transpose are each
-    normalized and scaled by hop_matrix. The pair depends on the two
-    embeddings and the config alone, so one pair serves every forward made
-    with the same parameters.
+    graph.propagation_matrices, one tape node over the embeddings e1 and e2:
+    the learned adjacency sparsified to its top-k entries per row, that
+    matrix and its transpose each normalized and scaled by 1 - beta. The
+    stack depends on the two embeddings and the config alone, so one stack
+    serves every forward made with the same parameters.
     """
-    a_sparse = topk_sparsify(learn_adjacency(params["e1"], params["e2"], config.graph.alpha),
-                             config.graph.topk)
-    return (hop_matrix(normalize(a_sparse), config.beta),
-            hop_matrix(normalize(adiff.transpose(a_sparse, (1, 0))), config.beta))
+    return propagation_matrices(params["e1"], params["e2"], config.graph, config.beta)
 
 
 def forward(params: ModelParams, config: ModelConfig, x: Tensor, hops=None) -> Tensor:
@@ -332,42 +429,39 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor, hops=None) -> T
 
     T may be any length >= the window w; row b*P + p, with P = T - w + 1,
     is the forecast from the window ending at month p + w - 1 of batch row
-    b, so T = w gives [B, H, N]. One transpose takes the input to node-major
-    [N, B, T, 1]; every stage after it runs node-major, and the head's
-    [N, B, P, H] is reshaped to [N, B*P, H] and transposed back once. Layer
-    l's skip joins the L = time_lengths()[l + 1] shifted slices
-    h[:, :, j : j + P] on the channel axis (row j*C + c of the skip weight
-    reads channel c at position j) and projects them in one matmul. Every
-    layer's mix-hop shares one hop_matrices pair: `hops` when given, which
+    b, so T = w gives [B, H, N]. The input is data and takes no gradient:
+    its node-major [N, B, T, 1] view enters the start projection, every
+    stage after it runs node-major, and the head returns [B*P, H, N]. Every
+    layer's mix-hop shares one hop_matrices stack: `hops` when given, which
     must be hop_matrices(params, config), or else one built here. A caller
-    running several forwards on unchanging parameters builds the pair once
+    running several forwards on unchanging parameters builds the stack once
     and passes it to each; the output bytes are the same either way.
+
+    Tape nodes: the graph, the start projection, per layer the temporal
+    block and the mix-hop (which adds the residual), and the head.
     """
     x = adiff.as_tensor(x)
     if x.ndim != 4 or x.shape[1:3] != (1, config.n_nodes) or x.shape[3] < config.window:
         raise ValueError(f"input shape {x.shape} does not match [B, 1, {config.n_nodes}, T >= {config.window}]")
+    if x.requires_grad:
+        raise ValueError("the model input takes no gradient")
     if not np.isfinite(x.data).all():
         raise NumericalError("non-finite model input")
-    m_fwd, m_bwd = hop_matrices(params, config) if hops is None else hops
+    if hops is None:
+        hops = hop_matrices(params, config)
 
-    P = x.shape[3] - config.window + 1
-    h = adiff.matmul(adiff.transpose(x, (2, 0, 3, 1)), params["start_w"], params["start_b"])
-    skip = None
+    h = adiff.matmul(Tensor(x.data.transpose(2, 0, 3, 1)), params["start_w"], params["start_b"])
+    outputs = []
     for l in range(config.layers):
         t = temporal_block(h, params[f"l{l}_tcn_w"], params[f"l{l}_tcn_b"], config.dilations[l])
         _check_finite(t, l, "temporal")
-        g = mixhop_conv(t, m_fwd, m_bwd, config.beta, config.mixhop_depth,
-                        params[f"l{l}_mix_w"], params[f"l{l}_mix_b"])
-        T, t_out = h.shape[2], t.shape[2]
-        h = adiff.add(g, adiff.taps(h, range(T - t_out, T - t_out + 1), t_out))
+        h = mixhop_conv(t, hops, config.beta, config.mixhop_depth,
+                        params[f"l{l}_mix_w"], params[f"l{l}_mix_b"], residual=h)
         _check_finite(h, l, "residual")
-        s = adiff.matmul(adiff.taps(h, range(t_out - P + 1), P), params[f"l{l}_skip_w"], params[f"l{l}_skip_b"])
-        skip = s if skip is None else adiff.add(skip, s)
-
-    out = adiff.relu(skip)
-    out = adiff.relu(adiff.matmul(out, params["end1_w"], params["end1_b"]))
-    out = adiff.matmul(out, params["end2_w"], params["end2_b"])  # [N, B, P, H]
-    return adiff.transpose(adiff.reshape(out, (config.n_nodes, -1, config.horizon)), (1, 2, 0))
+        outputs.append(h)
+    return head(outputs, [(params[f"l{l}_skip_w"], params[f"l{l}_skip_b"]) for l in range(config.layers)],
+                (params["end1_w"], params["end1_b"]), (params["end2_w"], params["end2_b"]),
+                x.shape[3] - config.window + 1)
 
 
 def predicted_index(node_preds: np.ndarray, observed_tail, weights: np.ndarray, k: int) -> np.ndarray:

@@ -21,10 +21,8 @@ epoch, and which they are changes from epoch to epoch.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -261,6 +259,8 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
 # ----------------------------------------------------------------- manifest
 
 def _sha256(path: Path) -> str:
+    import hashlib  # here, not at the top: only the CLI's manifest needs it
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -269,6 +269,8 @@ def _sha256(path: Path) -> str:
 
 
 def _build_describe() -> str:
+    import subprocess  # here, not at the top: only the CLI's manifest needs it
+
     here = Path(__file__).resolve().parent
     try:
         out = subprocess.run(

@@ -74,13 +74,17 @@ def poisoned_checkpoint(raw: bytes, tensor: str, value: float, index: int = 0) -
     return raw[:offset] + np.array([value], dtype="<f4").tobytes() + raw[offset + 4:]
 
 
+def python_output(script: str, **env) -> list[str]:
+    """The stdout lines of `script` run by a fresh Python that imports the package from src/, with env added."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=path, **env)).stdout.splitlines()
+
+
 def output_at_one_and_two_blas_threads(script: str) -> list[list[str]]:
     """The stdout lines of `script` run by a fresh Python at OPENBLAS_NUM_THREADS=1 and =2.
 
     Fresh processes, since OpenBLAS reads its thread count once at import.
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    return [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                           timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
-            .stdout.splitlines() for threads in ("1", "2")]
+    return [python_output(script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]

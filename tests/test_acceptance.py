@@ -19,11 +19,11 @@ from ensograph import adiff
 from ensograph.adiff import Tensor
 from ensograph.cli import main
 from ensograph.cube import SstCube, save_cube, split_by_years
-from ensograph.graph import learn_adjacency, normalize, topk_sparsify
+from ensograph.graph import GraphLearnConfig, learn_adjacency, propagation_matrices, topk_sparsify
 from ensograph.grid import ONI_BOX, GridSpec, region_nodes
 from ensograph.samples import make_samples
 from ensograph.skill import forecast_index, table_from_forecasts
-from ensograph.stgnn import ModelConfig, forward, init_params, mixhop_conv, temporal_block
+from ensograph.stgnn import ModelConfig, forward, head, init_params, mixhop_conv, temporal_block
 from ensograph.synth import SynthConfig, generate
 from ensograph.train import TrainConfig, train
 from helpers import random_anoms, random_sst, small_grid, tiny_config
@@ -81,27 +81,17 @@ def _op_cases(rng):
     linear("matmul_bias", lambda: adiff.matmul(b1, m2, bias), (2, 3, 5), {"b1": b1, "m2": m2, "bias": bias})
 
     kinked = leaf(_signed_away_from_zero(rng, (3, 4)))
-    linear("relu", lambda: adiff.relu(kinked), (3, 4), {"x": kinked})
     linear("abs", lambda: adiff.abs_(kinked), (3, 4), {"x": kinked})
     linear("tanh", lambda: adiff.tanh(a), (3, 4), {"a": a})
-    linear("gated", lambda: adiff.gated(a), (3, 2), {"a": a})
 
-    t3 = leaf(rng.standard_normal((2, 3, 4)))
-    linear("transpose", lambda: adiff.transpose(t3, (2, 0, 1)), (4, 2, 3), {"x": t3})
-    linear("reshape", lambda: adiff.reshape(t3, (3, 8)), (3, 8), {"x": t3})
-    t5 = leaf(rng.standard_normal((2, 5, 3)))
-    linear("taps_one_slice", lambda: adiff.taps(t5, range(1, 2), 3), (2, 3, 3), {"x": t5})
-    linear("taps_every_month", lambda: adiff.taps(t5, range(5), 1), (2, 1, 15), {"x": t5})
-    linear("taps_overlapping", lambda: adiff.taps(t5, range(0, 3), 3), (2, 3, 9), {"x": t5})
-
-    # the gated temporal conv: K = 2 dilated time slices of node-major [N, B, T, C] into one matmul
+    # the gated temporal conv: K dilated time slices of node-major [N, B, T, C] in one node
     cx = leaf(rng.standard_normal((2, 2, 6, 3)))
-    ck = leaf(rng.standard_normal((6, 4)))
     cb = leaf(rng.standard_normal((4,)))
-    linear("temporal_d1", lambda: temporal_block(cx, ck, cb, 1), (2, 2, 5, 2),
-           {"x": cx, "k": ck, "b": cb})
-    linear("temporal_d2", lambda: temporal_block(cx, ck, cb, 2), (2, 2, 4, 2),
-           {"x": cx, "k": ck, "b": cb})
+    for K in (1, 2, 3):
+        ck = leaf(rng.standard_normal((3 * K, 4)))
+        for d in (1, 2):
+            linear(f"temporal_k{K}_d{d}", lambda ck=ck, d=d: temporal_block(cx, ck, cb, d),
+                   (2, 2, 6 - d * (K - 1), 2), {"x": cx, "k": ck, "b": cb})
 
     r = leaf(rng.standard_normal((3, 4, 2)))
     cases.append(("reduce_sum", lambda: adiff.reduce_sum(r), {"x": r}))
@@ -109,21 +99,40 @@ def _op_cases(rng):
     cases.append(("reduce_mean", lambda: adiff.reduce_mean(r), {"x": r}))
     linear("reduce_mean_axes", lambda: adiff.reduce_mean(r, axes=(0, 2)), (4,), {"x": r})
 
-    # the fused graph kernels and the fused mix-hop propagation and projection
+    # the fused graph kernels, the learned graph's node and the fused mix-hop
+    # propagation, projection and residual
     e1 = leaf(rng.standard_normal((5, 3)))
     e2 = leaf(rng.standard_normal((5, 3)))
     linear("learn_adjacency", lambda: learn_adjacency(e1, e2, 1.5), (5, 5), {"e1": e1, "e2": e2})
     linear("learn_adjacency_saturated", lambda: learn_adjacency(e1, e2, 40.0), (5, 5), {"e1": e1, "e2": e2})
-    adj = leaf(rng.uniform(0.0, 1.0, (4, 4)))
-    linear("normalize", lambda: normalize(adj), (4, 4), {"a": adj})
-    linear("normalize_transposed", lambda: normalize(adiff.transpose(adj, (1, 0))), (4, 4), {"a": adj})
+    # top-3 of 5: relu zeroes about half of each row, so the kept set takes zeros tied with the dropped
+    for topk in (3, 5):
+        graph = GraphLearnConfig(embed_dim=3, alpha=1.5, topk=topk)
+        linear(f"propagation_matrices_top{topk}", lambda graph=graph: propagation_matrices(e1, e2, graph, 0.05),
+               (2, 5, 5), {"e1": e1, "e2": e2})
     mh = leaf(rng.standard_normal((3, 2, 2, 2)))
-    m_fwd = leaf(rng.uniform(0.0, 1.0, (3, 3)))
-    m_bwd = leaf(rng.uniform(0.0, 1.0, (3, 3)))
+    hops = leaf(rng.uniform(0.0, 1.0, (2, 3, 3)))
     mw = leaf(rng.standard_normal((10, 4)))
     mb = leaf(rng.standard_normal((4,)))
-    linear("mixhop_conv", lambda: mixhop_conv(mh, m_fwd, m_bwd, 0.05, 2, mw, mb), (3, 2, 2, 4),
-           {"h": mh, "m_fwd": m_fwd, "m_bwd": m_bwd, "w": mw, "b": mb})
+    res = leaf(rng.standard_normal((3, 2, 3, 4)))
+    linear("mixhop_conv", lambda: mixhop_conv(mh, hops, 0.05, 2, mw, mb), (3, 2, 2, 4),
+           {"h": mh, "hops": hops, "w": mw, "b": mb})
+    linear("mixhop_conv_residual", lambda: mixhop_conv(mh, hops, 0.05, 2, mw, mb, res), (3, 2, 2, 4),
+           {"h": mh, "hops": hops, "w": mw, "b": mb, "residual": res})
+
+    # the head over one or two layers' outputs [N=3, B=2, T, C=2]; T == P
+    # at the last layer for a window per row, T > P for a run of months
+    for times, P in (((1,), 1), ((2, 1), 1), ((4,), 2), ((5, 3), 3)):
+        hs = [leaf(rng.standard_normal((3, 2, T, 2))) for T in times]
+        skips = [(leaf(rng.standard_normal(((T - P + 1) * 2, 3))), leaf(rng.standard_normal(3))) for T in times]
+        end1 = (leaf(rng.standard_normal((3, 4))), leaf(rng.standard_normal(4)))
+        end2 = (leaf(rng.standard_normal((4, 2))), leaf(rng.standard_normal(2)))
+        params = {f"h{l}": h for l, h in enumerate(hs)}
+        params.update({f"skip{l}_{i}": t for l, pair in enumerate(skips) for i, t in enumerate(pair)})
+        params.update({f"end{j}_{i}": t for j, pair in enumerate((end1, end2)) for i, t in enumerate(pair)})
+        linear(f"head_{len(times)}_layers_T{times[-1]}_P{P}",
+               lambda hs=hs, skips=skips, end1=end1, end2=end2, P=P: head(hs, skips, end1, end2, P),
+               (2 * P, 2, 3), params)
 
     return cases
 

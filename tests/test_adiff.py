@@ -3,24 +3,23 @@ import pytest
 
 from ensograph.adiff import (
     Tensor,
+    _bias_grad,
     _from_op,
+    _product,
+    _time_slices,
     abs_,
     add,
     as_tensor,
     backward,
-    gated,
     grad_check,
     matmul,
     mul,
     reduce_mean,
     reduce_sum,
-    relu,
-    reshape,
     sub,
     tanh,
-    taps,
-    transpose,
 )
+from ensograph.stgnn import head, temporal_block
 from helpers import output_at_one_and_two_blas_threads
 
 
@@ -52,24 +51,22 @@ def test_scalar_operand_keeps_float32():
 
 def test_nonlinearity_values():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    np.testing.assert_array_equal(relu(Tensor(x)).data, np.maximum(x, 0.0))
     np.testing.assert_allclose(tanh(Tensor(x)).data, np.tanh(x), rtol=1e-15)
-    # filter half x, gate half x reversed
-    np.testing.assert_allclose(gated(Tensor(np.concatenate([x, x[::-1]]))).data,
-                               np.tanh(x) / (1.0 + np.exp(-x[::-1])), rtol=1e-15)
-    with pytest.raises(ValueError, match="even"):
-        gated(Tensor(np.zeros((2, 3))))
 
 
-def _open_filter(gate):
-    """A filter half of 30, where tanh rounds to exactly 1, so gated returns the gate's sigmoid."""
-    return np.concatenate([np.full_like(gate, 30.0), gate], axis=-1)
+def _gate(x):
+    """The gated temporal conv's output on gate pre-activations x with a filter of 30,
+    where tanh rounds to exactly 1, so it returns the gate's sigmoid: one node, one
+    channel, one month per x value (K = 1, weight [[0, 1]], bias [30, 0])."""
+    x = np.asarray(x)
+    w, b = np.array([[0.0, 1.0]], dtype=x.dtype), np.array([30.0, 0.0], dtype=x.dtype)
+    return temporal_block(Tensor(x.reshape(1, 1, -1, 1)), Tensor(w), Tensor(b), 1).data.reshape(-1)
 
 
 @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-7), (np.float64, 1e-15)])
 def test_gated_sigmoid_matches_logistic_reference(dtype, atol):
     x = np.linspace(-30.0, 30.0, 601)
-    out = gated(Tensor(_open_filter(x).astype(dtype))).data
+    out = _gate(x.astype(dtype))
     assert out.dtype == dtype
     ref = 1.0 / (1.0 + np.exp(-x.astype(dtype).astype(np.float64)))
     np.testing.assert_allclose(out.astype(np.float64), ref, rtol=0.0, atol=atol)
@@ -77,7 +74,7 @@ def test_gated_sigmoid_matches_logistic_reference(dtype, atol):
 
 def test_gated_sigmoid_is_stable_at_large_inputs():
     with np.errstate(over="raise"):
-        out = gated(Tensor(_open_filter(np.array([-1e4, 1e4])))).data
+        out = _gate(np.array([-1e4, 1e4]))
     np.testing.assert_array_equal(out, [0.0, 1.0])
 
 
@@ -104,12 +101,30 @@ def test_matmul_bias_values():
             matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(shape)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bias_gradient_has_the_bytes_of_a_row_sum(dtype):
+    # the row counts of the tiny model, a training step and eval, against the model's widths
+    rng = np.random.default_rng(12)
+    for m in (37, 4160, 4680, 8320):
+        for n in (4, 7, 16, 32, 64):
+            g2 = rng.standard_normal((m, n)).astype(dtype)
+            assert _bias_grad(g2).tobytes() == g2.sum(axis=0).tobytes(), (m, n)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_length_one_contraction_has_the_bytes_of_a_gemm(dtype):
+    # the start projection's shape, [N*B*T, 1] @ [1, C], at the tiny, training and eval sizes
+    rng = np.random.default_rng(13)
+    for m, n in ((30, 4), (130 * 32 * 3, 16), (130 * 66, 16), (7, 1)):
+        a2, b2 = rng.standard_normal((m, 1)).astype(dtype), rng.standard_normal((1, n)).astype(dtype)
+        out = _product(a2, b2)
+        assert out.dtype == dtype and out.tobytes() == (a2 @ b2).tobytes(), (m, n)
+
+
 def test_shape_op_values():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 3, 4))
-    np.testing.assert_array_equal(transpose(Tensor(x), (2, 0, 1)).data, x.transpose(2, 0, 1))
-    np.testing.assert_array_equal(reshape(Tensor(x), (6, 4)).data, x.reshape(6, 4))
-    np.testing.assert_array_equal(taps(Tensor(x), range(1, 2), 2).data, x[:, 1:3])
+    np.testing.assert_array_equal(_time_slices(x, range(1, 2), 2)[0], x[:, 1:3])
     np.testing.assert_allclose(reduce_sum(Tensor(x)).data, x.sum())
     np.testing.assert_allclose(reduce_sum(Tensor(x), 1).data, x.sum(axis=1))
     np.testing.assert_allclose(reduce_mean(Tensor(x), (0, 2)).data, x.mean(axis=(0, 2)))
@@ -204,26 +219,20 @@ def test_every_op_passes_grad_check():
     rng = np.random.default_rng(4)
     a = _t(rng, 3, 4)
     b = _t(rng, 3, 4)
-    c = _t(rng, 3, 4, away_from_zero=True)  # relu and abs stay off kinks
+    c = _t(rng, 3, 4, away_from_zero=True)  # abs stays off its kink
     m1 = _t(rng, 3, 4)
     m2 = _t(rng, 4, 2)
     bias = _t(rng, 2)
     mix = Tensor(rng.standard_normal((3, 4)), requires_grad=False)
-    mix_wide = Tensor(rng.standard_normal((3, 12)), requires_grad=False)
 
     cases = {
         "add": lambda: reduce_sum(mul(add(a, b), mix)),
         "sub": lambda: reduce_sum(mul(sub(a, b), mix)),
         "mul": lambda: reduce_sum(mul(mul(a, b), mix)),
         "abs": lambda: reduce_sum(mul(abs_(c), mix)),
-        "relu": lambda: reduce_sum(mul(relu(c), mix)),
         "tanh": lambda: reduce_sum(mul(tanh(a), mix)),
-        "gated": lambda: reduce_sum(mul(gated(a), Tensor(mix.data[:, :2]))),
         "matmul": lambda: reduce_sum(matmul(m1, m2)),
         "matmul_bias": lambda: reduce_sum(mul(matmul(m1, m2, bias), Tensor(mix.data[:, 1:3]))),
-        "transpose": lambda: reduce_sum(mul(transpose(a, (1, 0)), transpose(mix, (1, 0)))),
-        "reshape": lambda: reduce_sum(mul(reshape(a, (4, 3)), reshape(mix, (4, 3)))),
-        "taps": lambda: reduce_sum(mul(taps(a, range(2), 2), Tensor(mix_wide.data[:2, :8]))),
         "mean": lambda: reduce_mean(mul(a, b)),
         "sum_axis": lambda: reduce_sum(reduce_sum(mul(a, b), 1)),
     }
@@ -289,17 +298,17 @@ def test_shared_gradient_buffers_stay_intact():
 
 
 def test_taps_gradient_zero_pads_outside_the_slices():
-    x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-    backward(reduce_sum(taps(x, range(1, 2), 2)))
-    np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    # the time-slice rule of the temporal block, the residual and the skip
+    x = np.arange(8.0).reshape(4, 2)
+    _, unslice = _time_slices(x, range(1, 2), 2)
+    np.testing.assert_array_equal(unslice(np.ones((2, 2))), [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     # overlapping slices add up where they meet
-    x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-    backward(reduce_sum(taps(x, range(0, 2), 3)))
-    np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+    _, unslice = _time_slices(x, range(0, 2), 3)
+    np.testing.assert_array_equal(unslice(np.ones((3, 4))), [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
     for starts, length in ((range(0), 1), (range(3, 4), 2), (range(0, 4, 2), 3),
                            (range(2, 0, -1), 1), (range(1), 0)):
         with pytest.raises(ValueError, match="time axis"):
-            taps(x, starts, length)
+            _time_slices(x, starts, length)
 
 
 @pytest.mark.parametrize("starts, length, view", [
@@ -313,15 +322,25 @@ def test_taps_gradient_zero_pads_outside_the_slices():
 ])
 def test_taps_matches_concatenated_slices(starts, length, view):
     x = np.random.default_rng(10).standard_normal((2, 3, 6, 4))
-    out = taps(Tensor(x), starts, length).data
+    out, unslice = _time_slices(x, starts, length)
     np.testing.assert_array_equal(out, np.concatenate([x[..., s:s + length, :] for s in starts], axis=-1))
     assert np.shares_memory(out, x) == view
+    # the gradient rule is the transpose of the slicing: <slices(x), g> == <x, unslice(g)>
+    g = np.random.default_rng(11).standard_normal(out.shape)
+    np.testing.assert_allclose(np.vdot(out, g), np.vdot(x, unslice(g)), rtol=1e-12)
 
 
 def test_relu_subgradient_at_zero_is_zero():
-    x = Tensor(np.array([0.0, -1.0, 2.0]), requires_grad=True)
-    backward(reduce_sum(relu(x)))
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+    # the head's two relus, at pre-activations of exactly 0: zero skip and end1
+    # weights and biases make both hidden layers 0, so no gradient passes either
+    h = Tensor(np.ones((2, 1, 1, 3)), requires_grad=True)
+    skip = (Tensor(np.zeros((3, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))
+    end1 = (Tensor(np.zeros((2, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))
+    end2 = (Tensor(np.ones((2, 1)), requires_grad=True), Tensor(np.zeros(1), requires_grad=True))
+    backward(reduce_sum(head([h], [skip], end1, end2, 1)))
+    for t in (h, *skip, *end1):
+        np.testing.assert_array_equal(t.grad, np.zeros_like(t.data))
+    np.testing.assert_array_equal(end2[1].grad, [2.0])  # one output per node
 
 
 def test_abs_subgradient_at_zero_is_zero():

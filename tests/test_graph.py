@@ -3,17 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum, transpose
-from ensograph.errors import ValidationError
+from ensograph import adiff
+from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum
+from ensograph.errors import NumericalError, ValidationError
 from ensograph.graph import (
     GraphLearnConfig,
+    _normalized,
+    _normalized_backward,
     correlation_graph,
     export_edges,
     learn_adjacency,
-    normalize,
+    propagation_matrices,
     topk_sparsify,
 )
 from helpers import random_anoms, small_grid
+
+
+def normalize(a):
+    """D^-1 (A + I) as a tape node, from the normalization and gradient rule propagation_matrices runs."""
+    out, s = _normalized(a.data, np.eye(a.shape[0], dtype=a.dtype))
+    return adiff._from_op(out, (a,), lambda g: adiff._accum(a, _normalized_backward(g, out, s)))
 
 
 def _embeddings(rng, n, d):
@@ -161,11 +170,16 @@ def test_learn_adjacency_passes_grad_check():
             assert r.passed, f"alpha {alpha}, {r.name}: rel err {r.max_rel_err:.2e}"
 
 
+def _transposed(a):
+    """a^T as a tape node, so normalize meets the transposed view the backward direction takes."""
+    return adiff._from_op(a.data.T, (a,), lambda g: adiff._accum(a, g.T))
+
+
 def test_normalize_passes_grad_check_on_plain_and_transposed_input():
     rng = np.random.default_rng(11)
     a = Tensor(rng.uniform(0.0, 1.0, (5, 5)), requires_grad=True)
     probe = Tensor(rng.standard_normal((5, 5)))
-    for f in (lambda: normalize(a), lambda: normalize(transpose(a, (1, 0)))):
+    for f in (lambda: normalize(a), lambda: normalize(_transposed(a))):
         for r in grad_check(lambda: reduce_sum(mul(f(), probe)), {"a": a}):
             assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
 
@@ -180,6 +194,58 @@ def test_full_graph_pipeline_is_differentiable():
 
     for r in grad_check(f, {"e1": e1, "e2": e2}):
         assert r.passed, f"{r.name}: rel err {r.max_rel_err:.2e}"
+
+
+def _op_chain_matrices(e1, e2, config, beta):
+    """The hop-matrix pair as the adjacency, top-k, transpose, normalization and scaling ops build it."""
+    a = topk_sparsify(learn_adjacency(e1, e2, config.alpha), config.topk)
+    return [mul(normalize(x), 1.0 - beta) for x in (a, _transposed(a))]
+
+
+# (n, embed_dim, alpha, topk, beta): the tiny model's graph (most of a row
+# ties at zero), top-1 (live entries dropped), top-k of every column, the gate
+# model's graph, and a saturating alpha with nothing propagated
+GRAPHS = [(5, 3, 3.0, 3, 0.05), (7, 3, 2.0, 1, 0.05), (6, 3, 1.5, 6, 0.3),
+          (130, 16, 3.0, 20, 0.05), (40, 4, 60.0, 7, 1.0)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_propagation_matrices_and_their_gradients_have_the_bytes_of_the_op_chain(dtype):
+    rng = np.random.default_rng(14)
+    for n, d, alpha, topk, beta in GRAPHS:
+        config = GraphLearnConfig(embed_dim=d, alpha=alpha, topk=topk)
+        e1, e2 = (Tensor((0.1 * rng.standard_normal((n, d))).astype(dtype), requires_grad=True) for _ in "12")
+        probe = rng.standard_normal((2, n, n)).astype(dtype)
+        hops = propagation_matrices(e1, e2, config, beta)
+        assert hops.data.shape == (2, n, n) and hops.data.dtype == dtype
+        backward(reduce_sum(mul(hops, probe)))
+        grads = [e1.grad, e2.grad]
+        e1.zero_grad(), e2.zero_grad()
+        chain = _op_chain_matrices(e1, e2, config, beta)
+        backward(adiff.add(reduce_sum(mul(chain[0], probe[0])), reduce_sum(mul(chain[1], probe[1]))))
+        for direction, m in enumerate(chain):
+            assert hops.data[direction].tobytes() == m.data.tobytes(), (n, direction)
+        for got, want in zip(grads, (e1.grad, e2.grad)):
+            assert got.tobytes() == want.tobytes(), n
+
+
+def test_propagation_matrices_pass_grad_check():
+    rng = np.random.default_rng(15)
+    for n, d, alpha, topk, beta in GRAPHS[:3]:
+        config = GraphLearnConfig(embed_dim=d, alpha=alpha, topk=topk)
+        e1, e2 = _embeddings(rng, n, d)
+        probe = Tensor(rng.standard_normal((2, n, n)))
+        for r in grad_check(lambda: reduce_sum(mul(propagation_matrices(e1, e2, config, beta), probe)),
+                            {"e1": e1, "e2": e2}):
+            assert r.passed, f"n {n} topk {topk}, {r.name}: rel err {r.max_rel_err:.2e}"
+
+
+def test_propagation_matrices_reject_a_nan_embedding():
+    config = GraphLearnConfig(embed_dim=2, alpha=3.0, topk=2)
+    e1, e2 = Tensor(np.ones((3, 2))), Tensor(np.eye(3, 2))
+    e1.data[1, 0] = np.nan
+    with pytest.raises(NumericalError, match="mix-hop"):
+        propagation_matrices(e1, e2, config, 0.05)
 
 
 def test_correlation_graph_matches_corrcoef():

@@ -145,7 +145,8 @@ def gate_checked_ops(source: str) -> set[str]:
 
 def test_every_tape_op_has_a_gate_gradient_check():
     ops = set().union(*(tape_ops(p.read_text()) for p in sorted((ROOT / "src" / "ensograph").glob("*.py"))))
-    assert {"add", "matmul", "gated", "taps", "mixhop_conv", "reduce_mean", "learn_adjacency", "normalize"} <= ops
+    assert {"add", "matmul", "temporal_block", "mixhop_conv", "head", "propagation_matrices", "reduce_mean",
+            "learn_adjacency"} <= ops
     missing = sorted(ops - gate_checked_ops((ROOT / "tests" / "test_acceptance.py").read_text()))
     assert not missing, f"tape ops with no float64 case in test_acceptance._op_cases: {missing}"
 

@@ -8,7 +8,7 @@ import pytest
 from ensograph import skill, stgnn, train
 from ensograph.adiff import Tensor
 from ensograph.errors import ValidationError
-from ensograph.graph import learn_adjacency
+from ensograph.graph import propagation_matrices
 from ensograph.grid import ONI_BOX, region_nodes
 from ensograph.indices import IndexSeries, area_mean
 from ensograph.months import add_months
@@ -318,13 +318,14 @@ def test_validation_loss_builds_no_tape(monkeypatch):
 
 
 def _count_graph_builds(monkeypatch):
+    # every hop_matrices call, from forward, skill or train, builds one graph node
     builds = []
 
     def counting(*args):
         builds.append(1)
-        return learn_adjacency(*args)
+        return propagation_matrices(*args)
 
-    monkeypatch.setattr(stgnn, "learn_adjacency", counting)
+    monkeypatch.setattr(stgnn, "propagation_matrices", counting)
     return builds
 
 

@@ -13,8 +13,8 @@ from ensograph.stgnn import (
     ModelConfig,
     ModelParams,
     forward,
+    head,
     hop_matrices,
-    hop_matrix,
     init_params,
     load_checkpoint,
     mixhop_conv,
@@ -223,6 +223,102 @@ def test_temporal_block_saturated_gate_passes_filter():
     np.testing.assert_allclose(out, np.tanh(filt), atol=1e-12)
 
 
+def _gated_chain(x, w, b, dilation):
+    """The temporal block as the former slice, matmul and gated nodes computed it."""
+    C, K = x.shape[-1], w.shape[0] // x.shape[-1]
+    T_out = x.shape[2] - dilation * (K - 1)
+    cols = np.concatenate([x[:, :, k * dilation:k * dilation + T_out] for k in range(K)], axis=-1)
+    y = cols.reshape(-1, K * C) @ w
+    y += b
+    half = w.shape[1] // 2
+    out = np.tanh(y[:, :half]) * (0.5 * np.tanh(0.5 * y[:, half:]) + 0.5)
+    return out.reshape(x.shape[:2] + (T_out, half))
+
+
+@pytest.mark.parametrize("K, dilation, T", [(2, 1, 3), (2, 1, 2), (2, 2, 66), (3, 1, 66), (1, 1, 3)])
+def test_temporal_block_has_the_bytes_of_the_op_chain(K, dilation, T):
+    # the gate model's widths (C = 16 in, 2 * 16 out) at the training batch and the eval run
+    rng = np.random.default_rng(50 + K)
+    x = rng.standard_normal((130, 32 if T < 10 else 1, T, 16)).astype(np.float32)
+    w = rng.uniform(-0.2, 0.2, (K * 16, 32)).astype(np.float32)
+    b = rng.uniform(-0.2, 0.2, 32).astype(np.float32)
+    out = temporal_block(Tensor(x), Tensor(w), Tensor(b), dilation).data
+    assert out.tobytes() == _gated_chain(x, w, b, dilation).tobytes()
+
+
+def test_temporal_block_is_one_tape_node(monkeypatch):
+    rng = np.random.default_rng(51)
+    x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((3, 2, 4, 2), (4, 6), (6,)))
+    made = _count_tape_nodes(monkeypatch)
+    out = temporal_block(x, w, b, 2)
+    assert len(made) == 1 and out._parents == (x, w, b) and out.shape == (3, 2, 2, 3)
+
+
+def _head_chain(hs, skips, end1, end2, P):
+    """The head as the former slice, matmul, add, relu, reshape and transpose nodes computed it."""
+    N, B = hs[0].shape[:2]
+    total = None
+    for h, (w, b) in zip(hs, skips):
+        cols = np.concatenate([h[:, :, j:j + P] for j in range(h.shape[2] - P + 1)], axis=-1)
+        s = cols.reshape(-1, cols.shape[-1]) @ w
+        s += b
+        total = s if total is None else np.add(total, s)
+    e = np.maximum(total, 0) @ end1[0]
+    e += end1[1]
+    out = np.maximum(e, 0) @ end2[0]
+    out += end2[1]
+    return np.transpose(out.reshape(N, B * P, -1), (1, 2, 0))
+
+
+def _head_operands(rng, times, P, dtype=np.float64, N=3, B=2, C=2, Cs=3, Ce=4, H=2):
+    """Layer outputs [N, B, T, C] for each T in times, their skip pairs and the two end pairs."""
+    def leaf(*shape):
+        return Tensor(rng.uniform(-0.8, 0.8, shape).astype(dtype), requires_grad=True)
+    hs = [leaf(N, B, T, C) for T in times]
+    skips = [(leaf((T - P + 1) * C, Cs), leaf(Cs)) for T in times]
+    return hs, skips, (leaf(Cs, Ce), leaf(Ce)), (leaf(Ce, H), leaf(H))
+
+
+# (layer time lengths, P): one and two layers, a window per batch row (T == P
+# at the last layer) and a run of months (T > P at every layer)
+HEADS = [((1,), 1), ((2, 1), 1), ((4,), 2), ((5, 3), 3), ((6, 4), 2)]
+
+
+@pytest.mark.parametrize("times, P", HEADS)
+def test_head_has_the_bytes_of_the_op_chain(times, P):
+    hs, skips, end1, end2 = _head_operands(np.random.default_rng(60), times, P, np.float32, N=130, B=4,
+                                           C=16, Cs=32, Ce=64, H=4)
+    out = head(hs, skips, end1, end2, P).data
+    assert out.shape == (4 * P, 4, 130)
+    want = _head_chain([h.data for h in hs], [(w.data, b.data) for w, b in skips],
+                       [t.data for t in end1], [t.data for t in end2], P)
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("times, P", HEADS)
+def test_head_grad_check(times, P):
+    rng = np.random.default_rng(61)
+    hs, skips, end1, end2 = _head_operands(rng, times, P)
+    probe = Tensor(rng.standard_normal((2 * P, 2, 3)))
+    params = {f"h{l}": h for l, h in enumerate(hs)}
+    params.update({f"skip{l}_{i}": t for l, pair in enumerate(skips) for i, t in enumerate(pair)})
+    params.update({f"end{j}_{i}": t for j, pair in enumerate((end1, end2)) for i, t in enumerate(pair)})
+    for r in grad_check(lambda: reduce_sum(mul(head(hs, skips, end1, end2, P), probe)), params):
+        assert r.passed, f"{times} P={P} {r.name}: rel err {r.max_rel_err:.2e}"
+
+
+def test_head_is_one_tape_node(monkeypatch):
+    hs, skips, end1, end2 = _head_operands(np.random.default_rng(62), (5, 3), 3)
+    made = _count_tape_nodes(monkeypatch)
+    out = head(hs, skips, end1, end2, 3)
+    assert len(made) == 1
+    assert out._parents == (*hs, *skips[0], *skips[1], *end1, *end2)
+    with pytest.raises(ValueError, match="inner dimensions"):
+        head(hs, skips, end1, end2, 2)  # layer 0's skip weight reads 3 positions, P = 2 leaves 4
+    with pytest.raises(ValueError, match="skip projections"):
+        head(hs, skips[:1], end1, end2, 3)
+
+
 def _mixprop_ref(h, a, beta, ws, b):
     out = np.einsum("co,nbtc->nbto", ws[0], h)
     state = h
@@ -249,8 +345,7 @@ def test_mixhop_matches_numpy_reference():
     w = rng.standard_normal(((2 * D + 1) * C, Co))
     b = rng.standard_normal(Co)
 
-    out = mixhop_conv(Tensor(h), hop_matrix(Tensor(a_fwd), beta), hop_matrix(Tensor(a_bwd), beta),
-                      beta, D, Tensor(w), Tensor(b)).data
+    out = mixhop_conv(Tensor(h), _hops(a_fwd, a_bwd, beta), beta, D, Tensor(w), Tensor(b)).data
     # the layer input's block acts once; hop blocks follow, forward then backward
     blocks = _blocks(w, 2 * D + 1)
     wf = blocks[:D + 1]
@@ -266,8 +361,7 @@ def test_mixhop_identity_adjacency_collapses_hops():
     eye = np.eye(N)
     w = rng.standard_normal((5 * C, C))
     b = np.zeros(C)
-    m = hop_matrix(Tensor(eye), 0.05)
-    out = mixhop_conv(Tensor(h), m, m, 0.05, 2, Tensor(w), Tensor(b)).data
+    out = mixhop_conv(Tensor(h), _hops(eye, eye, 0.05), 0.05, 2, Tensor(w), Tensor(b)).data
     # with A = I every hop state equals h, so the sum collapses to h @ sum(Wj)
     wsum = sum(_blocks(w, 5))
     ref = np.einsum("co,nbtc->nbto", wsum, h)
@@ -283,17 +377,21 @@ def test_mixhop_beta_one_ignores_the_graph():
     a_t = (raw.T + np.eye(N)) / (raw.T + np.eye(N)).sum(axis=1, keepdims=True)
     w = Tensor(rng.standard_normal((3 * C, C)))
     b = Tensor(rng.standard_normal(C))
-    eye = hop_matrix(Tensor(np.eye(N)), 1.0)
-    out_a = mixhop_conv(Tensor(h), hop_matrix(Tensor(a), 1.0), hop_matrix(Tensor(a_t), 1.0), 1.0, 1, w, b).data
-    out_i = mixhop_conv(Tensor(h), eye, eye, 1.0, 1, w, b).data
+    out_a = mixhop_conv(Tensor(h), _hops(a, a_t, 1.0), 1.0, 1, w, b).data
+    out_i = mixhop_conv(Tensor(h), _hops(np.eye(N), np.eye(N), 1.0), 1.0, 1, w, b).data
     np.testing.assert_allclose(out_a, out_i, atol=1e-12)
 
 
-def _chain_ref(h, m_fwd, m_bwd, beta, depth, w, b):
+def _hops(a_fwd, a_bwd, beta):
+    """The [2, N, N] stack of hop matrices (1 - beta) * A for two row-stochastic adjacencies."""
+    return Tensor(np.stack([(1.0 - beta) * a_fwd, (1.0 - beta) * a_bwd]))
+
+
+def _chain_ref(h, hops, beta, depth, w, b):
     """Mix-hop as an op chain: each hop m @ s + beta*h, the states joined on the channel axis, one GEMM."""
     N, C = h.shape[0], h.shape[-1]
     states = [h]
-    for m in (m_fwd, m_bwd):
+    for m in hops:
         s = h
         for _ in range(depth):
             s = (m @ s.reshape(N, -1)).reshape(h.shape) + beta * h
@@ -303,12 +401,12 @@ def _chain_ref(h, m_fwd, m_bwd, beta, depth, w, b):
 
 
 def _mixhop_operands(rng, depth, dtype=np.float64, N=5, B=2, T=3, C=3, C_out=4, beta=0.05):
-    """h, two different hop matrices (1 - beta) * A, w and b as tracked tensors."""
+    """h, a stack of two different hop matrices (1 - beta) * A, w and b as tracked tensors."""
     mats = []
     for _ in range(2):
         raw = rng.uniform(0.0, 1.0, (N, N)) + np.eye(N)
         mats.append((1.0 - beta) * raw / raw.sum(axis=1, keepdims=True))
-    arrays = [rng.standard_normal((N, B, T, C)), *mats,
+    arrays = [rng.standard_normal((N, B, T, C)), np.stack(mats),
               rng.uniform(-0.5, 0.5, ((2 * depth + 1) * C, C_out)), rng.uniform(-0.5, 0.5, C_out)]
     return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
 
@@ -319,10 +417,10 @@ def test_mixhop_conv_matches_the_concatenated_chain(depth, dtype, atol):
     # the summation order of the projection moved, so the match is close but not bitwise
     for beta in (0.0, 0.05, 1.0):
         rng = np.random.default_rng(20 + depth)
-        h, m_fwd, m_bwd, w, b = _mixhop_operands(rng, depth, dtype, N=7, B=3, beta=beta)
-        out = mixhop_conv(h, m_fwd, m_bwd, beta, depth, w, b).data
+        h, hops, w, b = _mixhop_operands(rng, depth, dtype, N=7, B=3, beta=beta)
+        out = mixhop_conv(h, hops, beta, depth, w, b).data
         assert out.dtype == dtype and out.shape == (7, 3, 3, 4)
-        ref = _chain_ref(*(t.data.astype(np.float64) for t in (h, m_fwd, m_bwd)), beta, depth,
+        ref = _chain_ref(*(t.data.astype(np.float64) for t in (h, hops)), beta, depth,
                          w.data.astype(np.float64), b.data.astype(np.float64))
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=atol)
 
@@ -331,23 +429,37 @@ def test_mixhop_conv_matches_the_concatenated_chain(depth, dtype, atol):
 @pytest.mark.parametrize("beta", [0.0, 0.05, 1.0])
 def test_mixhop_conv_grad_check(depth, beta):
     rng = np.random.default_rng(30 + depth)
-    h, m_fwd, m_bwd, w, b = _mixhop_operands(rng, depth, beta=beta)
-    probe = Tensor(rng.standard_normal((5, 2, 3, 4)))
-    f = lambda: reduce_sum(mul(mixhop_conv(h, m_fwd, m_bwd, beta, depth, w, b), probe))
-    for r in grad_check(f, {"h": h, "m_fwd": m_fwd, "m_bwd": m_bwd, "w": w, "b": b}):
-        assert r.passed, f"depth {depth} beta {beta} {r.name}: rel err {r.max_rel_err:.2e}"
+    h, hops, w, b = _mixhop_operands(rng, depth, beta=beta)
+    # the residual's trailing months are added; T_in == T adds all of it
+    for t_in in (5, 3):
+        residual = Tensor(rng.standard_normal((5, 2, t_in, 4)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((5, 2, 3, 4)))
+        f = lambda: reduce_sum(mul(mixhop_conv(h, hops, beta, depth, w, b, residual), probe))
+        for r in grad_check(f, {"h": h, "hops": hops, "w": w, "b": b, "residual": residual}):
+            assert r.passed, f"depth {depth} beta {beta} T_in {t_in} {r.name}: rel err {r.max_rel_err:.2e}"
     if depth == 0:
         # the hop matrices take no part, so they read back an exact zero gradient
-        assert not m_fwd.grad.any() and not m_bwd.grad.any()
+        assert not hops.grad.any()
+
+
+def test_mixhop_conv_adds_the_residual_last():
+    # bytes of the former residual node, an add of the layer input's trailing months
+    rng = np.random.default_rng(41)
+    h, hops, w, b = _mixhop_operands(rng, 2, np.float32)
+    residual = rng.standard_normal((5, 2, 4, 4)).astype(np.float32)
+    out = mixhop_conv(h, hops, 0.05, 2, w, b, Tensor(residual)).data
+    want = np.add(mixhop_conv(h, hops, 0.05, 2, w, b).data, residual[:, :, 1:])
+    assert out.tobytes() == want.tobytes()
 
 
 def test_mixhop_conv_is_one_tape_node(monkeypatch):
-    h, m_fwd, m_bwd, w, b = _mixhop_operands(np.random.default_rng(40), 2)
+    h, hops, w, b = _mixhop_operands(np.random.default_rng(40), 2)
+    residual = Tensor(np.zeros((5, 2, 4, 4)), requires_grad=True)
     made = _count_tape_nodes(monkeypatch)
-    out = mixhop_conv(h, m_fwd, m_bwd, 0.05, 2, w, b)
-    assert len(made) == 1 and out._parents == (h, w, b, m_fwd, m_bwd)
+    out = mixhop_conv(h, hops, 0.05, 2, w, b, residual)
+    assert len(made) == 1 and out._parents == (h, w, b, hops, residual)
     with pytest.raises(ValueError, match="blocks"):
-        mixhop_conv(h, m_fwd, m_bwd, 0.05, 1, w, b)
+        mixhop_conv(h, hops, 0.05, 1, w, b)
 
 
 # Hashes mixhop_conv's float32 gradients at the default model's node count and
@@ -367,11 +479,11 @@ w0 = rng.uniform(-0.25, 0.25, (5 * 16, 16)).astype(np.float32)
 b0 = rng.uniform(-0.25, 0.25, 16).astype(np.float32)
 for bt in range(1, 65):
     h = Tensor(pool[0, :, :16 * bt].reshape(130, bt, 1, 16).copy(), requires_grad=True)
-    m_fwd, m_bwd = (Tensor(m.copy(), requires_grad=True) for m in mats)
+    hops = Tensor(mats.copy(), requires_grad=True)
     w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
     probe = Tensor(pool[1, :, :16 * bt].reshape(130, bt, 1, 16).copy())
-    backward(reduce_sum(mul(mixhop_conv(h, m_fwd, m_bwd, 0.05, 2, w, b), probe)))
-    grads = b"".join(t.grad.tobytes() for t in (h, m_fwd, m_bwd, w, b))
+    backward(reduce_sum(mul(mixhop_conv(h, hops, 0.05, 2, w, b), probe)))
+    grads = b"".join(t.grad.tobytes() for t in (h, hops, w, b))
     print(bt, hashlib.sha256(grads).hexdigest())
 """
 
@@ -383,23 +495,13 @@ def test_mixhop_gradient_bytes_do_not_depend_on_blas_threads():
     assert not differ, f"mix-hop gradient bytes differ between 1 and 2 BLAS threads at B*T = {differ}"
 
 
-def test_hop_matrix_rejects_non_row_stochastic():
-    bad = Tensor(np.full((3, 3), 0.9))
-    eye = Tensor(np.eye(3))
-    # forward checks the forward direction's adjacency first, then the backward one's
-    for pair in ((bad, eye), (eye, bad)):
-        with pytest.raises(ValueError, match="row-stochastic"):
-            for a in pair:
-                hop_matrix(a, 0.05)
-
-
 def test_hop_matrix_rejects_nan_adjacency():
-    eye = np.eye(3)
-    nan = eye.copy()
-    nan[1, 2] = np.nan
+    # a NaN in either embedding table makes the adjacency's rows NaN
+    cfg = tiny_config()
+    params = init_params(cfg, seed=0)
+    params["e2"].data[2, 1] = np.nan
     with pytest.raises(NumericalError, match="mix-hop"):
-        for a in (Tensor(nan), Tensor(eye)):
-            hop_matrix(a, 0.05)
+        hop_matrices(params, cfg)
 
 
 def test_forward_flags_a_nan_embedding_before_mix_hop():
@@ -424,6 +526,14 @@ def test_forward_zero_params_zero_output():
     cfg = tiny_config()
     out = forward(_zero_params(cfg), cfg, _rand_input(np.random.default_rng(1), cfg))
     assert np.all(out.data == 0.0)
+
+
+def test_forward_takes_no_gradient_to_its_input():
+    cfg = tiny_config()
+    x = _rand_input(np.random.default_rng(1), cfg)
+    x.requires_grad = True
+    with pytest.raises(ValueError, match="no gradient"):
+        forward(init_params(cfg, seed=0), cfg, x)
 
 
 def test_forward_rejects_bad_input_shape():
@@ -540,12 +650,11 @@ def _count_tape_nodes(monkeypatch):
     return made
 
 
-def test_gate_config_forward_and_loss_make_35_tape_nodes(monkeypatch):
-    # one node per stage: adjacency learning, top-k and each normalization
-    # one node, a projection one biased matmul, the gate one gated node, a
-    # layer's mix-hop propagation and projection one mixhop_conv node, and
-    # each of the temporal conv, residual and skip one taps node; the two
-    # adjacencies are scaled to hop matrices once, not once per layer
+def test_gate_config_forward_and_loss_make_10_tape_nodes(monkeypatch):
+    # one node per stage: the learned graph (both hop matrices), the start
+    # projection, each layer's temporal block and mix-hop (which adds the
+    # residual), and the head (skips, skip sum, relus, end1 and end2); the
+    # loss is sub, abs and mean
     cfg = ModelConfig(n_nodes=130, horizon=4)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(12)
@@ -553,32 +662,64 @@ def test_gate_config_forward_and_loss_make_35_tape_nodes(monkeypatch):
     target = Tensor(rng.standard_normal((2, cfg.horizon, cfg.n_nodes)).astype(np.float32))
     made = _count_tape_nodes(monkeypatch)
     backward(mae_loss(forward(params, cfg, x), target))
-    assert len(made) == 35
+    assert len(made) == 10
 
 
-def test_gate_config_eval_sequence_forward_makes_32_tape_nodes(monkeypatch):
-    # eval's detached forward over 66 months (64 windows); the skip is one
-    # taps node at every P, so the count does not grow with P
+def test_gate_config_eval_sequence_forward_makes_7_tape_nodes(monkeypatch):
+    # eval's detached forward over 66 months (64 windows); every stage reads
+    # the run's time slices inside its node, so the count does not grow with P
     cfg = ModelConfig(n_nodes=130, horizon=4)
     params = ModelParams({name: Tensor(t.data) for name, t in init_params(cfg, seed=0).items()})
     x = np.random.default_rng(13).standard_normal((1, 1, cfg.n_nodes, cfg.window + 63))
     made = _count_tape_nodes(monkeypatch)
     out = forward(params, cfg, Tensor(x.astype(np.float32)))
     assert out.shape == (64, cfg.horizon, cfg.n_nodes)
-    assert len(made) == 32
+    assert len(made) == 7
 
 
-def test_gate_config_eval_sequence_forward_given_hops_makes_25_tape_nodes(monkeypatch):
-    # the same forward given its hop_matrices pair skips the graph's 7 nodes:
-    # adjacency learning, top-k, the transpose, two normalizations and two scalings
+def test_gate_config_eval_sequence_forward_given_hops_makes_6_tape_nodes(monkeypatch):
+    # the same forward given its hop_matrices stack skips the graph's node
     cfg = ModelConfig(n_nodes=130, horizon=4)
     params = ModelParams({name: Tensor(t.data) for name, t in init_params(cfg, seed=0).items()})
     x = Tensor(np.random.default_rng(13).standard_normal((1, 1, cfg.n_nodes, cfg.window + 63)).astype(np.float32))
     hops = hop_matrices(params, cfg)
+    assert hops.shape == (2, cfg.n_nodes, cfg.n_nodes)
     made = _count_tape_nodes(monkeypatch)
     out = forward(params, cfg, x, hops)
-    assert len(made) == 25
+    assert len(made) == 6
     np.testing.assert_array_equal(out.data.view(np.uint32), forward(params, cfg, x).data.view(np.uint32))
+
+
+# Hashes every parameter gradient of one gate-config forward and backward at
+# batch 31 (single windows) and at batch 32 (4 runs of 8 windows, as training
+# steps take them), and the output of one detached 66-month eval forward.
+MODEL_HASHES = r"""
+import hashlib
+import numpy as np
+from ensograph.adiff import Tensor, backward
+from ensograph.stgnn import ModelConfig, ModelParams, forward, init_params
+from ensograph.train import mae_loss
+rng = np.random.default_rng(0)
+cfg = ModelConfig(n_nodes=130, horizon=4)
+for rows, months in ((31, 3), (4, 10)):
+    params = init_params(cfg, seed=1)
+    x = rng.standard_normal((rows, 1, 130, months)).astype(np.float32)
+    out = forward(params, cfg, Tensor(x))
+    backward(mae_loss(out, Tensor(rng.standard_normal(out.shape).astype(np.float32))))
+    for name, t in params.items():
+        print(rows, months, name, hashlib.sha256(t.grad.tobytes()).hexdigest())
+cfg = ModelConfig(n_nodes=130, horizon=7)
+params = ModelParams({name: Tensor(t.data) for name, t in init_params(cfg, seed=2).items()})
+x = rng.standard_normal((1, 1, 130, 66)).astype(np.float32)
+print("eval", hashlib.sha256(forward(params, cfg, Tensor(x)).data.tobytes()).hexdigest())
+"""
+
+
+def test_model_gradient_and_eval_bytes_do_not_depend_on_blas_threads():
+    runs = output_at_one_and_two_blas_threads(MODEL_HASHES)
+    assert len(runs[0]) == 2 * len(param_shapes(ModelConfig(n_nodes=130, horizon=4))) + 1
+    differ = [one.rsplit(" ", 1)[0] for one, two in zip(*runs) if one != two]
+    assert not differ, f"bytes differ between 1 and 2 BLAS threads at {differ}"
 
 
 def test_forward_backward_fills_every_parameter():

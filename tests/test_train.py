@@ -20,7 +20,7 @@ from ensograph.train import (
     train,
     write_manifest,
 )
-from helpers import random_anoms, small_grid, tiny_config
+from helpers import python_output, random_anoms, small_grid, tiny_config
 
 
 def _sample_set(rng, n_samples, config, target_fn=None):
@@ -325,6 +325,12 @@ def test_package_exposes_the_train_module():
 
 
 # ----------------------------------------------------------------- manifest
+
+def test_importing_the_package_leaves_hashlib_and_subprocess_out():
+    # only write_manifest uses them, and only the CLI calls it
+    assert python_output("import sys, ensograph\nprint('hashlib' in sys.modules, 'subprocess' in sys.modules)") \
+        == ["False False"]
+
 
 def test_manifest_contents(tmp_path):
     cfg = tiny_config()
