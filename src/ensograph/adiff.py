@@ -142,12 +142,13 @@ def mul(a, b):
 _PIECE = 256
 
 
-def _pieced_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _pieced_matmul(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """x [m, k] @ y [k, n] summed one GEMM per _PIECE of the contraction, in order,
-    so its bytes do not depend on the BLAS thread count."""
-    out = x[:, :_PIECE] @ y[:_PIECE]
+    so its bytes do not depend on the BLAS thread count. Given out, and scratch
+    when k runs past one piece (both [m, n]), it writes them and allocates no array."""
+    out = np.matmul(x[:, :_PIECE], y[:_PIECE], out=out)
     for lo in range(_PIECE, x.shape[1], _PIECE):
-        out += x[:, lo:lo + _PIECE] @ y[lo:lo + _PIECE]
+        out += np.matmul(x[:, lo:lo + _PIECE], y[lo:lo + _PIECE], out=scratch)
     return out
 
 

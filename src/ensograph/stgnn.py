@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -253,6 +254,101 @@ def temporal_block(x, w, b, dilation: int) -> Tensor:
     return adiff._from_op((f * s).reshape(cols.shape[:-1] + (c_out,)), (x, w, b), _bw)
 
 
+# Multiply-adds of one hop GEMM, [N, N] @ [N, B*T*C], from which mixhop_conv runs
+# the second edge direction's chain on the worker thread. A forward and backward
+# hand off twice, about 0.1 ms each; at one BLAS thread (2-vCPU Xeon) the worker
+# broke even near 4M multiply-adds (N = 130 at B*T = 16, N = 60 at 48 to 64) and
+# took 25-30% off the pair at N = 130, B*T = 32 and at N = 300, B*T = 4.
+_THREAD_MIN = 1 << 22
+_worker = None  # (pid, executor) of the process's one hop worker thread
+
+
+def _hop_worker():
+    """The executor of the hop worker thread, made on first use and made again in a
+    forked child, where the copied executor's thread is gone and would never run a job."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor  # here, so importing the package starts nothing
+
+        _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="ensograph-hops"))
+    return _worker[1]
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _both(here, there, madds: int):
+    """Run here() on this thread while there() runs on the hop worker, and return here()'s value
+    once both are done, on every path. Below _THREAD_MIN multiply-adds, or in a process that may
+    run on one CPU only, both run here, in that order."""
+    if madds < _THREAD_MIN or _cpus() < 2:
+        out = here()
+        there()
+        return out
+    # the worker pops there() from the list, so this thread holds the last reference to it and
+    # frees the arrays it closes over; freed from the worker, they grew the main heap from 40
+    # to 62 MB over 120 eval passes
+    todo = [there]
+    job = _hop_worker().submit(lambda: todo.pop()())
+    try:
+        out = here()
+    finally:
+        error = job.exception()  # waits for the worker even when here() raised
+    if error is not None:
+        raise error
+    return out
+
+
+def _projected(out, states, blocks, first: int):
+    """out plus states[j] @ blocks[first + j] for each j, on [rows, C] views, added in order."""
+    C = blocks.shape[1]
+    for j in range(len(states)):
+        out += states[j].reshape(-1, C) @ blocks[first + j]
+    return out
+
+
+def _hop_chain(m, kept, prev, hopped):
+    """One direction's hops, written in place: hopped[0] = m @ prev + kept, hopped[j] = m @ hopped[j-1] + kept."""
+    for j in range(len(hopped)):
+        s = hopped[j]
+        np.matmul(m, prev, out=s)
+        s += kept
+        prev = s
+
+
+def _hop_chain_grad(mt, gs, states, beta, gm, with_h: bool, work, term_work):
+    """One direction's hop-chain backward, written in place, allocating no array.
+
+    gs[j] enters as g @ W^T for hop j + 1 and becomes that hop's state gradient
+    G = g @ W^T + mt @ G', G' the next hop's. gm, when given, receives
+    sum_j G_j+1 @ S_j^T, each term added in turn from the last hop. With with_h,
+    gs[-1] leaves holding this direction's share of h's gradient,
+    beta * sum_j G_j + mt @ G_1. work and term_work are the out/scratch pairs
+    adiff._pieced_matmul writes for the [N, B*T*C] and the [N, N] products.
+    """
+    after = None
+    for j in reversed(range(len(gs))):
+        if after is not None:
+            gs[j] += adiff._pieced_matmul(mt, after, *work)
+        if gm is not None:
+            if after is None:
+                adiff._pieced_matmul(gs[j], states[j].T, gm, term_work[1])
+            else:
+                gm += adiff._pieced_matmul(gs[j], states[j].T, *term_work)
+        after = gs[j]
+    if with_h:
+        tail = adiff._pieced_matmul(mt, after, *work)
+        total = gs[-1]
+        for gj in gs[-2::-1]:
+            total += gj
+        total *= beta
+        total += tail
+
+
 def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor:
     """Mix-hop propagation of node-major h [N, B, T, C] along both edge directions, projected once.
 
@@ -273,25 +369,36 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
     S_s^T @ g. Every gradient GEMM is adiff._pieced_matmul, so the long
     contractions of w (over N*B*T) and of m (over B*T*C) keep their bytes
     whatever the BLAS thread count.
+
+    The two directions' chains are independent. From _THREAD_MIN multiply-adds
+    per hop GEMM, and when the process may use more than one CPU, the second
+    direction's chain (forward m @ S plus the kept term; backward
+    m^T @ G, G_j @ S_j-1^T and h's share) runs on one worker thread while the
+    calling thread runs the first direction and every projection. The worker
+    only writes arrays the calling thread made, and every sum is taken in the
+    same order either way, so no output or gradient byte depends on where
+    the chain ran; each GEMM still runs on OPENBLAS_NUM_THREADS threads.
     """
     h, w, b = adiff.as_tensor(h), adiff.as_tensor(w), adiff.as_tensor(b)
     hops = adiff.as_tensor(hops) if depth else None
     N, C = h.shape[0], h.shape[-1]
     if w.shape[0] != (2 * depth + 1) * C:
         raise ValueError(f"mix-hop weight {w.shape} does not hold {2 * depth + 1} blocks of {C} rows")
-    blocks = [w.data[s * C:(s + 1) * C] for s in range(2 * depth + 1)]
+    blocks = w.data.reshape(2 * depth + 1, C, -1)  # blocks[s] = W_s
     flat = h.data.reshape(N, -1)  # [N, B*T*C]: the hops mix the node axis
-    kept = flat * beta
-    chains = []  # per direction, the states h, hop 1, .., hop depth as [N, B*T*C]
-    out = flat.reshape(-1, C) @ blocks[0]
-    for d, m in enumerate(hops.data if depth else ()):
-        states = [flat]
-        for j in range(depth):
-            s = m @ states[-1]
-            s += kept
-            states.append(s)
-            out += s.reshape(-1, C) @ blocks[1 + d * depth + j]
-        chains.append(states)
+    # per direction, hops 1..depth as [N, B*T*C]; one block fragments the heap less than 2*depth
+    hopped = np.empty((2 if depth else 0, depth) + flat.shape, flat.dtype)
+    if depth:
+        kept = flat * beta
+
+        def here():  # the first direction's hops, then the projections of h and of those hops
+            _hop_chain(hops.data[0], kept, flat, hopped[0])
+            return _projected(flat.reshape(-1, C) @ blocks[0], hopped[0], blocks, 1)
+
+        out = _both(here, lambda: _hop_chain(hops.data[1], kept, flat, hopped[1]), N * flat.size)
+        out = _projected(out, hopped[1], blocks, 1 + depth)
+    else:
+        out = flat.reshape(-1, C) @ blocks[0]
     out += b.data
     c_out = out.shape[-1]
     out = out.reshape(h.shape[:-1] + (c_out,))
@@ -299,48 +406,55 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
     if residual is not None:
         residual = adiff.as_tensor(residual)
         T, T_in = h.shape[2], residual.shape[2]
-        r, unslice = adiff._time_slices(residual.data, range(T_in - T, T_in - T + 1), T)
-        out += r
+        if T_in < T:
+            raise ValueError(f"a residual of {T_in} months cannot cover the {T} months of the hops")
+        out += residual.data[:, :, T_in - T:]
         parents += (residual,)
 
     def _bw(g):
         g2 = g.reshape(-1, c_out)
 
-        def proj(s):  # g @ W_s^T, the gradient state s takes through its projection term
-            return adiff._pieced_matmul(g2, blocks[s].T).reshape(N, -1)
+        def proj(s, into=None):  # g @ W_s^T, the gradient state s takes through its projection term
+            return adiff._pieced_matmul(g2, blocks[s].T, into).reshape(N, -1)
 
+        # h's and m's gradients outlive this node, so they are made first, below the scratch
         gh = proj(0) if h.requires_grad else None
-        gw = [adiff._pieced_matmul(flat.reshape(-1, C).T, g2)] if w.requires_grad else None
-        gm = []
-        for d, states in enumerate(chains):
+        chains = [[flat] + [hopped[d, j] for j in range(depth)] for d in range(len(hopped))]
+        walk = bool(chains) and (h.requires_grad or hops.requires_grad)
+        gm = np.empty_like(hops.data) if walk and hops.requires_grad else None
+        # per direction, one block: the hops' state gradients, then the out/scratch pair of m^T @ G
+        width = flat.shape[1]
+        work = np.empty((len(chains) if walk else 0, depth + 1 + (N > adiff._PIECE)) + flat.shape, flat.dtype)
+        terms = np.empty((len(chains), 2, N, N), flat.dtype) if gm is not None else None
+        gs = [[proj(1 + d * depth + j, work[d, j].reshape(-1, C)) for j in range(depth)] for d in range(len(work))]
+
+        def chain(d):  # direction d's chain backward, over arrays made on this thread
+            pair = (work[d, depth], work[d, depth + 1] if N > adiff._PIECE else None)
+            term_pair = None if gm is None else (terms[d, 0], terms[d, 1] if width > adiff._PIECE else None)
+            return lambda: _hop_chain_grad(hops.data[d].T, gs[d], chains[d], beta,
+                                           None if gm is None else gm[d], h.requires_grad, pair, term_pair)
+
+        def here():  # the first direction, then every weight block's gradient
+            if walk:
+                chain(0)()
             if w.requires_grad:
-                gw += [adiff._pieced_matmul(s.reshape(-1, C).T, g2) for s in states[1:]]
-            if not (h.requires_grad or hops.requires_grad):
-                continue
-            mt = hops.data[d].T
-            gmd = total = after = None
-            for j in reversed(range(depth)):
-                gj = proj(1 + d * depth + j)
-                if after is not None:
-                    gj += adiff._pieced_matmul(mt, after)
-                if hops.requires_grad:
-                    term = adiff._pieced_matmul(gj, states[j].T)
-                    gmd = term if gmd is None else gmd + term
-                total = gj if total is None else total + gj
-                after = gj
-            if h.requires_grad:
-                gh += beta * total + adiff._pieced_matmul(mt, after)
-            gm.append(gmd)
-        if hops is not None and hops.requires_grad:
-            adiff._accum(hops, np.stack(gm))
+                states = [flat] + [s for c in chains for s in c[1:]]
+                return np.concatenate([adiff._pieced_matmul(s.reshape(-1, C).T, g2) for s in states], axis=0)
+
+        gw = _both(here, chain(1), N * flat.size) if walk else here()
+        if gh is not None:
+            for d in range(len(gs)):
+                gh += gs[d][-1]
+        if gm is not None:
+            adiff._accum(hops, gm)
         if h.requires_grad:
             adiff._accum(h, gh.reshape(h.shape))
-        if w.requires_grad:
-            adiff._accum(w, np.concatenate(gw, axis=0))
+        if gw is not None:
+            adiff._accum(w, gw)
         if b.requires_grad:
             adiff._accum(b, adiff._bias_grad(g2))
         if residual is not None and residual.requires_grad:
-            adiff._accum(residual, unslice(g))
+            adiff._accum(residual, adiff._time_slices(residual.data, range(T_in - T, T_in - T + 1), T)[1](g))
 
     return adiff._from_op(out, parents, _bw)
 

@@ -1,9 +1,14 @@
 """Deterministic minibatch training: MAE objective, Adam, gradient clipping.
 
-MAE is the only objective. Adam runs with BETA1, BETA2 and EPS, and the
-global gradient norm is clipped to CLIP_NORM; TrainConfig holds only what a
-caller varies. Everything runs in float32 on one thread of numpy, so a
-(config, seed, data) triple reproduces the same parameters bit for bit.
+MAE is the only objective. Adam runs with BETA1, BETA2 and EPS, updating
+the parameters in place, and the global gradient norm is clipped to
+CLIP_NORM; TrainConfig holds only what a caller varies. Everything runs in
+float32, and a (config, seed, data) triple reproduces the same parameters
+bit for bit. Each mix-hop whose hop GEMMs reach stgnn._THREAD_MIN
+multiply-adds (every gate-config step does) runs its second edge direction
+on one worker thread, unless the process may use only one CPU; the worker
+changes no byte, and OPENBLAS_NUM_THREADS still sets the thread count of
+each GEMM.
 Inputs are scaled by one global standard deviation measured on the training
 inputs; that scale travels with the checkpoint.
 
@@ -114,23 +119,38 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, t: int, config: TrainConfig):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
+    """One bias-corrected Adam update, written in place; returns (params, state).
+
+    The arrays of params, state.m and state.v are updated in place, by the
+    operations of m = BETA1*m + (1-BETA1)*g, v = BETA2*v + (1-BETA2)*(g*g)
+    and p - lr*(m/bc1)/(sqrt(v/bc2) + EPS) in that order, through two
+    scratch arrays per tensor, so the bytes are the formula's. Nothing is
+    written unless every gradient is finite.
+    """
     if t < 1:
         raise ValueError("step count t starts at 1")
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise NumericalError(f"non-finite gradient for {name!r}")
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    new_p, new_m, new_v = {}, {}, {}
     for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for {name!r}")
-        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
-        update = config.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        new_p[name] = p - update
-        new_m[name] = m
-        new_v[name] = v
-    return new_p, AdamState(new_m, new_v)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        update = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
+        m += update
+        denom = np.multiply(g, g)
+        denom *= 1.0 - BETA2
+        v *= BETA2
+        v += denom
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        np.divide(m, bc1, out=update)
+        update *= config.lr
+        update /= denom
+        p -= update
+    return params, state
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
@@ -236,10 +256,7 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
             adiff.backward(loss)
             grads = clip_gradients({n: t.grad for n, t in params.items()}, CLIP_NORM)
             step += 1
-            flat, state = adam_step({n: t.data for n, t in params.items()},
-                                    grads, state, step, tconfig)
-            for name, t in params.items():
-                t.data = flat[name]
+            adam_step(flat, grads, state, step, tconfig)  # updates every t.data in place
             epoch_sum += value * idx.size
             epoch_count += idx.size
         history.train_loss.append(epoch_sum / epoch_count)

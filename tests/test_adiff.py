@@ -5,6 +5,7 @@ from ensograph.adiff import (
     Tensor,
     _bias_grad,
     _from_op,
+    _pieced_matmul,
     _product,
     _time_slices,
     abs_,
@@ -184,6 +185,16 @@ def test_matmul_gradient_over_a_long_contraction():
     backward(reduce_sum(mul(matmul(ta, tb), Tensor(c))))
     np.testing.assert_allclose(ta.grad, c.reshape(5, -1) @ b.reshape(7, -1).T, rtol=1e-12)
     np.testing.assert_allclose(tb.grad, np.einsum("ik,ijl->kjl", a, c), rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [100, 600])
+def test_pieced_matmul_into_given_arrays_has_the_same_bytes(k):
+    # 600 = 256 + 256 + 88: the later pieces land in scratch before each sum
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((7, k)).astype(np.float32), rng.standard_normal((k, 9)).astype(np.float32)
+    out, scratch = np.empty((7, 9), np.float32), np.empty((7, 9), np.float32)
+    assert _pieced_matmul(x, y, out, scratch) is out
+    assert out.tobytes() == _pieced_matmul(x, y).tobytes()
 
 
 # Hashes the matmul gradients, in float32, at the default model's training

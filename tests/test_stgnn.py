@@ -450,6 +450,8 @@ def test_mixhop_conv_adds_the_residual_last():
     out = mixhop_conv(h, hops, 0.05, 2, w, b, Tensor(residual)).data
     want = np.add(mixhop_conv(h, hops, 0.05, 2, w, b).data, residual[:, :, 1:])
     assert out.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="residual of 2 months"):
+        mixhop_conv(h, hops, 0.05, 2, w, b, Tensor(residual[:, :, :2]))
 
 
 def test_mixhop_conv_is_one_tape_node(monkeypatch):

@@ -87,6 +87,40 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(params, {"p": np.array([0.0])}, state, 0, TrainConfig())
 
 
+def _adam_formula(p, g, m, v, t, lr):
+    """The textbook update, out of place: (p, m, v) after step t."""
+    m = 0.9 * m + (1.0 - 0.9) * g
+    v = 0.999 * v + (1.0 - 0.999) * (g * g)
+    return p - lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8), m, v
+
+
+def test_adam_updates_in_place_with_the_bytes_of_the_formula():
+    rng = np.random.default_rng(2)
+    cfg = TrainConfig(lr=3e-3)
+    shapes = {"w": (130, 16), "b": (16,), "e": (5, 4, 3)}
+    params = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+    state = AdamState.zeros_like(params)
+    arrays = [dict(d) for d in (params, state.m, state.v)]
+    ref = {n: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for n, p in params.items()}
+    for t in (1, 2, 3):
+        grads = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+        assert adam_step(params, grads, state, t, cfg) == (params, state)
+        for name in shapes:
+            ref[name] = _adam_formula(*ref[name][:1], grads[name], *ref[name][1:], t, cfg.lr)
+            for got, want in zip((params[name], state.m[name], state.v[name]), ref[name]):
+                assert got.dtype == np.float32 and got.tobytes() == want.tobytes(), (t, name)
+    for before, after in zip(arrays, (params, state.m, state.v)):
+        assert all(before[n] is after[n] for n in shapes)
+
+
+def test_adam_writes_nothing_when_a_gradient_is_not_finite():
+    params = {"a": np.array([1.0]), "b": np.array([2.0])}
+    state = AdamState.zeros_like(params)
+    with pytest.raises(NumericalError, match="'b'"):
+        adam_step(params, {"a": np.array([1.0]), "b": np.array([np.inf])}, state, 1, TrainConfig())
+    assert params == {"a": [1.0], "b": [2.0]} and not state.m["a"].any() and not state.v["a"].any()
+
+
 def test_adam_descends_random_quadratics():
     rng = np.random.default_rng(1)
     cfg = TrainConfig(lr=0.05)
