@@ -27,11 +27,9 @@ SST_MIN = -5.0
 SST_MAX = 45.0
 
 
-def _month_axis(start: Month, n_time: int):
-    """Vectors of years and calendar months (1..12) along the time axis."""
-    y0, m0 = start
-    absolute = y0 * 12 + (m0 - 1) + np.arange(n_time)
-    return absolute // 12, absolute % 12 + 1
+def _january(cube, year: int) -> int:
+    """Row of January `year` in the cube; below 0 or past the end when the cube does not hold it."""
+    return 12 * (year - cube.start[0]) + 1 - cube.start[1]
 
 
 @dataclass
@@ -226,41 +224,54 @@ def climatology(cube: _BaseCube, base_years: tuple[int, int]) -> Climatology:
     y0, y1 = int(base_years[0]), int(base_years[1])
     if y0 > y1:
         raise ValueError(f"empty base period {y0}:{y1}")
-    years, mons = _month_axis(cube.start, cube.n_time)
-    in_base = (years >= y0) & (years <= y1)
-    vals = np.zeros((12, cube.grid.n_lat, cube.grid.n_lon), dtype=np.float64)
-    miss = np.zeros_like(vals, dtype=bool)
-    for m in range(1, 13):
-        sel = np.flatnonzero(in_base & (mons == m))
-        if not sel.size:
-            raise ValidationError(
-                f"base period {y0}:{y1} contains no data for calendar month {m}"
-            )
-        # this month's base rows are every 12th row from its first: a strided view,
-        # summed in float64 row by row, as a sum of the widened rows would be
-        rows = slice(sel[0], sel[-1] + 1, 12)
-        live = ~cube.missing[rows]
-        counts = live.sum(axis=0)
-        sums = np.sum(cube.values[rows], axis=0, dtype=np.float64, where=live)
-        empty = counts == 0
-        counts_safe = np.where(empty, 1, counts)
-        vals[m - 1] = sums / counts_safe
-        miss[m - 1] = empty
-    return Climatology(cube.grid, (y0, y1), vals, miss)
+    # base rows j, j + 12, ... hold calendar month (shift + j) % 12 + 1; each such position is summed
+    # in row order from 0.0, whole years [years, 12, lat, lon] in one call, then a ragged last year
+    first, stop = max(_january(cube, y0), 0), min(_january(cube, y1 + 1), cube.n_time)
+    shift = (cube.start[1] - 1 + first) % 12
+    absent = np.setdiff1d(np.arange(12), (shift + np.arange(max(stop - first, 0))) % 12)
+    if absent.size:
+        raise ValidationError(f"base period {y0}:{y1} contains no data for calendar month {absent[0] + 1}")
+    (whole, rest), (miss_whole, miss_rest) = (_years(a[first:stop]) for a in (cube.values, cube.missing))
+    sums = np.add.reduce(whole, axis=0, dtype=np.float64, initial=0.0)
+    sums[:len(rest)] += rest
+    missed = np.count_nonzero(miss_whole, axis=0)
+    missed[:len(rest)] += miss_rest
+    counts = len(whole) + (np.arange(12) < len(rest))[:, None, None] - missed
+    # a cell missing in some base years only is summed again over its live rows alone;
+    # one missing in all of them is a missing climatology cell and reads 0.0
+    partial = (missed > 0) & (counts > 0)
+    for j in np.flatnonzero(partial.any(axis=(1, 2))):
+        rows, cells = slice(first + j, stop, 12), partial[j]
+        sums[j][cells] = np.add.reduce(cube.values[rows][:, cells], axis=0, dtype=np.float64,
+                                       initial=0.0, where=~cube.missing[rows][:, cells])
+    vals = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return Climatology(cube.grid, (y0, y1), np.roll(vals, shift, axis=0), np.roll(counts == 0, shift, axis=0))
+
+
+def _years(a: np.ndarray):
+    """`a` as whole years [years, 12, ...] and the trailing months of a ragged last year."""
+    whole = 12 * (len(a) // 12)
+    return a[:whole].reshape((-1, 12) + a.shape[1:]), a[whole:]
+
+
+def _by_calendar_month(op, series, rows12, out, **kwargs):
+    """out[t] = op(series[t], rows12[t % 12]): one call over the whole years, one over the rest."""
+    (years, rest), (out_years, out_rest) = _years(series), _years(out)
+    op(years, rows12, out=out_years, **kwargs)
+    op(rest, rows12[:len(rest)], out=out_rest, **kwargs)
 
 
 def anomalies(cube: _BaseCube, clim: Climatology) -> AnomalyCube:
     """Subtract the climatology month-by-month from the cube."""
     if cube.grid != clim.grid:
         raise ValidationError("cube and climatology are on different grids")
-    _, mons = _month_axis(cube.start, cube.n_time)
-    idx = mons - 1
-    # float64 differences one calendar-month stride at a time, stored as float32
+    # the climatology rolled so that cube row t meets its row t % 12; float64 differences, stored as float32
+    shift = 1 - cube.start[1]
     out = np.empty(cube.values.shape, dtype=np.float32)
-    for k in range(min(12, cube.n_time)):
-        np.subtract(cube.values[k::12], clim.values[idx[k]], dtype=np.float64, out=out[k::12])
-    miss = cube.missing | clim.missing[idx] if clim.missing.any() else cube.missing.copy()
-    out[miss] = 0.0
+    _by_calendar_month(np.subtract, cube.values, np.roll(clim.values, shift, axis=0), out, dtype=np.float64)
+    miss = np.empty(cube.values.shape, dtype=bool)
+    _by_calendar_month(np.logical_or, cube.missing, np.roll(clim.missing, shift, axis=0), miss)
+    np.copyto(out, 0.0, where=miss)
     return AnomalyCube(cube.grid, cube.start, out, miss)
 
 
@@ -273,18 +284,10 @@ def split_by_years(cube, period: tuple[int, int]):
     y0, y1 = int(period[0]), int(period[1])
     if y0 > y1:
         raise ValueError(f"empty period {y0}:{y1}")
-    n_want = 12 * (y1 - y0 + 1)
-    years, _ = _month_axis(cube.start, cube.n_time)
-    sel = np.nonzero((years >= y0) & (years <= y1))[0]
-    if sel.size != n_want:
-        raise ValidationError(
-            f"cube {cube.period_label()} covers {sel.size} of the "
-            f"{n_want} months in {y0}:{y1}"
-        )
-    first, last = int(sel[0]), int(sel[-1])
-    return dataclasses.replace(
-        cube,
-        start=cube.month_of(first),
-        values=cube.values[first:last + 1].copy(),
-        missing=cube.missing[first:last + 1].copy(),
-    )
+    first, stop = _january(cube, y0), _january(cube, y1 + 1)
+    covered = max(min(stop, cube.n_time) - max(first, 0), 0)
+    if covered != stop - first:
+        raise ValidationError(f"cube {cube.period_label()} covers {covered} of the {stop - first} months "
+                              f"in {y0}:{y1}")
+    return dataclasses.replace(cube, start=(y0, 1), values=cube.values[first:stop].copy(),
+                               missing=cube.missing[first:stop].copy())

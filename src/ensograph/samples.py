@@ -34,11 +34,9 @@ class SampleSet:
         return int(self.inputs.shape[0])
 
 
-def make_samples(anoms: AnomalyCube, nodes: list[NodeId], window: int, horizon: int) -> SampleSet:
-    """Cut every possible (input window, target block) pair from the cube.
-
-    With no missing data the sample count is T - window - horizon + 1.
-    """
+def node_series(anoms: AnomalyCube, nodes: list[NodeId], window: int, horizon: int):
+    """The nodes' series [T, N] (float32, contiguous) and, for each of its T - window - horizon + 1
+    window starts, whether the window and its horizon touch missing data."""
     if window < 1 or horizon < 1:
         raise ValueError("window and horizon must be >= 1")
     if not nodes:
@@ -46,22 +44,22 @@ def make_samples(anoms: AnomalyCube, nodes: list[NodeId], window: int, horizon: 
     T = anoms.n_time
     span = window + horizon
     if T < span:
-        raise ValidationError(
-            f"cube has {T} months but window+horizon={span}; nothing to sample"
-        )
-    ii = np.array([i for i, _ in nodes])
-    jj = np.array([j for _, j in nodes])
-    series = np.ascontiguousarray(anoms.values[:, ii, jj])  # [T, N] float32
-    miss = anoms.missing[:, ii, jj]
+        raise ValidationError(f"cube has {T} months but window+horizon={span}; nothing to sample")
+    ii, jj = np.array(nodes).T
+    series = np.ascontiguousarray(anoms.values[:, ii, jj])
+    bad = np.lib.stride_tricks.sliding_window_view(anoms.missing[:, ii, jj].any(axis=1), span).any(axis=1)
+    return series, bad
 
-    blocks = np.lib.stride_tricks.sliding_window_view(series, span, axis=0)  # [S, N, span]
-    blocks = blocks.transpose(0, 2, 1)  # [S, span, N]
-    bad = np.lib.stride_tricks.sliding_window_view(miss, span, axis=0).any(axis=(1, 2))
-    keep = ~bad
 
-    kept = np.ascontiguousarray(blocks[keep])
-    months = month_range(anoms.start, blocks.shape[0])
-    start_months = [m for m, ok in zip(months, keep) if ok]
+def make_samples(anoms: AnomalyCube, nodes: list[NodeId], window: int, horizon: int) -> SampleSet:
+    """Cut every possible (input window, target block) pair from the cube.
+
+    With no missing data the sample count is T - window - horizon + 1.
+    """
+    series, bad = node_series(anoms, nodes, window, horizon)
+    blocks = np.lib.stride_tricks.sliding_window_view(series, window + horizon, axis=0)  # [S, N, span]
+    kept = np.ascontiguousarray(blocks.transpose(0, 2, 1)[~bad])  # [S, span, N]
+    start_months = [m for m, dropped in zip(month_range(anoms.start, len(bad)), bad) if not dropped]
     return SampleSet(
         node_ids=list(nodes),
         window=window,

@@ -8,6 +8,7 @@ the persistence baseline for that same target is the observed index at m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import ValidationError
 from .grid import ONI_BOX, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, running_mean
 from .months import Month, add_months, month_range
-from .samples import consecutive_runs, make_samples, run_inputs
+from .samples import node_series
 from .stgnn import ModelConfig, ModelParams, forward, hop_matrices, predicted_index
 
 
@@ -113,8 +114,6 @@ class SkillTable:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
-        from pathlib import Path
-
         Path(path).write_text(self.to_csv_text())
 
     def __str__(self) -> str:
@@ -152,12 +151,12 @@ def forecast_index(
     so the forward builds no tape and the caller's tensors are untouched.
     The learned graph's hop_matrices pair is built once per call and passed
     to every forward.
-    Each forward takes one run of chunk + w - 1 consecutive months
-    (samples.run_inputs, the builder training uses) and returns the
-    forecasts of the `chunk` windows it holds, so each month passes the
-    start projection once per run rather than once per window; at the
-    default 64 the widest activation, the head's 64-channel hidden layer, is
-    near 2.1 MB at 130 nodes. `predictor` overrides the model:
+    Windows may not touch missing data, so each forward takes chunk + w - 1
+    consecutive months cut straight from the node series, node-major
+    [1, 1, N, chunk + w - 1], and returns the forecasts of the `chunk` windows
+    they hold: each month passes the start projection once per run, not once
+    per window. At the default 64 the widest activation, the head's 64-channel
+    hidden layer, is near 2.1 MB at 130 nodes. `predictor` overrides the model:
     it maps windows [S, w, N] to node predictions [S, H, N] (used for oracle
     and baseline studies), `chunk` windows per call. Smoothing follows the
     observed index: centered k-month means labeled by target month, with
@@ -166,6 +165,8 @@ def forecast_index(
     """
     if predictor is None and params is None:
         raise ValueError("either params or a predictor is required")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     leads = sorted(set(int(n) for n in leads))
     if leads[0] < 1:
         raise ValueError("leads must be >= 1")
@@ -182,30 +183,30 @@ def forecast_index(
         raise ValidationError(
             f"region has {len(nodes)} nodes but the model expects {config.n_nodes}"
         )
-    samples = make_samples(anoms, nodes, config.window, config.horizon)
-    if samples.n_dropped:
+    w = config.window
+    series_nodes, bad = node_series(anoms, nodes, w, config.horizon)
+    if bad.any():
         raise ValidationError(
-            f"{samples.n_dropped} evaluation windows touch missing data; evaluation needs complete series"
+            f"{int(bad.sum())} evaluation windows touch missing data; evaluation needs complete series"
         )
-    S = len(samples)
+    S = len(bad)
     weights = node_weights(anoms.grid, nodes, weighting)
     series = area_mean(anoms, nodes, weighting)
     observed = running_mean(series, k, anoms.start)
 
-    w = config.window
     if predictor is None:
         detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
         hops = hop_matrices(detached, config)
-        scale = np.float32(input_scale)
+        scaled = series_nodes / np.float32(input_scale)
 
-        def run(r):
-            xb = (run_inputs(samples.inputs, [r.start], len(r)) / scale).astype(np.float32, copy=False)
-            return forward(detached, config, Tensor(xb), hops).data
+        def run(lo, hi):
+            x = np.ascontiguousarray(scaled[lo:hi + w - 1].T)[None, None]  # [1, 1, N, hi - lo + w - 1]
+            return forward(detached, config, Tensor(x), hops).data
     else:
-        def run(r):
-            return np.asarray(predictor(samples.inputs[r.start:r.stop]))
+        def run(lo, hi):  # windows [hi - lo, w, N]
+            return np.asarray(predictor(series_nodes[np.arange(lo, hi)[:, None] + np.arange(w)]))
 
-    preds = np.concatenate([run(r) for r in consecutive_runs(samples.start_months, chunk)], axis=0)
+    preds = np.concatenate([run(lo, min(lo + chunk, S)) for lo in range(0, S, chunk)], axis=0)
     if preds.shape != (S, config.horizon, len(nodes)):
         raise ValueError(f"predictor returned {preds.shape}, expected {(S, config.horizon, len(nodes))}")
 
@@ -256,6 +257,4 @@ def export_predictions(path, forecasts: dict[int, LeadForecast]):
         fc = forecasts[n]
         for ym, p, o in zip(fc.target_months, fc.predicted, fc.observed):
             lines.append(f"{n},{ym[0]},{ym[1]},{p:.6f},{o:.6f}")
-    from pathlib import Path
-
     Path(path).write_text("\n".join(lines) + "\n")

@@ -12,12 +12,17 @@ import platform
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ensograph import cli
+from ensograph.cube import anomalies, climatology
+from ensograph.grid import GridSpec
+from helpers import random_sst
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -72,6 +77,23 @@ def test_repeated_eval_passes_stay_under_the_fault_budget(tmp_path, threads):
                           capture_output=True, text=True, timeout=300, check=True)
     faults = json.loads(proc.stdout.strip().splitlines()[-1])
     assert statistics.median(faults[1:]) < FAULTS_PER_PASS_BOUND, f"minor faults per eval pass: {faults}"
+
+
+def test_cube_stages_make_no_whole_cube_float64_temporary():
+    # numpy reports its buffers to tracemalloc. A float64 copy of the cube, or of
+    # its base years, would cost 8 or 4 bytes a cell; anomalies keep 5 (float32
+    # values and the mask) and their finiteness check takes one more
+    grid = GridSpec(tuple(float(v) for v in range(-20, 21, 2)), tuple(float(v) for v in range(150, 281, 2)))
+    cube = random_sst(np.random.default_rng(3), grid, n_time=600, start=(1871, 1), missing_frac=0.01)
+    clim = climatology(cube, (1871, 1900))
+    for stage, bound in ((lambda: climatology(cube, (1871, 1900)), 2.0), (lambda: anomalies(cube, clim), 7.0)):
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cube.values.size < bound
 
 
 def _recording_libc(calls, has_mallopt=True):

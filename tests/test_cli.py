@@ -333,6 +333,19 @@ def test_eval_grid_mismatch_exits_2(workdir, tmp_path, capsys):
     assert "different grid" in capsys.readouterr().err
 
 
+def test_eval_test_period_shorter_than_window_and_horizon_exits_2(workdir, tmp_path, capsys):
+    grid = load_cube(workdir / "cube.json").grid
+    nodes = region_nodes(grid, ONI_BOX)
+    config = tiny_config(n_nodes=len(nodes), horizon=10)
+    ckpt = tmp_path / "long.ckpt"
+    save_checkpoint(ckpt, init_params(config), config, 1.0, 0,
+                    base_period=(1900, 1907), grid=grid, nodes=nodes)
+    code = main(["eval", "--data", str(workdir / "cube.json"), "--checkpoint", str(ckpt),
+                 "--test-period", "1908:1908", "--leads", "1"])
+    assert code == 2
+    assert "cube has 12 months but window+horizon=13; nothing to sample" in capsys.readouterr().err
+
+
 def _tampered_checkpoint(tmp_path, edit, grid=None):
     """An untrained checkpoint (on a 12-node grid unless `grid` is given) whose header `edit` changes."""
     grid = grid or small_grid()

@@ -287,9 +287,11 @@ def test_split_by_years_preserves_type_and_rejects_uncovered():
 
 
 # ------------------------------------------ byte identity with whole-cube formulas
-# load_cube reads the payload straight into its array, and climatology and
-# anomalies widen one calendar month at a time to float64. The whole-cube
-# formulas below are the reference they must match bit for bit.
+# load_cube reads the payload straight into its array; climatology sums whole
+# years in one float64 reduction and redoes the masked sum only on cells missing
+# in some base years; anomalies subtract the climatology rolled to the cube's
+# start month, whole years at once. The whole-cube formulas below are the
+# reference they must match bit for bit.
 
 def _whole_cube_load(meta_path):
     header = json.loads(meta_path.read_text())
@@ -327,14 +329,40 @@ def _whole_cube_anomalies(cube, clim):
     return out.astype(np.float32), miss
 
 
-def _cube_with_live_values_under_the_mask(rng, n_time, start):
+def _cube_with_live_values_under_the_mask(rng, n_time, start, missing_frac=0.2):
     """A cube with missing cells that still hold in-range values, so any
-    skipped masking step shows up in the sums."""
+    skipped masking step shows up in the sums, and with live negative zeros.
+
+    With missing_frac > 0 one cell is missing throughout (a missing
+    climatology cell) and the random mask leaves others missing in some
+    months only; cell (1, 1) is a live -0.0 throughout and cell (1, 2) is
+    -0.0 in every other month, live or masked.
+    """
     g = small_grid(n_lat=4, n_lon=5)
     values = (20.0 + 3.0 * rng.standard_normal((n_time, g.n_lat, g.n_lon))).astype(np.float32)
-    missing = rng.random(values.shape) < 0.2
-    missing[:, 0, 0] = True  # one cell missing throughout: a missing climatology cell
+    missing = rng.random(values.shape) < missing_frac
+    if missing_frac:
+        missing[:, 0, 0] = True
+    missing[:, 1, 1] = False
+    values[:, 1, 1] = -0.0
+    values[::2, 1, 2] = -0.0
     return SstCube(g, start, values, missing)
+
+
+def _assert_climatology_matches_whole_cube_formula(cube, base_years):
+    clim = climatology(cube, base_years)
+    want_vals, want_miss = _whole_cube_climatology(cube, base_years)
+    np.testing.assert_array_equal(clim.values.view(np.uint64), want_vals.view(np.uint64))
+    np.testing.assert_array_equal(clim.missing, want_miss)
+    return clim
+
+
+def _assert_anomalies_match_whole_cube_formula(cube, clim):
+    anoms = anomalies(cube, clim)
+    want_vals, want_miss = _whole_cube_anomalies(cube, clim)
+    assert anoms.values.dtype == np.float32
+    np.testing.assert_array_equal(anoms.values.view(np.uint32), want_vals.view(np.uint32))
+    np.testing.assert_array_equal(anoms.missing, want_miss)
 
 
 @pytest.mark.parametrize("n_time, start", [(7, (1953, 5)), (11, (1950, 1)), (12, (1952, 12)),
@@ -342,18 +370,17 @@ def _cube_with_live_values_under_the_mask(rng, n_time, start):
 def test_cube_stages_match_whole_cube_formulas_bitwise(tmp_path, n_time, start):
     rng = np.random.default_rng([n_time, start[1]])
     base = _cube_with_live_values_under_the_mask(rng, 96, (1949, 7))
-    clim = climatology(base, (1950, 1955))
-    want_vals, want_miss = _whole_cube_climatology(base, (1950, 1955))
-    np.testing.assert_array_equal(clim.values.view(np.uint64), want_vals.view(np.uint64))
-    np.testing.assert_array_equal(clim.missing, want_miss)
+    clim = _assert_climatology_matches_whole_cube_formula(base, (1950, 1955))
     assert clim.missing[:, 0, 0].all()
+    # cells missing in some base years only, where the masked sum is redone
+    base_missing = base.missing[6:78].reshape(6, 12, 4, 5).sum(axis=0)
+    assert ((base_missing > 0) & (base_missing < 6)).any()
+    # the all -0.0 cell sums from +0.0, as a masked sum does
+    assert not clim.missing[:, 1, 1].any()
+    assert (clim.values[:, 1, 1].view(np.uint64) == 0).all()
 
     cube = _cube_with_live_values_under_the_mask(rng, n_time, start)
-    anoms = anomalies(cube, clim)
-    want_vals, want_miss = _whole_cube_anomalies(cube, clim)
-    assert anoms.values.dtype == np.float32
-    np.testing.assert_array_equal(anoms.values.view(np.uint32), want_vals.view(np.uint32))
-    np.testing.assert_array_equal(anoms.missing, want_miss)
+    _assert_anomalies_match_whole_cube_formula(cube, clim)
 
     path = save_cube(cube, tmp_path / "c.json")
     loaded = load_cube(path)
@@ -361,3 +388,42 @@ def test_cube_stages_match_whole_cube_formulas_bitwise(tmp_path, n_time, start):
     np.testing.assert_array_equal(loaded.values.view(np.uint32), want_vals.view(np.uint32))
     np.testing.assert_array_equal(loaded.missing, want_miss)
     np.testing.assert_array_equal(loaded.missing, cube.missing)
+
+
+@pytest.mark.parametrize("base_years", [(1949, 1957), (1949, 1950), (1956, 1957), (1950, 1955), (1952, 1952)])
+def test_climatology_over_a_partly_covered_base_matches_whole_cube_formula_bitwise(base_years):
+    # the cube runs 1949-07..1957-06, so a base of 1949 or 1957 is a ragged year
+    # and the whole-year block starts in July
+    rng = np.random.default_rng(list(base_years))
+    cube = _cube_with_live_values_under_the_mask(rng, 96, (1949, 7))
+    clim = _assert_climatology_matches_whole_cube_formula(cube, base_years)
+    assert clim.missing[:, 0, 0].all()
+
+
+@pytest.mark.parametrize("base_years, month", [((1949, 1949), 1), ((1957, 1957), 7), ((1960, 1961), 1),
+                                               ((1940, 1941), 1)])
+def test_climatology_names_the_first_calendar_month_without_base_data(base_years, month):
+    cube = _cube_with_live_values_under_the_mask(np.random.default_rng(4), 96, (1949, 7))
+    with pytest.raises(ValidationError, match=f"contains no data for calendar month {month}$"):
+        climatology(cube, base_years)
+
+
+@pytest.mark.parametrize("clim_has_missing", [True, False])
+@pytest.mark.parametrize("start_month", range(1, 13))
+def test_anomalies_match_whole_cube_formula_from_every_start_month(start_month, clim_has_missing):
+    rng = np.random.default_rng([start_month, clim_has_missing])
+    base = _cube_with_live_values_under_the_mask(rng, 96, (1949, 7), missing_frac=0.2 if clim_has_missing else 0.0)
+    clim = climatology(base, (1950, 1955))
+    assert clim.missing.any() == clim_has_missing
+    for n_time in (5, 12, 12 * 3 + 7, 12 * 4):
+        cube = _cube_with_live_values_under_the_mask(rng, n_time, (1960, start_month))
+        _assert_anomalies_match_whole_cube_formula(cube, clim)
+
+
+def test_split_by_years_names_the_months_it_covers():
+    cube = random_sst(np.random.default_rng(12), n_time=30, start=(1950, 7))  # 1950-07..1952-12
+    assert split_by_years(cube, (1951, 1952)).start == (1951, 1)
+    for period, covered, wanted in [((1950, 1951), 18, 24), ((1952, 1953), 12, 24), ((1960, 1961), 0, 24),
+                                    ((1940, 1941), 0, 24), ((1949, 1953), 30, 60)]:
+        with pytest.raises(ValidationError, match=f"^cube 1950-07..1952-12 covers {covered} of the {wanted} months"):
+            split_by_years(cube, period)

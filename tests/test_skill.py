@@ -12,7 +12,7 @@ from ensograph.graph import propagation_matrices
 from ensograph.grid import ONI_BOX, region_nodes
 from ensograph.indices import IndexSeries, area_mean
 from ensograph.months import add_months
-from ensograph.samples import make_samples
+from ensograph.samples import consecutive_runs, make_samples, run_inputs
 from ensograph.skill import (
     LeadForecast,
     ZeroVarianceError,
@@ -23,7 +23,7 @@ from ensograph.skill import (
     rmse,
     table_from_forecasts,
 )
-from ensograph.stgnn import ModelConfig, forward, init_params
+from ensograph.stgnn import ModelConfig, ModelParams, forward, hop_matrices, init_params
 from helpers import oni_grid, random_anoms, small_grid, tiny_config
 
 rng = np.random.default_rng(77)
@@ -415,6 +415,108 @@ def test_forecast_index_refuses_missing_data():
     oracle = lambda batch: np.zeros((len(batch), 2, 12), dtype=np.float32)
     with pytest.raises(ValidationError):
         forecast_index(None, config, anoms, leads=(1,), k=1, predictor=oracle)
+
+
+# ------------------------------------------ runs cut straight from the node series
+# forecast_index slices each run from the [T, N] node series. The helpers below
+# are the path it took before: make_samples windows, joined into runs by
+# samples.run_inputs over samples.consecutive_runs.
+
+def _forecasts_via_samples(params, config, anoms, chunk, input_scale):
+    """Node forecasts [S, H, N] from one run_inputs run of make_samples windows per forward."""
+    samples = make_samples(anoms, region_nodes(anoms.grid, ONI_BOX), config.window, config.horizon)
+    detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
+    hops = hop_matrices(detached, config)
+    scale = np.float32(input_scale)
+    return np.concatenate([
+        forward(detached, config, Tensor(run_inputs(samples.inputs, [r.start], len(r)) / scale), hops).data
+        for r in consecutive_runs(samples.start_months, chunk)
+    ])
+
+
+def _windows_via_samples(config, anoms, chunk):
+    samples = make_samples(anoms, region_nodes(anoms.grid, ONI_BOX), config.window, config.horizon)
+    return [samples.inputs[r.start:r.stop] for r in consecutive_runs(samples.start_months, chunk)]
+
+
+# 150 months hold 144 windows of 3 + 4 months: chunk 144 is one run of every window
+@pytest.mark.parametrize("chunk", [1, 7, 64, 144])
+def test_forecast_index_runs_give_the_bytes_of_the_sample_path(monkeypatch, chunk):
+    anoms = random_anoms(np.random.default_rng(31), small_grid(), n_time=150)
+    config = tiny_config(n_nodes=12, horizon=4, seed=8)
+    params = init_params(config)
+    want = _forecasts_via_samples(params, config, anoms, chunk, 0.7)
+    inputs, outputs = [], []
+
+    def recording(params, config, x, hops=None):
+        out = forward(params, config, x, hops)
+        inputs.append(x.data)
+        outputs.append(out.data)
+        return out
+
+    monkeypatch.setattr(skill, "forward", recording)
+    got = forecast_index(params, config, anoms, leads=(1, 3), k=3, input_scale=0.7, chunk=chunk)
+    preds = np.concatenate(outputs)
+    np.testing.assert_array_equal(preds.view(np.uint32), want.view(np.uint32))
+    windows = _windows_via_samples(config, anoms, chunk)
+    assert len(inputs) == len(windows)
+    for x, batch in zip(inputs, windows):  # contiguous node-major [1, 1, N, n + w - 1]
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        assert x.shape == (1, 1, 12, len(batch) + config.window - 1)
+    # the same node forecasts through a predictor give the same index bytes
+    rows = iter(np.split(want, np.cumsum([len(b) for b in windows])[:-1]))
+    replayed = forecast_index(None, config, anoms, leads=(1, 3), k=3, chunk=chunk, predictor=lambda batch: next(rows))
+    for n in (1, 3):
+        np.testing.assert_array_equal(got[n].predicted.view(np.uint64), replayed[n].predicted.view(np.uint64))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 144])
+def test_forecast_index_hands_the_predictor_the_sample_windows(chunk):
+    anoms = random_anoms(np.random.default_rng(32), small_grid(), n_time=150)
+    config = tiny_config(n_nodes=12, horizon=4)
+    batches = []
+
+    def recording(batch):
+        batches.append(batch)
+        return np.zeros((len(batch), config.horizon, 12), dtype=np.float32)
+
+    forecast_index(None, config, anoms, leads=(1, 3), k=3, chunk=chunk, predictor=recording)
+    windows = _windows_via_samples(config, anoms, chunk)
+    assert len(batches) == len(windows)
+    for got, want in zip(batches, windows):
+        assert got.dtype == np.float32 and got.flags.c_contiguous and got.flags.writeable
+        assert got.shape == want.shape == (len(want), config.window, 12)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_forecast_index_errors_match_the_sample_path():
+    grid = small_grid()
+    nodes = region_nodes(grid, ONI_BOX)
+    config = tiny_config(n_nodes=12, horizon=4, seed=2)
+    oracle = lambda batch: np.zeros((len(batch), 4, 12), dtype=np.float32)
+
+    short = random_anoms(np.random.default_rng(33), grid, n_time=config.window + config.horizon - 1)
+    with pytest.raises(ValidationError) as want:
+        make_samples(short, nodes, config.window, config.horizon)
+    for params, predictor in ((init_params(config), None), (None, oracle)):
+        with pytest.raises(ValidationError) as got:
+            forecast_index(params, config, short, leads=(1,), k=1, predictor=predictor)
+        assert str(got.value) == str(want.value)
+
+    gappy = random_anoms(np.random.default_rng(34), grid, n_time=40)
+    gappy.missing[12, 0, 0] = gappy.missing[13, 2, 3] = gappy.missing[30, 1, 1] = True
+    n_dropped = make_samples(gappy, nodes, config.window, config.horizon).n_dropped
+    assert n_dropped == 15
+    for params, predictor in ((init_params(config), None), (None, oracle)):
+        with pytest.raises(ValidationError, match=f"^{n_dropped} evaluation windows touch missing data; "
+                                                   "evaluation needs complete series$"):
+            forecast_index(params, config, gappy, leads=(1,), k=1, predictor=predictor)
+
+    anoms = random_anoms(np.random.default_rng(35), grid, n_time=40)
+    for chunk in (0, -3):
+        for params, predictor in ((init_params(config), None), (None, oracle)):
+            with pytest.raises(ValueError, match="^chunk must be >= 1"):
+                forecast_index(params, config, anoms, leads=(1,), k=1, chunk=chunk, predictor=predictor)
 
 
 # ----------------------------------------------------------------- exports
