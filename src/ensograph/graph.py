@@ -7,8 +7,9 @@ most one direction of each node pair survives the relu; weights land in
 D^-1 (A + I) for propagation. learn_adjacency and topk_sparsify are tape
 nodes of their own (graph-export runs them); the model's graph is
 propagation_matrices, one node over the same code that also normalizes
-both edge directions and scales them for mix-hop propagation. Gradients
-flow back into the embeddings through retained entries only.
+both edge directions and scales them for mix-hop propagation; it reuses
+the last graph it built while the embeddings' bytes are unchanged.
+Gradients flow back into the embeddings through retained entries only.
 """
 
 from __future__ import annotations
@@ -129,6 +130,9 @@ def _normalized_backward(g: np.ndarray, out: np.ndarray, s: np.ndarray) -> np.nd
     return (g - (g * out).sum(axis=1, keepdims=True)) / s
 
 
+_memo = None  # (key, products) of the last graph propagation_matrices built
+
+
 def propagation_matrices(e1: Tensor, e2: Tensor, config: GraphLearnConfig, beta: float) -> Tensor:
     """The matrices mix-hop propagates by along both edge directions, [2, N, N], as one tape node.
 
@@ -140,25 +144,36 @@ def propagation_matrices(e1: Tensor, e2: Tensor, config: GraphLearnConfig, beta:
     normalization by construction. The backward runs each direction's
     normalization rule, sums the two (the second transposed), masks the
     sum to the kept entries and runs the adjacency rule once.
+
+    The last build's products stay, read-only, under the embeddings' dtypes,
+    shapes and bytes, config and beta: a match builds nothing, a miss drops
+    them first. Each call is its own tape node, on its own e1 and e2.
     """
+    global _memo
     e1, e2 = as_tensor(e1), as_tensor(e2)
-    adj, y, scale = _adjacency(e1.data, e2.data, config.alpha)
-    mask = _topk_mask(adj, config.topk)
-    kept = adj if mask is None else np.multiply(adj, mask)
-    keep = adj.dtype.type(1.0 - beta)
-    hops = np.empty((2,) + adj.shape, dtype=adj.dtype)
-    eye = np.eye(adj.shape[0], dtype=adj.dtype)
-    factors = []
-    for d, a in enumerate((kept, kept.T)):
-        out, s = _normalized(a, eye)
-        if not math.isfinite(s.sum()):
-            raise NumericalError("non-finite adjacency row sum entering mix-hop propagation")
-        np.multiply(out, keep, out=hops[d])
-        factors.append((out, s))
+    key = (e1.data.dtype, e2.data.dtype, e1.shape, e2.shape, e1.data.tobytes(), e2.data.tobytes(), config, beta)
+    if (memo := _memo) is None or memo[0] != key:
+        _memo = memo = None  # the old graph goes before the new one is built
+        adj, y, scale = _adjacency(e1.data, e2.data, config.alpha)
+        mask = _topk_mask(adj, config.topk)
+        kept = adj if mask is None else np.multiply(adj, mask)
+        keep = adj.dtype.type(1.0 - beta)
+        hops = np.empty((2,) + adj.shape, dtype=adj.dtype)
+        eye = np.eye(adj.shape[0], dtype=adj.dtype)
+        factors = []
+        for d, a in enumerate((kept, kept.T)):
+            out, s = _normalized(a, eye)
+            if not math.isfinite(s.sum()):
+                raise NumericalError("non-finite adjacency row sum entering mix-hop propagation")
+            np.multiply(out, keep, out=hops[d])
+            factors += [out, s]
+        for a in [hops, y] + factors + ([] if mask is None else [mask]):
+            a.flags.writeable = False
+        _memo = memo = key, (hops, factors, mask, y, scale, keep)
+    hops, (out_f, s_f, out_b, s_b), mask, y, scale, keep = memo[1]
 
     def _bw(g):
-        g_fwd, g_bwd = (_normalized_backward(g[d] * keep, out, s) for d, (out, s) in enumerate(factors))
-        ga = g_fwd + g_bwd.T
+        ga = _normalized_backward(g[0] * keep, out_f, s_f) + _normalized_backward(g[1] * keep, out_b, s_b).T
         _adjacency_backward(ga if mask is None else ga * mask, y, scale, e1, e2)
 
     return adiff._from_op(hops, (e1, e2), _bw)

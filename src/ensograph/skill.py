@@ -19,7 +19,7 @@ from .grid import ONI_BOX, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, running_mean
 from .months import Month, add_months, month_range
 from .samples import node_series
-from .stgnn import ModelConfig, ModelParams, forward, hop_matrices, predicted_index
+from .stgnn import ModelConfig, ModelParams, forward, predicted_index
 
 
 class ZeroVarianceError(ValueError):
@@ -149,8 +149,8 @@ def forecast_index(
 
     The model runs on detached copies of `params` that share their buffers,
     so the forward builds no tape and the caller's tensors are untouched.
-    The learned graph's hop_matrices pair is built once per call and passed
-    to every forward.
+    Every forward shares one learned graph, built at most once per call
+    (graph.propagation_matrices keeps the last one it built).
     Windows may not touch missing data, so each forward takes chunk + w - 1
     consecutive months cut straight from the node series, node-major
     [1, 1, N, chunk + w - 1], and returns the forecasts of the `chunk` windows
@@ -196,12 +196,11 @@ def forecast_index(
 
     if predictor is None:
         detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
-        hops = hop_matrices(detached, config)
         scaled = series_nodes / np.float32(input_scale)
 
         def run(lo, hi):
             x = np.ascontiguousarray(scaled[lo:hi + w - 1].T)[None, None]  # [1, 1, N, hi - lo + w - 1]
-            return forward(detached, config, Tensor(x), hops).data
+            return forward(detached, config, Tensor(x)).data
     else:
         def run(lo, hi):  # windows [hi - lo, w, N]
             return np.asarray(predictor(series_nodes[np.arange(lo, hi)[:, None] + np.arange(w)]))

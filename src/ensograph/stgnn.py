@@ -256,9 +256,13 @@ def temporal_block(x, w, b, dilation: int) -> Tensor:
 
 # Multiply-adds of one hop GEMM, [N, N] @ [N, B*T*C], from which mixhop_conv runs
 # the second edge direction's chain on the worker thread. A forward and backward
-# hand off twice, about 0.1 ms each; at one BLAS thread (2-vCPU Xeon) the worker
-# broke even near 4M multiply-adds (N = 130 at B*T = 16, N = 60 at 48 to 64) and
-# took 25-30% off the pair at N = 130, B*T = 32 and at N = 300, B*T = 4.
+# hand off twice, about 0.1 ms each. Timed alone at one BLAS thread (2-vCPU Xeon VM),
+# the worker broke even near 4M multiply-adds (N = 130 at B*T = 16, N = 60 at 48 to
+# 64) and took 25-30% off the pair at N = 130, B*T = 32 and at N = 300, B*T = 4. It
+# gains only while the VM's second core is free: two Python threads of one-thread
+# float32 GEMMs there gave 0.98-1.10x one thread's throughput in one session and
+# 1.5-2.0x in another, and in whole benchmark runs a copy running both directions
+# inline won 5 of 5 pairs (train-gate op_s 0.01595 -> 0.01528 s, eval-record 0.0885 -> 0.0872 s).
 _THREAD_MIN = 1 << 22
 _worker = None  # (pid, executor) of the process's one hop worker thread
 
@@ -532,13 +536,13 @@ def hop_matrices(params: ModelParams, config: ModelConfig) -> Tensor:
     graph.propagation_matrices, one tape node over the embeddings e1 and e2:
     the learned adjacency sparsified to its top-k entries per row, that
     matrix and its transpose each normalized and scaled by 1 - beta. The
-    stack depends on the two embeddings and the config alone, so one stack
-    serves every forward made with the same parameters.
+    stack depends on the two embeddings and the config alone, so one stack,
+    kept by propagation_matrices, serves every forward on the same ones.
     """
     return propagation_matrices(params["e1"], params["e2"], config.graph, config.beta)
 
 
-def forward(params: ModelParams, config: ModelConfig, x: Tensor, hops=None) -> Tensor:
+def forward(params: ModelParams, config: ModelConfig, x: Tensor) -> Tensor:
     """Full model: months [B, 1, N, T] -> per-lead node predictions [B*P, H, N].
 
     T may be any length >= the window w; row b*P + p, with P = T - w + 1,
@@ -546,10 +550,8 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor, hops=None) -> T
     b, so T = w gives [B, H, N]. The input is data and takes no gradient:
     its node-major [N, B, T, 1] view enters the start projection, every
     stage after it runs node-major, and the head returns [B*P, H, N]. Every
-    layer's mix-hop shares one hop_matrices stack: `hops` when given, which
-    must be hop_matrices(params, config), or else one built here. A caller
-    running several forwards on unchanging parameters builds the stack once
-    and passes it to each; the output bytes are the same either way.
+    layer's mix-hop shares one hop_matrices stack, which is built only when
+    the embeddings differ from the last ones the graph was built from.
 
     Tape nodes: the graph, the start projection, per layer the temporal
     block and the mix-hop (which adds the residual), and the head.
@@ -561,8 +563,7 @@ def forward(params: ModelParams, config: ModelConfig, x: Tensor, hops=None) -> T
         raise ValueError("the model input takes no gradient")
     if not np.isfinite(x.data).all():
         raise NumericalError("non-finite model input")
-    if hops is None:
-        hops = hop_matrices(params, config)
+    hops = hop_matrices(params, config)
 
     h = adiff.matmul(Tensor(x.data.transpose(2, 0, 3, 1)), params["start_w"], params["start_b"])
     outputs = []

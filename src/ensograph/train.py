@@ -4,11 +4,7 @@ MAE is the only objective. Adam runs with BETA1, BETA2 and EPS, updating
 the parameters in place, and the global gradient norm is clipped to
 CLIP_NORM; TrainConfig holds only what a caller varies. Everything runs in
 float32, and a (config, seed, data) triple reproduces the same parameters
-bit for bit. Each mix-hop whose hop GEMMs reach stgnn._THREAD_MIN
-multiply-adds (every gate-config step does) runs its second edge direction
-on one worker thread, unless the process may use only one CPU; the worker
-changes no byte, and OPENBLAS_NUM_THREADS still sets the thread count of
-each GEMM.
+bit for bit, whether or not mix-hop's worker thread (stgnn._THREAD_MIN) runs.
 Inputs are scaled by one global standard deviation measured on the training
 inputs; that scale travels with the checkpoint.
 
@@ -38,7 +34,7 @@ from . import adiff
 from .adiff import Tensor
 from .errors import NumericalError, _check_types
 from .samples import SampleSet, consecutive_runs, run_inputs
-from .stgnn import ModelConfig, ModelParams, forward, hop_matrices, init_params
+from .stgnn import ModelConfig, ModelParams, forward, init_params
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 5.0
@@ -174,13 +170,12 @@ def run_windows(batch_size: int) -> int:
 
 def _eval_loss(params, config, inputs, targets, start_months) -> float:
     # detached copies share the buffers, so the validation forward builds no tape;
-    # one forward per run of up to 256 windows, all on one learned graph
+    # one forward per run of up to 256 windows; the first builds the learned graph, the rest reuse it
     detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
-    hops = hop_matrices(detached, config)
     total = 0.0
     for r in consecutive_runs(start_months, 256):
         xb = Tensor(run_inputs(inputs, [r.start], len(r)))
-        total += mae_loss(forward(detached, config, xb, hops), Tensor(targets[r.start:r.stop])).item() * len(r)
+        total += mae_loss(forward(detached, config, xb), Tensor(targets[r.start:r.stop])).item() * len(r)
     return total / inputs.shape[0]
 
 

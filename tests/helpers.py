@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ensograph import graph
 from ensograph.cube import AnomalyCube, SstCube
 from ensograph.graph import GraphLearnConfig
 from ensograph.grid import GridSpec
@@ -26,6 +27,15 @@ def oni_grid():
         tuple(float(v) for v in range(-4, 5, 2)),
         tuple(float(v) for v in range(190, 241, 2)),
     )
+
+
+def count_graph_builds(monkeypatch):
+    """A list that grows by one with each graph that propagation_matrices builds, starting with none kept."""
+    builds = []
+    adjacency = graph._adjacency
+    monkeypatch.setattr(graph, "_memo", None)
+    monkeypatch.setattr(graph, "_adjacency", lambda *args: builds.append(1) or adjacency(*args))
+    return builds
 
 
 def random_sst(rng, grid=None, n_time=48, start=(1950, 1), missing_frac=0.0):

@@ -1,9 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from ensograph import adiff
+from ensograph import adiff, graph
 from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum
 from ensograph.errors import NumericalError, ValidationError
 from ensograph.graph import (
@@ -16,7 +17,7 @@ from ensograph.graph import (
     propagation_matrices,
     topk_sparsify,
 )
-from helpers import random_anoms, small_grid
+from helpers import count_graph_builds, random_anoms, small_grid
 
 
 def normalize(a):
@@ -240,12 +241,75 @@ def test_propagation_matrices_pass_grad_check():
             assert r.passed, f"n {n} topk {topk}, {r.name}: rel err {r.max_rel_err:.2e}"
 
 
-def test_propagation_matrices_reject_a_nan_embedding():
+def test_propagation_matrices_reject_a_nan_embedding(monkeypatch):
+    # a build that raises keeps nothing, so the same embeddings raise again
+    builds = count_graph_builds(monkeypatch)
     config = GraphLearnConfig(embed_dim=2, alpha=3.0, topk=2)
     e1, e2 = Tensor(np.ones((3, 2))), Tensor(np.eye(3, 2))
     e1.data[1, 0] = np.nan
-    with pytest.raises(NumericalError, match="mix-hop"):
-        propagation_matrices(e1, e2, config, 0.05)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="mix-hop"):
+            propagation_matrices(e1, e2, config, 0.05)
+    assert len(builds) == 2 and graph._memo is None
+
+
+def test_calls_on_unchanged_embeddings_share_the_graph_but_not_a_tape_node(monkeypatch):
+    builds = count_graph_builds(monkeypatch)
+    rng = np.random.default_rng(16)
+    config = GraphLearnConfig(embed_dim=3, alpha=3.0, topk=3)
+    e1, e2 = _embeddings(rng, 6, 3)
+    probe = rng.standard_normal((2, 6, 6))
+    hops = [propagation_matrices(e1, e2, config, 0.05) for _ in range(2)]
+    assert len(builds) == 1 and hops[0].data is hops[1].data
+    losses = [reduce_sum(mul(h, probe)) for h in hops]
+    grads = []
+    for loss in losses:  # each loss's backward on its own
+        e1.zero_grad(), e2.zero_grad()
+        backward(loss)
+        grads.append(b"".join(t.grad.tobytes() for t in (e1, e2)))
+    assert grads[0] == grads[1] and np.frombuffer(grads[0]).any()
+
+
+def test_an_embedding_changed_in_place_rebuilds_the_graph(monkeypatch):
+    # grad_check perturbs an entry of the same buffer, so the key is the bytes,
+    # not the array; -0.0 equals 0.0 as a value but not in bytes
+    builds = count_graph_builds(monkeypatch)
+    config = GraphLearnConfig(embed_dim=3, alpha=3.0, topk=3)
+    e1, e2 = _embeddings(np.random.default_rng(17), 6, 3)
+    first = propagation_matrices(e1, e2, config, 0.05).data
+    keep = e1.data[2, 1]
+    e1.data[2, 1] = keep + 1e-3
+    assert propagation_matrices(e1, e2, config, 0.05).data.tobytes() != first.tobytes()
+    e1.data[2, 1] = keep
+    assert propagation_matrices(e1, e2, config, 0.05).data.tobytes() == first.tobytes()
+    assert len(builds) == 3
+    e1.data[2, 1] = 0.0
+    propagation_matrices(e1, e2, config, 0.05)
+    e1.data[2, 1] = -0.0
+    propagation_matrices(e1, e2, config, 0.05)
+    propagation_matrices(e1, e2, config, 0.05)
+    assert len(builds) == 5
+    # the config, beta and dtype are part of the key too
+    propagation_matrices(e1, e2, GraphLearnConfig(embed_dim=3, alpha=3.0, topk=2), 0.05)
+    propagation_matrices(e1, e2, config, 0.3)
+    propagation_matrices(Tensor(e1.data.astype(np.float32)), Tensor(e2.data.astype(np.float32)), config, 0.3)
+    assert len(builds) == 8
+
+
+def test_the_kept_graph_is_read_only_and_a_miss_releases_it_before_building(monkeypatch):
+    config = GraphLearnConfig(embed_dim=3, alpha=3.0, topk=3)
+    e1, e2 = _embeddings(np.random.default_rng(18), 6, 3)
+    hops = propagation_matrices(e1, e2, config, 0.05)
+    with pytest.raises(ValueError, match="read-only"):
+        hops.data[0, 0, 1] = 1.0
+    kept = weakref.ref(hops.data)
+    del hops
+    alive_at_build = []
+    adjacency = graph._adjacency
+    monkeypatch.setattr(graph, "_adjacency", lambda *args: alive_at_build.append(kept() is not None) or adjacency(*args))
+    e2.data[0, 0] += 1.0
+    propagation_matrices(e1, e2, config, 0.05)
+    assert alive_at_build == [False]
 
 
 def test_correlation_graph_matches_corrcoef():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ensograph import skill, stgnn, train
+from ensograph import graph, skill, train
 from ensograph.adiff import Tensor
 from ensograph.errors import ValidationError
-from ensograph.graph import propagation_matrices
 from ensograph.grid import ONI_BOX, region_nodes
 from ensograph.indices import IndexSeries, area_mean
 from ensograph.months import add_months
@@ -23,8 +22,8 @@ from ensograph.skill import (
     rmse,
     table_from_forecasts,
 )
-from ensograph.stgnn import ModelConfig, ModelParams, forward, hop_matrices, init_params
-from helpers import oni_grid, random_anoms, small_grid, tiny_config
+from ensograph.stgnn import ModelConfig, ModelParams, forward, init_params
+from helpers import count_graph_builds, oni_grid, random_anoms, small_grid, tiny_config
 
 rng = np.random.default_rng(77)
 
@@ -226,8 +225,8 @@ def test_forecast_chunking_is_consistent():
 def _record_forward(monkeypatch, module):
     outputs = []
 
-    def recording(params, config, x, hops=None):
-        out = forward(params, config, x, hops)
+    def recording(params, config, x):
+        out = forward(params, config, x)
         outputs.append(out)
         return out
 
@@ -280,9 +279,9 @@ def test_forecast_index_passes_each_month_once_per_segment(monkeypatch):
     params = init_params(config)
     rows = []
 
-    def counting(params, config, x, hops=None):
+    def counting(params, config, x):
         rows.append(x.shape[0] * x.shape[3])  # the start projection's rows per node
-        return forward(params, config, x, hops)
+        return forward(params, config, x)
 
     monkeypatch.setattr(skill, "forward", counting)
     S, w, chunk = 60 - config.window - config.horizon + 1, config.window, 10
@@ -317,19 +316,8 @@ def test_validation_loss_builds_no_tape(monkeypatch):
     assert loss == pytest.approx(np.mean(singles), rel=1e-6)
 
 
-def _count_graph_builds(monkeypatch):
-    # every hop_matrices call, from forward, skill or train, builds one graph node
-    builds = []
-
-    def counting(*args):
-        builds.append(1)
-        return propagation_matrices(*args)
-
-    monkeypatch.setattr(stgnn, "propagation_matrices", counting)
-    return builds
-
-
-def _forward_building_its_own_graph(params, config, x, hops=None):
+def _forward_building_its_own_graph(params, config, x):
+    graph._memo = None  # drops the kept graph, so this forward builds one
     return forward(params, config, x)
 
 
@@ -338,12 +326,12 @@ def test_forecast_index_builds_the_graph_once_with_per_run_bytes(monkeypatch):
     anoms = random_anoms(np.random.default_rng(23), grid, n_time=38)
     config = tiny_config(n_nodes=12, horizon=4, seed=6)
     params = init_params(config)
-    builds = _count_graph_builds(monkeypatch)
+    builds = count_graph_builds(monkeypatch)
     hoisted = forecast_index(params, config, anoms, leads=(1, 3), k=3, chunk=8)
     assert len(builds) == 1  # 32 windows in 4 forwards, one graph
     monkeypatch.setattr(skill, "forward", _forward_building_its_own_graph)
     per_run = forecast_index(params, config, anoms, leads=(1, 3), k=3, chunk=8)
-    assert len(builds) == 1 + 1 + 4
+    assert len(builds) == 1 + 4
     for n in (1, 3):
         np.testing.assert_array_equal(hoisted[n].predicted.view(np.uint64), per_run[n].predicted.view(np.uint64))
 
@@ -355,12 +343,12 @@ def test_validation_loss_builds_the_graph_once_with_per_run_bytes(monkeypatch):
     anoms.missing[9] = True  # two runs of windows, on either side of the gap
     samples = make_samples(anoms, [(0, j) for j in range(5)], config.window, config.horizon)
     args = (params, config, samples.inputs, samples.node_targets, samples.start_months)
-    builds = _count_graph_builds(monkeypatch)
+    builds = count_graph_builds(monkeypatch)
     hoisted = train._eval_loss(*args)
     assert len(builds) == 1
     monkeypatch.setattr(train, "forward", _forward_building_its_own_graph)
     per_run = train._eval_loss(*args)
-    assert len(builds) == 1 + 1 + 2
+    assert len(builds) == 1 + 2
     assert np.float64(hoisted).tobytes() == np.float64(per_run).tobytes()
 
 
@@ -426,10 +414,9 @@ def _forecasts_via_samples(params, config, anoms, chunk, input_scale):
     """Node forecasts [S, H, N] from one run_inputs run of make_samples windows per forward."""
     samples = make_samples(anoms, region_nodes(anoms.grid, ONI_BOX), config.window, config.horizon)
     detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
-    hops = hop_matrices(detached, config)
     scale = np.float32(input_scale)
     return np.concatenate([
-        forward(detached, config, Tensor(run_inputs(samples.inputs, [r.start], len(r)) / scale), hops).data
+        forward(detached, config, Tensor(run_inputs(samples.inputs, [r.start], len(r)) / scale)).data
         for r in consecutive_runs(samples.start_months, chunk)
     ])
 
@@ -448,8 +435,8 @@ def test_forecast_index_runs_give_the_bytes_of_the_sample_path(monkeypatch, chun
     want = _forecasts_via_samples(params, config, anoms, chunk, 0.7)
     inputs, outputs = [], []
 
-    def recording(params, config, x, hops=None):
-        out = forward(params, config, x, hops)
+    def recording(params, config, x):
+        out = forward(params, config, x)
         inputs.append(x.data)
         outputs.append(out.data)
         return out

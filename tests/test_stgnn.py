@@ -24,7 +24,7 @@ from ensograph.stgnn import (
     temporal_block,
 )
 from ensograph.train import mae_loss
-from helpers import output_at_one_and_two_blas_threads, poisoned_checkpoint, tiny_config
+from helpers import count_graph_builds, output_at_one_and_two_blas_threads, poisoned_checkpoint, tiny_config
 
 
 def _zero_params(config):
@@ -679,17 +679,39 @@ def test_gate_config_eval_sequence_forward_makes_7_tape_nodes(monkeypatch):
     assert len(made) == 7
 
 
-def test_gate_config_eval_sequence_forward_given_hops_makes_6_tape_nodes(monkeypatch):
-    # the same forward given its hop_matrices stack skips the graph's node
+def test_gate_config_eval_sequence_forward_on_unchanged_params_builds_no_graph(monkeypatch):
+    # a second forward on the same parameters reuses the graph the first built:
+    # it still makes its own graph node, over the kept stack, with the same bytes
     cfg = ModelConfig(n_nodes=130, horizon=4)
     params = ModelParams({name: Tensor(t.data) for name, t in init_params(cfg, seed=0).items()})
     x = Tensor(np.random.default_rng(13).standard_normal((1, 1, cfg.n_nodes, cfg.window + 63)).astype(np.float32))
-    hops = hop_matrices(params, cfg)
-    assert hops.shape == (2, cfg.n_nodes, cfg.n_nodes)
+    builds = count_graph_builds(monkeypatch)
+    first = forward(params, cfg, x)
     made = _count_tape_nodes(monkeypatch)
-    out = forward(params, cfg, x, hops)
-    assert len(made) == 6
-    np.testing.assert_array_equal(out.data.view(np.uint32), forward(params, cfg, x).data.view(np.uint32))
+    out = forward(params, cfg, x)
+    assert (len(builds), len(made)) == (1, 7)
+    np.testing.assert_array_equal(out.data.view(np.uint32), first.data.view(np.uint32))
+
+
+def test_grad_check_of_the_gate_model_builds_the_graph_once_per_distinct_embeddings(monkeypatch):
+    # release-gate check 1's float64 model after one warm-up loss, as gradcheck-tiny
+    # runs it: the check's first evaluation reuses the warm-up's graph, each of the
+    # 2 * 30 perturbations of e1's and e2's entries builds one, and the restored
+    # embeddings build one more when start_w's perturbations begin
+    config = tiny_config(n_nodes=5, horizon=2, seed=0)
+    params = init_params(config, dtype=np.float64)
+    rng = np.random.default_rng(0)
+    x, probe = rng.standard_normal((2, 1, 5, config.window)), rng.standard_normal((2, config.horizon, 5))
+    builds, evaluations = count_graph_builds(monkeypatch), []
+
+    def loss():
+        evaluations.append(1)
+        return reduce_sum(mul(forward(params, config, Tensor(x)), probe))
+
+    loss()
+    del builds[:], evaluations[:]
+    assert all(r.passed for r in grad_check(loss, dict(params.items()), h=1e-5, tol=1e-4))
+    assert (len(builds), len(evaluations)) == (61, 929)
 
 
 # Hashes every parameter gradient of one gate-config forward and backward at
