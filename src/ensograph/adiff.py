@@ -143,12 +143,14 @@ _PIECE = 256
 
 
 def _pieced_matmul(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """x [m, k] @ y [k, n] summed one GEMM per _PIECE of the contraction, in order,
-    so its bytes do not depend on the BLAS thread count. Given out, and scratch
-    when k runs past one piece (both [m, n]), it writes them and allocates no array."""
-    out = np.matmul(x[:, :_PIECE], y[:_PIECE], out=out)
-    for lo in range(_PIECE, x.shape[1], _PIECE):
-        out += np.matmul(x[:, lo:lo + _PIECE], y[lo:lo + _PIECE], out=scratch)
+    """x [.., m, k] @ y [k, n] summed one GEMM per _PIECE of the contraction, in order,
+    so its bytes do not depend on the BLAS thread count. A stack of x's gives the
+    stack of products, each with the pieces and bytes of its own 2-D call. Given out,
+    and scratch when k runs past one piece (both [.., m, n]), it writes them and
+    allocates no array."""
+    out = np.matmul(x[..., :_PIECE], y[:_PIECE], out=out)
+    for lo in range(_PIECE, x.shape[-1], _PIECE):
+        out += np.matmul(x[..., lo:lo + _PIECE], y[lo:lo + _PIECE], out=scratch)
     return out
 
 
@@ -233,8 +235,14 @@ def _time_slices(x: np.ndarray, starts: range, length: int):
 
     [.., T, C] -> [.., length, len(starts)*C], column i*C + c holding channel
     c of slice i. Where the slices form one block of x (one slice, or single
-    months in a row) the result is a view of x. The returned rule maps a
-    gradient of the slices back to x's shape, zero outside the slices.
+    months in a row) the result is a view of x. The returned rule takes the
+    slices' gradients, [.., length, C] each, in slice order (any iterable, so
+    a caller can make each one only when it is needed), and returns x's
+    gradient, zero outside the slices, with the bytes of zeros plus each
+    slice's gradient added in turn. It writes the first slice's gradient
+    plus 0.0, so -0.0 reads 0.0 as after an add to zeros, and zeroes only
+    what that slice does not cover. Where the slices tile x, each gradient
+    is copied as it is, and one slice's is returned as its view.
     """
     *lead, T, C = x.shape
     if not (starts and starts.step > 0 and starts[0] >= 0 and 1 <= length <= T - starts[-1]):
@@ -246,12 +254,24 @@ def _time_slices(x: np.ndarray, starts: range, length: int):
         data = np.concatenate([x[..., s:s + length, :] for s in starts], axis=-1)
     whole = block and data.size == x.size
 
-    def unslice(g):
-        if whole:
-            return g.reshape(x.shape)
-        full = np.zeros_like(x)
-        for i, s in enumerate(starts):
-            full[..., s:s + length, :] += g[..., i * C:(i + 1) * C]
+    def unslice(grads):
+        if isinstance(grads, np.ndarray):
+            raise TypeError("the time-slice rule takes one gradient per slice, not the joined gradient")
+        grads = iter(grads)
+        if whole and len(starts) == 1:
+            return next(grads).reshape(x.shape)
+        full = np.empty_like(x)
+        if not whole:
+            full[..., :starts[0], :] = 0.0
+            full[..., starts[0] + length:, :] = 0.0
+        for i, (s, g) in enumerate(zip(starts, grads)):
+            part = full[..., s:s + length, :]
+            if whole:
+                np.copyto(part, g)
+            elif i == 0:
+                np.add(g, 0.0, out=part)
+            else:
+                part += g
         return full
 
     return data, unslice

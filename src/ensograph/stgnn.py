@@ -220,7 +220,11 @@ def temporal_block(x, w, b, dilation: int) -> Tensor:
     saturates instead of overflowing; each half has the bytes of its
     columns of one product. Valid-only, so T_out = T - dilation*(K - 1);
     the output is [N, B, T_out, C_out]. w's gradient is matmul's per-node
-    rule (adiff._weight_grad) and the slices' one adiff._pieced_matmul.
+    rule (adiff._weight_grad). Slice k's gradient is its own contiguous
+    adiff._pieced_matmul with w's rows k*C to (k+1)*C, and _time_slices'
+    rule adds the slices into x's gradient in order. At the widths checked,
+    C = 4, 16 (the default) and 32, each product has the bytes of its
+    columns of one product with all of w.
     """
     x, w, b = adiff.as_tensor(x), adiff.as_tensor(w), adiff.as_tensor(b)
     N, _, T, C = x.shape
@@ -245,7 +249,8 @@ def temporal_block(x, w, b, dilation: int) -> Tensor:
         g2 = g.reshape(f.shape)
         gy = np.concatenate([g2 * s * (1.0 - f * f), g2 * f * s * (1.0 - s)], axis=1)
         if x.requires_grad:
-            adiff._accum(x, unslice(adiff._pieced_matmul(gy, w.data.T).reshape(cols.shape)))
+            adiff._accum(x, unslice(adiff._pieced_matmul(gy, wk.T).reshape(cols.shape[:-1] + (C,))
+                                    for wk in w.data.reshape(K, C, -1)))
         if w.requires_grad:
             adiff._accum(w, adiff._weight_grad(x2, gy, N))
         if b.requires_grad:
@@ -370,7 +375,9 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
     chain in reverse: hop j's state gradient G_j is its projection term
     g @ W_j^T plus m^T @ G_j+1; h takes g @ W_0^T and, per direction,
     beta * sum_j G_j + m^T @ G_1; m takes sum_j G_j @ S_j-1^T and W_s takes
-    S_s^T @ g. Every gradient GEMM is adiff._pieced_matmul, so the long
+    S_s^T @ g, the 2*depth hop states' as one stack of products over their
+    [2*depth, N*B*T, C] block, each with the pieces and bytes of its own
+    product. Every gradient GEMM is adiff._pieced_matmul, so the long
     contractions of w (over N*B*T) and of m (over B*T*C) keep their bytes
     whatever the BLAS thread count.
 
@@ -441,9 +448,12 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
         def here():  # the first direction, then every weight block's gradient
             if walk:
                 chain(0)()
-            if w.requires_grad:
-                states = [flat] + [s for c in chains for s in c[1:]]
-                return np.concatenate([adiff._pieced_matmul(s.reshape(-1, C).T, g2) for s in states], axis=0)
+            if w.requires_grad:  # W_0's gradient, then every hop state's in one stack of products
+                gw = np.empty((2 * depth + 1, C, c_out), flat.dtype)
+                adiff._pieced_matmul(flat.reshape(-1, C).T, g2, gw[0])
+                if depth:
+                    adiff._pieced_matmul(np.swapaxes(hopped.reshape(2 * depth, -1, C), 1, 2), g2, gw[1:])
+                return gw.reshape(-1, c_out)
 
         gw = _both(here, chain(1), N * flat.size) if walk else here()
         if gh is not None:
@@ -458,7 +468,7 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
         if b.requires_grad:
             adiff._accum(b, adiff._bias_grad(g2))
         if residual is not None and residual.requires_grad:
-            adiff._accum(residual, adiff._time_slices(residual.data, range(T_in - T, T_in - T + 1), T)[1](g))
+            adiff._accum(residual, adiff._time_slices(residual.data, range(T_in - T, T_in - T + 1), T)[1]([g]))
 
     return adiff._from_op(out, parents, _bw)
 
@@ -474,7 +484,10 @@ def head(outputs, skips, end1, end2, windows: int) -> Tensor:
     end2 = (w [C_e, H], b). The [N, B, P, H] result is returned as its
     [B*P, H, N] view, row b*P + p for window p of batch row b. Every
     weight's gradient is matmul's per-node rule and every other gradient
-    GEMM adiff._pieced_matmul; relu's subgradient at 0 is taken as 0.
+    GEMM adiff._pieced_matmul; position j's share of a layer output's
+    gradient is its own product with the skip weight's rows j*C to
+    (j+1)*C, added in order as in temporal_block. relu's subgradient at 0
+    is taken as 0.
     """
     outputs = [adiff.as_tensor(h) for h in outputs]
     skips = [(adiff.as_tensor(w), adiff.as_tensor(b)) for w, b in skips]
@@ -519,7 +532,9 @@ def head(outputs, skips, end1, end2, windows: int) -> Tensor:
             if b.requires_grad:
                 adiff._accum(b, adiff._bias_grad(gs))
             if h.requires_grad:
-                adiff._accum(h, unslice(adiff._pieced_matmul(gs, w.data.T).reshape(N, B, P, -1)))
+                C = h.shape[-1]
+                adiff._accum(h, unslice(adiff._pieced_matmul(gs, wj.T).reshape(N, B, P, C)
+                                        for wj in w.data.reshape(-1, C, w.shape[1])))
 
     parents = tuple(outputs) + tuple(t for pair in skips for t in pair) + (w1, b1, w2, b2)
     return adiff._from_op(np.transpose(out.reshape(N, B * P, H), (1, 2, 0)), parents, _bw)

@@ -2,11 +2,17 @@
 
 MAE is the only objective. Adam runs with BETA1, BETA2 and EPS, updating
 the parameters in place, and the global gradient norm is clipped to
-CLIP_NORM; TrainConfig holds only what a caller varies. Everything runs in
-float32, and a (config, seed, data) triple reproduces the same parameters
-bit for bit, whether or not mix-hop's worker thread (stgnn._THREAD_MIN) runs.
-Inputs are scaled by one global standard deviation measured on the training
-inputs; that scale travels with the checkpoint.
+CLIP_NORM; TrainConfig holds only what a caller varies. train keeps every
+parameter as a view of one contiguous float32 buffer. Each step copies the
+clipped gradients into a second buffer, checks it once and runs one
+adam_step over the whole buffers, with the bytes of the per-tensor update.
+A NaN or an infinity in a gradient stops training with the tensor's name,
+the epoch and the step. The parameters a run returns stay views of its
+buffer. Everything runs in float32, and a (config, seed, data) triple
+reproduces the same parameters bit for bit, whether or not mix-hop's
+worker thread (stgnn._THREAD_MIN) runs. Inputs are scaled by one global
+standard deviation measured on the training inputs; that scale travels
+with the checkpoint.
 
 Training, validation and evaluation share one forward path: the model reads
 runs of consecutive months (samples.run_inputs) and returns the forecast of
@@ -150,17 +156,58 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients together so their global L2 norm is <= max_norm."""
+    """Scale all gradients together so their global L2 norm is <= max_norm.
+
+    A NaN or an infinity makes the norm non-finite; the gradients are then
+    returned unscaled, so no other tensor is scaled by it and the caller
+    can name the tensor that holds it.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g.astype(np.float64) ** 2))
+        total += float(np.square(g, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
-    if norm <= max_norm:
+    if norm <= max_norm or not math.isfinite(norm):
         return dict(grads)
     scale = np.float32(max_norm / norm)
     return {k: g * scale for k, g in grads.items()}
+
+
+class _FlatParams:
+    """A model's parameters as views of one contiguous float32 buffer, and one buffer for their gradients.
+
+    Making it copies each tensor into the buffer, in the model's order, and
+    points its data at its view there, so one adam_step over the buffers
+    updates every tensor; every Adam operation is elementwise, so the bytes
+    are those of the update on the separate tensors.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.names = params.names()
+        tensors = [t for _, t in params.items()]
+        self.data = np.empty(sum(t.data.size for t in tensors), np.float32)
+        self.grad = np.empty_like(self.data)
+        self.bounds = []
+        lo = 0
+        for t in tensors:
+            self.bounds.append((lo, lo + t.data.size))
+            view = self.data[lo:lo + t.data.size].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            lo += view.size
+
+    def gradient(self, grads: dict[str, np.ndarray], epoch: int, step: int) -> np.ndarray:
+        """The gradient buffer, filled from grads (one per tensor, in the model's order).
+
+        Raises NumericalError naming the first tensor whose gradient holds a
+        NaN or an infinity, with the epoch and step.
+        """
+        np.concatenate([g.reshape(-1) for g in grads.values()], out=self.grad)
+        if not np.isfinite(self.grad).all():
+            bad = next(i for i, (lo, hi) in enumerate(self.bounds) if not np.isfinite(self.grad[lo:hi]).all())
+            raise NumericalError(f"non-finite gradient for {self.names[bad]!r} at epoch {epoch} step {step}")
+        return self.grad
 
 
 def run_windows(batch_size: int) -> int:
@@ -223,8 +270,8 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
                          f"but the longest run of training windows has {longest}")
 
     params = init_params(config, seed=config.seed)
-    flat = {name: t.data for name, t in params.items()}
-    state = AdamState.zeros_like(flat)
+    flat = _FlatParams(params)
+    state = AdamState.zeros_like({"params": flat.data})
     rng = np.random.default_rng(tconfig.seed)
     history = TrainHistory()
     started = time.perf_counter()
@@ -249,9 +296,12 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
             if not np.isfinite(value):
                 raise NumericalError(f"non-finite loss at epoch {epoch} step {step}")
             adiff.backward(loss)
-            grads = clip_gradients({n: t.grad for n, t in params.items()}, CLIP_NORM)
+            # a non-finite gradient leaves clipping unscaled, so the check names its tensor
+            clipped = clip_gradients({n: t.grad for n, t in params.items()}, CLIP_NORM)
+            grads = flat.gradient(clipped, epoch, step)
             step += 1
-            adam_step(flat, grads, state, step, tconfig)  # updates every t.data in place
+            # one update over the whole buffer writes every t.data in place
+            adam_step({"params": flat.data}, {"params": grads}, state, step, tconfig)
             epoch_sum += value * idx.size
             epoch_count += idx.size
         history.train_loss.append(epoch_sum / epoch_count)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ensograph import graph
+from ensograph import adiff, graph
 from ensograph.cube import AnomalyCube, SstCube
 from ensograph.graph import GraphLearnConfig
 from ensograph.grid import GridSpec
@@ -36,6 +36,51 @@ def count_graph_builds(monkeypatch):
     monkeypatch.setattr(graph, "_memo", None)
     monkeypatch.setattr(graph, "_adjacency", lambda *args: builds.append(1) or adjacency(*args))
     return builds
+
+
+# The gradient rules that per-slice products, batched hop-state products and flat
+# Adam buffers replaced, kept as byte references for the rules that replaced them.
+
+def zeros_plus_adds(x, starts, length, joined):
+    """x's gradient from the joined gradient of its time slices [.., length, len(starts)*C]: the
+    joined gradient itself where one block of slices is all of x, else zeros plus one strided
+    add per slice, in slice order."""
+    C = x.shape[-1]
+    block = len(starts) == 1 or (length == 1 and starts.step == 1)
+    if block and length * len(starts) == x.shape[-2]:
+        return joined.reshape(x.shape)
+    full = np.zeros_like(x)
+    for i, s in enumerate(starts):
+        full[..., s:s + length, :] += joined[..., i * C:(i + 1) * C]
+    return full
+
+
+def per_state_weight_grads(states, g2):
+    """The mix-hop weight gradient: each state's S^T @ g as its own sum of one GEMM per
+    adiff._PIECE rows, in order, joined on the rows."""
+    C, piece = states[0].size // g2.shape[0], adiff._PIECE
+    grads = []
+    for s in states:
+        x = s.reshape(-1, C).T
+        total = x[:, :piece] @ g2[:piece]
+        for lo in range(piece, x.shape[1], piece):
+            total += x[:, lo:lo + piece] @ g2[lo:lo + piece]
+        grads.append(total)
+    return np.concatenate(grads, axis=0)
+
+
+def per_tensor_step(params, grads, state, t, config, max_norm):
+    """Clipping to a global norm of max_norm as the sum of each tensor's float64 squares, then
+    adam_step, on separate per-tensor arrays."""
+    from ensograph.train import adam_step
+
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if norm > max_norm:
+        grads = {k: g * np.float32(max_norm / norm) for k, g in grads.items()}
+    return adam_step(params, grads, state, t, config)
 
 
 def random_sst(rng, grid=None, n_time=48, start=(1950, 1), missing_frac=0.0):

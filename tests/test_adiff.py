@@ -21,7 +21,7 @@ from ensograph.adiff import (
     tanh,
 )
 from ensograph.stgnn import head, temporal_block
-from helpers import output_at_one_and_two_blas_threads
+from helpers import output_at_one_and_two_blas_threads, zeros_plus_adds
 
 
 def _t(rng, *shape, away_from_zero=False):
@@ -312,10 +312,11 @@ def test_taps_gradient_zero_pads_outside_the_slices():
     # the time-slice rule of the temporal block, the residual and the skip
     x = np.arange(8.0).reshape(4, 2)
     _, unslice = _time_slices(x, range(1, 2), 2)
-    np.testing.assert_array_equal(unslice(np.ones((2, 2))), [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-    # overlapping slices add up where they meet
+    np.testing.assert_array_equal(unslice([np.ones((2, 2))]), [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    # overlapping slices add up where they meet; the rule takes one gradient per slice
     _, unslice = _time_slices(x, range(0, 2), 3)
-    np.testing.assert_array_equal(unslice(np.ones((3, 4))), [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(unslice(np.split(np.ones((3, 4)), 2, axis=-1)),
+                                  [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
     for starts, length in ((range(0), 1), (range(3, 4), 2), (range(0, 4, 2), 3),
                            (range(2, 0, -1), 1), (range(1), 0)):
         with pytest.raises(ValueError, match="time axis"):
@@ -338,7 +339,63 @@ def test_taps_matches_concatenated_slices(starts, length, view):
     assert np.shares_memory(out, x) == view
     # the gradient rule is the transpose of the slicing: <slices(x), g> == <x, unslice(g)>
     g = np.random.default_rng(11).standard_normal(out.shape)
-    np.testing.assert_allclose(np.vdot(out, g), np.vdot(x, unslice(g)), rtol=1e-12)
+    np.testing.assert_allclose(np.vdot(out, g), np.vdot(x, unslice(np.split(g, len(starts), axis=-1))), rtol=1e-12)
+
+
+@pytest.mark.parametrize("T, starts, length", [
+    (5, range(0, 5, 2), 1),  # dilation 2: single months with gaps between them
+    (5, range(0, 4, 2), 3),  # dilation 2, overlapping where the slices meet
+    (6, range(0, 4), 3),     # four overlapping slices, so the order of the adds shows
+    (6, range(2, 3), 3),     # one slice, zeros on both sides
+    (6, range(0, 1), 6),     # one slice that is all of x: the whole-block view
+    (6, range(0, 6), 1),     # single months in a row: the whole-block view
+    (6, range(0, 6, 3), 3),  # adjacent slices that tile x without being a view of it
+])
+def test_time_slice_rule_has_the_bytes_of_zeros_plus_adds(T, starts, length):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 2, T, 4)).astype(np.float32)
+    grads = [(rng.standard_normal((3, 2, length, 4)) * 10.0 ** rng.integers(-3, 4, (3, 2, length, 4)))
+             .astype(np.float32) for _ in starts]
+    # -0.0 where only the first slice lands, and in every slice at channel 2
+    grads[0][0] = -0.0
+    for g in grads:
+        g[..., 2] = -0.0
+    _, unslice = _time_slices(x, starts, length)
+    got = unslice(iter(grads))
+    want = zeros_plus_adds(x, starts, length, np.concatenate(grads, axis=-1))
+    assert got.shape == x.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(TypeError, match="one gradient per slice"):
+        unslice(np.concatenate(grads, axis=-1))
+
+
+@pytest.mark.parametrize("rows, k, C, n", [
+    (130 * 4 * 9, 32, 16, 2),  # the gate config's temporal block, layer 1
+    (130 * 4 * 8, 32, 16, 2),  # the gate config's head, layer 0 skip
+    (30, 8, 4, 2),             # a tiny test model's temporal block
+    (77, 300, 16, 3),          # a contraction past one piece
+])
+def test_each_slice_product_has_the_bytes_of_its_columns_of_the_joined_product(rows, k, C, n):
+    # the temporal block and the head take slice j's gradient as gy @ w[j*C:(j+1)*C].T.
+    # This holds at these widths; with OpenBLAS 0.3.31 it fails at C = 1, where numpy
+    # takes a matrix-vector product, and at C = 2, 3, 5 or 8 for some row counts up to 520.
+    rng = np.random.default_rng(13)
+    gy = rng.standard_normal((rows, k)).astype(np.float32)
+    w = rng.standard_normal((n * C, k)).astype(np.float32)
+    joined = _pieced_matmul(gy, w.T)
+    for j, wj in enumerate(w.reshape(n, C, k)):
+        assert _pieced_matmul(gy, wj.T).tobytes() == np.ascontiguousarray(joined[:, j * C:(j + 1) * C]).tobytes()
+
+
+@pytest.mark.parametrize("k", [30, 256, 280, 600])
+def test_stacked_pieced_matmul_has_the_bytes_of_each_2d_call(k):
+    # 280 = 256 + 24 and 600 = 256 + 256 + 88; mix-hop stacks its hop states' weight gradients
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((4, k, 6)).astype(np.float32).swapaxes(1, 2)  # [4, 6, k], each a transposed view
+    y = rng.standard_normal((k, 5)).astype(np.float32)
+    out = np.empty((4, 6, 5), np.float32)
+    assert _pieced_matmul(x, y, out) is out
+    for s in range(4):
+        assert out[s].tobytes() == _pieced_matmul(x[s], y).tobytes(), s
 
 
 def test_relu_subgradient_at_zero_is_zero():

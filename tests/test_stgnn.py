@@ -24,7 +24,14 @@ from ensograph.stgnn import (
     temporal_block,
 )
 from ensograph.train import mae_loss
-from helpers import count_graph_builds, output_at_one_and_two_blas_threads, poisoned_checkpoint, tiny_config
+from helpers import (
+    count_graph_builds,
+    output_at_one_and_two_blas_threads,
+    per_state_weight_grads,
+    poisoned_checkpoint,
+    tiny_config,
+    zeros_plus_adds,
+)
 
 
 def _zero_params(config):
@@ -452,6 +459,34 @@ def test_mixhop_conv_adds_the_residual_last():
     assert out.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="residual of 2 months"):
         mixhop_conv(h, hops, 0.05, 2, w, b, Tensor(residual[:, :, :2]))
+
+
+@pytest.mark.parametrize("N, B, T, depth", [
+    (5, 2, 3, 2),    # N*B*T = 30, one piece
+    (7, 2, 20, 2),   # 280 = 256 + 24
+    (13, 4, 10, 1),  # 520 = 256 + 256 + 8
+    (7, 2, 20, 0),   # no hops
+])
+def test_mixhop_weight_and_residual_gradients_have_the_bytes_of_the_per_state_rules(N, B, T, depth):
+    # w's gradient against each state's own pieced product; the residual's trailing
+    # months against zeros plus an add, with -0.0 planted in the output gradient
+    rng = np.random.default_rng(42)
+    h, hops, w, b = _mixhop_operands(rng, depth, np.float32, N=N, B=B, T=T, C=3, C_out=4)
+    residual = Tensor(rng.standard_normal((N, B, T + 2, 4)).astype(np.float32), requires_grad=True)
+    residual.grad = None  # so it keeps its gradient by reference, as the layer input in a model does
+    probe = rng.standard_normal((N, B, T, 4)).astype(np.float32)
+    probe[:, 0] = -0.0
+    backward(reduce_sum(mul(mixhop_conv(h, hops, 0.05, depth, w, b, residual), Tensor(probe))))
+    flat = h.data.reshape(N, -1)
+    states = [flat]
+    for m in hops.data[:2 if depth else 0]:
+        prev = flat
+        for _ in range(depth):
+            prev = m @ prev
+            prev += flat * 0.05
+            states.append(prev)
+    assert w.grad.tobytes() == per_state_weight_grads(states, probe.reshape(-1, 4)).tobytes()
+    assert residual.grad.tobytes() == zeros_plus_adds(residual.data, range(2, 3), T, probe).tobytes()
 
 
 def test_mixhop_conv_is_one_tape_node(monkeypatch):

@@ -1,4 +1,5 @@
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ensograph import train as train_module
 from ensograph.adiff import Tensor
 from ensograph.errors import NumericalError
 from ensograph.samples import SampleSet, make_samples, run_inputs
-from ensograph.stgnn import forward, init_params
+from ensograph.stgnn import forward, init_params, load_checkpoint, save_checkpoint
 from ensograph.train import (
     AdamState,
     TrainConfig,
@@ -20,7 +21,7 @@ from ensograph.train import (
     train,
     write_manifest,
 )
-from helpers import python_output, random_anoms, small_grid, tiny_config
+from helpers import per_tensor_step, python_output, random_anoms, small_grid, tiny_config
 
 
 def _sample_set(rng, n_samples, config, target_fn=None):
@@ -151,9 +152,43 @@ def test_clip_rescales_to_the_global_norm():
     assert abs(ratio - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_clip_leaves_non_finite_gradients_unscaled(value):
+    g = {"a": np.full(4, 3.0, np.float32), "b": np.array([1.0, value, 2.0], np.float32)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = clip_gradients(g, 5.0)
+    assert out.keys() == g.keys() and all(out[k] is g[k] for k in g)
+
+
 def test_clip_rejects_bad_norm():
     with pytest.raises(ValueError):
         clip_gradients({"a": np.ones(2)}, 0.0)
+
+
+def test_clipping_and_flat_adam_have_the_bytes_of_the_per_tensor_step():
+    # train's clipping and flat buffers against clipping and adam_step on separate tensors,
+    # over steps that clip and steps that do not, with -0.0 planted in the gradients
+    cfg, tcfg = tiny_config(), TrainConfig(lr=3e-3)
+    params = init_params(cfg, seed=3)
+    ref = {n: t.data.copy() for n, t in params.items()}
+    ref_state = AdamState.zeros_like(ref)
+    flat = train_module._FlatParams(params)
+    state = AdamState.zeros_like({"params": flat.data})
+    rng = np.random.default_rng(4)
+    for t, size in enumerate((10.0, 0.01, 3.0, 0.001), start=1):
+        grads = {n: (rng.standard_normal(p.shape) * size).astype(np.float32) for n, p in ref.items()}
+        grads["l0_tcn_w"][0] = -0.0
+        grads["end2_b"][:] = -0.0
+        for n, tensor in params.items():
+            tensor.grad = grads[n].copy()
+        clipped = clip_gradients({n: tensor.grad for n, tensor in params.items()}, train_module.CLIP_NORM)
+        adam_step({"params": flat.data}, {"params": flat.gradient(clipped, 0, t)}, state, t, tcfg)
+        per_tensor_step(ref, grads, ref_state, t, tcfg, train_module.CLIP_NORM)
+        for (name, tensor), (lo, hi) in zip(params.items(), flat.bounds):
+            assert tensor.data.tobytes() == ref[name].tobytes(), (t, name)
+            assert state.m["params"][lo:hi].tobytes() == ref_state.m[name].tobytes(), (t, name)
+            assert state.v["params"][lo:hi].tobytes() == ref_state.v[name].tobytes(), (t, name)
 
 
 # ------------------------------------------------------------------- losses
@@ -251,6 +286,73 @@ def test_non_finite_loss_aborts_with_location():
     samples.node_targets[5] = np.inf
     with pytest.raises(NumericalError, match="epoch 0 step 0"):
         train(cfg, TrainConfig(epochs=1, batch_size=16, val_fraction=0.0), samples)
+
+
+def _poison_gradient(monkeypatch, name, at_backward, value):
+    """Set element 1 of parameter `name`'s gradient to value right after backward call number at_backward."""
+    made, calls = [], []
+    monkeypatch.setattr(train_module, "init_params", lambda *a, **k: made.append(init_params(*a, **k)) or made[-1])
+    real = adiff.backward
+
+    def poisoning(loss):
+        real(loss)
+        calls.append(1)
+        if len(calls) == at_backward:
+            made[-1][name].grad.reshape(-1)[1] = value
+
+    monkeypatch.setattr(adiff, "backward", poisoning)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_gradient_is_reported_under_its_own_tensor(monkeypatch, value):
+    # 24 windows in batches of 8 make 3 steps an epoch, so the 5th backward is epoch 1 step 4;
+    # clipping leaves a non-finite gradient unscaled, so no tensor is scaled by it and nothing warns
+    cfg = tiny_config(n_nodes=4)
+    samples = _sample_set(np.random.default_rng(5), 24, cfg)
+    _poison_gradient(monkeypatch, "l1_mix_b", at_backward=5, value=value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"non-finite gradient for 'l1_mix_b' at epoch 1 step 4"):
+            train(cfg, TrainConfig(epochs=2, batch_size=8, val_fraction=0.0), samples)
+
+
+def test_each_optimizer_step_calls_adam_step_once_through_the_module(monkeypatch):
+    # the train-gate benchmark stamps its operations by wrapping train.adam_step
+    cfg = tiny_config(n_nodes=4)
+    samples = _sample_set(np.random.default_rng(5), 27, cfg)
+    events = []
+    real_backward, real_adam = adiff.backward, train_module.adam_step
+    monkeypatch.setattr(adiff, "backward", lambda loss: events.append("backward") or real_backward(loss))
+    monkeypatch.setattr(train_module, "adam_step", lambda *a: events.append("adam") or real_adam(*a))
+    result = train(cfg, TrainConfig(epochs=3, batch_size=8, val_fraction=0.1), samples)
+    # the 25 training windows hold 3 blocks of 8, one block a step; the validation loss calls neither
+    assert len(result.history.val_loss) == 3
+    assert events == ["backward", "adam"] * 9
+
+
+def test_trained_parameters_are_views_of_one_buffer_per_run(tmp_path):
+    cfg = tiny_config(n_nodes=4)
+    samples = _sample_set(np.random.default_rng(5), 24, cfg)
+    runs = [train(cfg, TrainConfig(epochs=1, batch_size=8), samples) for _ in range(2)]
+    buffers = []
+    for result in runs:
+        tensors = [t.data for _, t in result.params.items()]
+        base = tensors[0].base
+        assert base is not None and base.ndim == 1 and base.dtype == np.float32
+        assert base.size == sum(a.size for a in tensors)
+        assert all(a.base is base and a.flags.c_contiguous for a in tensors)
+        # laid out in the model's order, each tensor right after the last
+        offsets = [(a.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // 4 for a in tensors]
+        assert offsets == list(np.cumsum([0] + [a.size for a in tensors[:-1]]))
+        buffers.append(base)
+    assert not np.shares_memory(*buffers)
+    result = runs[0]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, result.params, cfg, result.input_scale, 0, (1950, 1951), small_grid(n_lat=1),
+                    [(0, j) for j in range(4)])
+    loaded = load_checkpoint(path)
+    for name, t in result.params.items():
+        assert loaded.params[name].data.tobytes() == t.data.tobytes(), name
 
 
 def test_train_rejects_mismatched_samples():
