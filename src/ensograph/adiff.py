@@ -155,9 +155,12 @@ def _pieced_matmul(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.n
 
 
 def _product(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """a2 [m, k] @ b2 [k, n]. A length-1 contraction is the outer product a2 * b2:
-    each output is the one product a GEMM would give, without a GEMM's set-up."""
-    return a2 * b2 if a2.shape[1] == 1 else a2 @ b2
+    """a2 [m, k] @ b2 [k, n], the forward product of every learned op. A length-1
+    contraction is the outer product a2 * b2: each output is the one product a GEMM
+    would give, without a GEMM's set-up. One longer than _PIECE is summed in pieces
+    (_pieced_matmul), so no forward's bytes depend on the BLAS thread count."""
+    k = a2.shape[1]
+    return a2 * b2 if k == 1 else a2 @ b2 if k <= _PIECE else _pieced_matmul(a2, b2)
 
 
 def _weight_grad(a2: np.ndarray, g2: np.ndarray, lead: int) -> np.ndarray:
@@ -180,12 +183,12 @@ def matmul(a, b, bias=None):
     so one rule serves a channel projection (x [N, B, T, C] @ w [C, C_out])
     and a plain 2-D product. The forward is one 2-D product on reshape
     views, [m, k] @ [k, n] (_product). A long contraction rounds differently
-    with the BLAS thread count, so neither gradient runs one: a's sums one
-    GEMM per _PIECE columns of b's trailing axes, in order, and b's sums one
-    GEMM per slice of a's first axis (_weight_grad; when a is 2-D the single
-    slice is taken as it is). bias, when given, has b's trailing shape and
-    is added in place on the product; its gradient is g summed over a's
-    leading axes.
+    with the BLAS thread count, so _product sums it in pieces and neither
+    gradient runs one: a's sums one GEMM per _PIECE columns of b's trailing
+    axes, in order, and b's sums one GEMM per slice of a's first axis
+    (_weight_grad; when a is 2-D the single slice is taken as it is). bias,
+    when given, has b's trailing shape and is added in place on the product;
+    its gradient is g summed over a's leading axes.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:

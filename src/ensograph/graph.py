@@ -47,7 +47,7 @@ def _adjacency(e1: np.ndarray, e2: np.ndarray, alpha: float):
     """The learned adjacency of learn_adjacency, with its tanh output y and float alpha."""
     if e1.shape != e2.shape or e1.ndim != 2:
         raise ValueError(f"embeddings must share shape [N, d], got {e1.shape} and {e2.shape}")
-    m = e1 @ e2.T
+    m = adiff._product(e1, e2.T)
     scale = m.dtype.type(alpha)
     y = np.tanh(np.multiply(np.subtract(m, m.T), scale))
     out = np.maximum(y, 0)

@@ -260,15 +260,19 @@ def temporal_block(x, w, b, dilation: int) -> Tensor:
 
 
 # Multiply-adds of one hop GEMM, [N, N] @ [N, B*T*C], from which mixhop_conv runs
-# the second edge direction's chain on the worker thread. A forward and backward
-# hand off twice, about 0.1 ms each. Timed alone at one BLAS thread (2-vCPU Xeon VM),
-# the worker broke even near 4M multiply-adds (N = 130 at B*T = 16, N = 60 at 48 to
-# 64) and took 25-30% off the pair at N = 130, B*T = 32 and at N = 300, B*T = 4. It
-# gains only while the VM's second core is free: two Python threads of one-thread
-# float32 GEMMs there gave 0.98-1.10x one thread's throughput in one session and
-# 1.5-2.0x in another, and in whole benchmark runs a copy running both directions
-# inline won 5 of 5 pairs (train-gate op_s 0.01595 -> 0.01528 s, eval-record 0.0885 -> 0.0872 s).
-_THREAD_MIN = 1 << 22
+# the second edge direction's chain on the worker thread: 2^26, about 67M. Every hop
+# of the 130-node gate config stays on the calling thread: a training step's
+# 130^2 * 576 (9.7M), the 66-month eval forward's 17.6M and the 95-window validation
+# forward's 26.0M. A 1-degree box (561 nodes) trains on the worker (181M). Timed as a
+# whole-model forward and MAE backward of 4 runs of 10 months at one BLAS thread on a
+# 2-vCPU Xeon VM, with the worker forced on and off in 8 alternating rounds of 10 calls,
+# the worker won 2 to 4 of 8 rounds up to N = 350 (70.6M), with medians within 8%, and
+# 7 or 8 of 8 from N = 400 (92M: 79 against 106 ms) to N = 561 (123 against 143 ms). A
+# hand-off costs about 0.1 ms, and the worker gains only while the VM's second core is
+# free. In 20 alternating benchmark pairs, train-gate op_s was 0.1-4.7% lower with every
+# gate-config hop on the calling thread than with each on the worker (20/20); eval-record
+# came out even over 15, the worker 9% ahead in the one batch that found the second vCPU free.
+_THREAD_MIN = 1 << 26
 _worker = None  # (pid, executor) of the process's one hop worker thread
 
 
@@ -313,18 +317,28 @@ def _both(here, there, madds: int):
 
 
 def _projected(out, states, blocks, first: int):
-    """out plus states[j] @ blocks[first + j] for each j, on [rows, C] views, added in order."""
+    """out plus states[j] @ blocks[first + j] for each j, on [rows, C] views, added in order;
+    a C past adiff._PIECE is summed in pieces."""
     C = blocks.shape[1]
+    product = np.matmul if C <= adiff._PIECE else adiff._pieced_matmul
     for j in range(len(states)):
-        out += states[j].reshape(-1, C) @ blocks[first + j]
+        out += product(states[j].reshape(-1, C), blocks[first + j])
     return out
 
 
-def _hop_chain(m, kept, prev, hopped):
-    """One direction's hops, written in place: hopped[0] = m @ prev + kept, hopped[j] = m @ hopped[j-1] + kept."""
+def _hop_chain(m, kept, prev, hopped, scratch):
+    """One direction's hops, written in place: hopped[0] = m @ prev + kept, hopped[j] = m @ hopped[j-1] + kept.
+
+    Given scratch, an array of one hop's shape, each m @ state is summed over
+    pieces of the node axis (adiff._pieced_matmul), so its bytes do not depend
+    on the BLAS thread count above adiff._PIECE nodes; without it, one GEMM.
+    """
     for j in range(len(hopped)):
         s = hopped[j]
-        np.matmul(m, prev, out=s)
+        if scratch is None:
+            np.matmul(m, prev, out=s)
+        else:
+            adiff._pieced_matmul(m, prev, s, scratch)
         s += kept
         prev = s
 
@@ -370,8 +384,9 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
     the channel axis. residual, when given, is a node-major [N, B, T_in, C_out]
     tensor whose trailing T months are added last.
 
-    One tape node. Each hop is a GEMM on [N, B*T*C] views, and each
-    projection term a GEMM on [N*B*T, C] views. The backward walks each hop
+    One tape node. Each hop is a GEMM on [N, B*T*C] views, summed over
+    pieces of the node axis above adiff._PIECE nodes, and each projection
+    term a GEMM on [N*B*T, C] views. The backward walks each hop
     chain in reverse: hop j's state gradient G_j is its projection term
     g @ W_j^T plus m^T @ G_j+1; h takes g @ W_0^T and, per direction,
     beta * sum_j G_j + m^T @ G_1; m takes sum_j G_j @ S_j-1^T and W_s takes
@@ -385,10 +400,14 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
     per hop GEMM, and when the process may use more than one CPU, the second
     direction's chain (forward m @ S plus the kept term; backward
     m^T @ G, G_j @ S_j-1^T and h's share) runs on one worker thread while the
-    calling thread runs the first direction and every projection. The worker
-    only writes arrays the calling thread made, and every sum is taken in the
-    same order either way, so no output or gradient byte depends on where
-    the chain ran; each GEMM still runs on OPENBLAS_NUM_THREADS threads.
+    calling thread runs the first direction and every projection. At 2^26 that
+    is a 1-degree box's training step (561 nodes, 4 runs of 10 months: 181M
+    per hop, 123 against 143 ms a step with and without the worker) and no
+    hop of the 130-node gate config, whose largest, the 95-window validation
+    forward's, is 26.0M. The worker only writes arrays the calling thread
+    made, and every sum is taken in the same order either way, so no output
+    or gradient byte depends on where the chain ran; each GEMM still runs on
+    OPENBLAS_NUM_THREADS threads.
     """
     h, w, b = adiff.as_tensor(h), adiff.as_tensor(w), adiff.as_tensor(b)
     hops = adiff.as_tensor(hops) if depth else None
@@ -401,15 +420,17 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
     hopped = np.empty((2 if depth else 0, depth) + flat.shape, flat.dtype)
     if depth:
         kept = flat * beta
+        # per direction, the scratch of its pieced hops, made here so the worker allocates nothing
+        pieces = np.empty((2,) + flat.shape, flat.dtype) if N > adiff._PIECE else (None, None)
 
         def here():  # the first direction's hops, then the projections of h and of those hops
-            _hop_chain(hops.data[0], kept, flat, hopped[0])
-            return _projected(flat.reshape(-1, C) @ blocks[0], hopped[0], blocks, 1)
+            _hop_chain(hops.data[0], kept, flat, hopped[0], pieces[0])
+            return _projected(adiff._product(flat.reshape(-1, C), blocks[0]), hopped[0], blocks, 1)
 
-        out = _both(here, lambda: _hop_chain(hops.data[1], kept, flat, hopped[1]), N * flat.size)
+        out = _both(here, lambda: _hop_chain(hops.data[1], kept, flat, hopped[1], pieces[1]), N * flat.size)
         out = _projected(out, hopped[1], blocks, 1 + depth)
     else:
-        out = flat.reshape(-1, C) @ blocks[0]
+        out = adiff._product(flat.reshape(-1, C), blocks[0])
     out += b.data
     c_out = out.shape[-1]
     out = out.reshape(h.shape[:-1] + (c_out,))

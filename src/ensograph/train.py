@@ -10,7 +10,9 @@ A NaN or an infinity in a gradient stops training with the tensor's name,
 the epoch and the step. The parameters a run returns stay views of its
 buffer. Everything runs in float32, and a (config, seed, data) triple
 reproduces the same parameters bit for bit, whether or not mix-hop's
-worker thread (stgnn._THREAD_MIN) runs. Inputs are scaled by one global
+worker thread runs: it takes hop GEMMs from stgnn._THREAD_MIN multiply-adds,
+as a 561-node training step has, and no hop of the 130-node gate config's
+steps or validation forwards. Inputs are scaled by one global
 standard deviation measured on the training inputs; that scale travels
 with the checkpoint.
 

@@ -97,6 +97,38 @@ def test_small_hops_and_one_cpu_stay_on_the_calling_thread(monkeypatch):
     assert len(ran) == 8 * cfg.layers and set(ran) == {"MainThread"}
 
 
+def test_gate_config_steps_and_eval_forwards_keep_every_chain_on_the_calling_thread(monkeypatch):
+    # under the module's own _THREAD_MIN, on two CPUs: a training step's forward and
+    # backward (4 runs of 10 months), the 95-window validation forward (97 months)
+    # and a horizon-7 eval forward (66 months), the largest hops the gate config runs
+    monkeypatch.setattr(stgnn, "_cpus", lambda: 2)
+    ran = _record_hop_threads(monkeypatch)
+    rng = np.random.default_rng(9)
+    cfg = ModelConfig(n_nodes=130, horizon=4)
+    params = init_params(cfg, seed=1)
+    pred = forward(params, cfg, Tensor(rng.standard_normal((4, 1, 130, 10)).astype(np.float32)))
+    backward(mae_loss(pred, Tensor(np.zeros(pred.shape, np.float32))))
+    detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
+    forward(detached, cfg, Tensor(rng.standard_normal((1, 1, 130, 97)).astype(np.float32)))
+    cfg7 = ModelConfig(n_nodes=130, horizon=7)
+    detached = ModelParams({n: Tensor(t.data) for n, t in init_params(cfg7, seed=2).items()})
+    forward(detached, cfg7, Tensor(rng.standard_normal((1, 1, 130, 66)).astype(np.float32)))
+    assert len(ran) == 4 * 2 * cfg.layers and set(ran) == {"MainThread"}
+
+
+def test_a_one_degree_training_hop_reaches_the_worker(monkeypatch):
+    # 561 nodes, 4 runs of 9 months at 16 channels: 561^2 * 576 multiply-adds a hop
+    monkeypatch.setattr(stgnn, "_cpus", lambda: 2)
+    ran = _record_hop_threads(monkeypatch)
+    rng = np.random.default_rng(10)
+    raw = rng.uniform(0.0, 1.0, (2, 561, 561)) + np.eye(561)
+    arrays = [rng.standard_normal((561, 4, 9, 16)), 0.95 * raw / raw.sum(axis=2, keepdims=True),
+              rng.uniform(-0.25, 0.25, (80, 16)), rng.uniform(-0.25, 0.25, 16)]
+    h, hops, w, b = [Tensor(a.astype(np.float32), requires_grad=True) for a in arrays]
+    backward(reduce_sum(stgnn.mixhop_conv(h, hops, 0.05, 2, w, b)))
+    assert len(ran) == 4 and sum(name.startswith("ensograph-hops") for name in ran) == 2
+
+
 def test_a_process_on_one_cpu_never_starts_the_worker():
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no sched_setaffinity on this platform")
@@ -198,9 +230,10 @@ def test_a_forked_child_makes_its_own_worker(monkeypatch):
     assert stgnn._worker is parent_worker
 
 
-def test_the_worker_allocates_no_array_data(monkeypatch):
+def _worker_job_peaks(monkeypatch, nodes: int) -> list[int]:
+    """Traced bytes each worker job allocates in a default-width forward and MAE backward at `nodes`."""
     # each worker job runs while the calling thread waits, so the traced peak
-    # over the job is the worker's own; one [N, N] array at N = 130 is 67.6 KB
+    # over the job is the worker's own
     _worker_mode(monkeypatch, on=True)
     both = stgnn._both
     peaks = []
@@ -222,9 +255,9 @@ def test_the_worker_allocates_no_array_data(monkeypatch):
         return both(here_after, there_measured, madds)
 
     monkeypatch.setattr(stgnn, "_both", measured)
-    cfg = ModelConfig(n_nodes=130, horizon=4)
+    cfg = ModelConfig(n_nodes=nodes, horizon=4)
     params = init_params(cfg, seed=1)
-    x = Tensor(np.random.default_rng(6).standard_normal((4, 1, 130, 10)).astype(np.float32))
+    x = Tensor(np.random.default_rng(6).standard_normal((4, 1, nodes, 10)).astype(np.float32))
     tracemalloc.start()
     try:
         pred = forward(params, cfg, x)
@@ -232,6 +265,19 @@ def test_the_worker_allocates_no_array_data(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 2 * cfg.layers
+    return peaks
+
+
+def test_the_worker_allocates_no_array_data(monkeypatch):
+    # one [N, N] array at N = 130 is 67.6 KB
+    peaks = _worker_job_peaks(monkeypatch, 130)
+    assert max(peaks) < 16 << 10, f"traced bytes allocated by worker jobs: {peaks}"
+
+
+def test_the_worker_allocates_no_array_data_in_pieced_hops(monkeypatch):
+    # at N = 300 every hop GEMM of both passes is summed in pieces through scratch
+    # the calling thread made; one [N, B*T*C] hop state is 691 KB
+    peaks = _worker_job_peaks(monkeypatch, 300)
     assert max(peaks) < 16 << 10, f"traced bytes allocated by worker jobs: {peaks}"
 
 

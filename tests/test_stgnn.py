@@ -781,6 +781,68 @@ def test_model_gradient_and_eval_bytes_do_not_depend_on_blas_threads():
     assert not differ, f"bytes differ between 1 and 2 BLAS threads at {differ}"
 
 
+# Hashes the output and every parameter gradient of one default-width forward and
+# MAE backward, 4 runs of 10 months, at N = 464 and 561: above adiff._PIECE nodes,
+# where one unpieced [N, N] @ [N, 576] hop GEMM rounds differently with the BLAS
+# thread count.
+LARGE_MODEL_HASHES = r"""
+import hashlib
+import numpy as np
+from ensograph.adiff import Tensor, backward
+from ensograph.stgnn import ModelConfig, forward, init_params
+from ensograph.train import mae_loss
+rng = np.random.default_rng(3)
+for n in (464, 561):
+    cfg = ModelConfig(n_nodes=n, horizon=4)
+    params = init_params(cfg, seed=3)
+    out = forward(params, cfg, Tensor(rng.standard_normal((4, 1, n, 10)).astype(np.float32)))
+    print(n, "output", hashlib.sha256(out.data.tobytes()).hexdigest())
+    backward(mae_loss(out, Tensor(rng.standard_normal(out.shape).astype(np.float32))))
+    for name, t in params.items():
+        print(n, name, hashlib.sha256(t.grad.tobytes()).hexdigest())
+"""
+
+
+def test_model_bytes_above_256_nodes_do_not_depend_on_blas_threads():
+    runs = output_at_one_and_two_blas_threads(LARGE_MODEL_HASHES)
+    assert len(runs[0]) == 2 * (1 + len(param_shapes(ModelConfig(n_nodes=464, horizon=4))))
+    differ = [one.rsplit(" ", 1)[0] for one, two in zip(*runs) if one != two]
+    assert not differ, f"bytes differ between 1 and 2 BLAS threads at {differ}"
+
+
+# Hashes a 130-node detached forward whose contraction over one config field runs
+# to 496, a length at which one float32 GEMM rounds differently with the BLAS
+# thread count: the temporal block (kernel_size * residual_channels), the skip
+# (each layer's t_out * residual_channels), the mix-hop projection (conv_channels),
+# end1 (skip_channels), end2 (end_channels) and the adjacency (graph.embed_dim).
+WIDE_FORWARD_HASHES = r"""
+import hashlib
+import numpy as np
+from ensograph.adiff import Tensor
+from ensograph.stgnn import ModelConfig, ModelParams, forward, init_params
+rng = np.random.default_rng(3)
+for field, wide in [
+    ("kernel_size * residual_channels", dict(residual_channels=248, window=2, layers=1, dilations=(1,))),
+    ("t_out * residual_channels", dict(window=32)),
+    ("conv_channels", dict(conv_channels=496)),
+    ("skip_channels", dict(skip_channels=496)),
+    ("end_channels", dict(end_channels=496)),
+    ("graph.embed_dim", dict(graph={"embed_dim": 496})),
+]:
+    cfg = ModelConfig(n_nodes=130, horizon=4, **wide)
+    params = ModelParams({n: Tensor(t.data) for n, t in init_params(cfg, seed=3).items()})
+    x = rng.standard_normal((1, 1, 130, cfg.window + 3)).astype(np.float32)
+    print(field, "|", hashlib.sha256(forward(params, cfg, Tensor(x)).data.tobytes()).hexdigest())
+"""
+
+
+def test_wide_forward_contractions_do_not_depend_on_blas_threads():
+    runs = output_at_one_and_two_blas_threads(WIDE_FORWARD_HASHES)
+    assert len(runs[0]) == 6
+    differ = [one.split(" |", 1)[0] for one, two in zip(*runs) if one != two]
+    assert not differ, f"forward bytes differ between 1 and 2 BLAS threads over {differ}"
+
+
 def test_forward_backward_fills_every_parameter():
     cfg = tiny_config()
     params = init_params(cfg, seed=9)
