@@ -16,15 +16,13 @@ import numpy as np
 from ensograph import (
     ModelConfig,
     SynthConfig,
-    Tensor,
     TrainConfig,
     correlation_graph,
     export_edges,
     generate,
-    learn_adjacency,
+    kept_adjacency,
     make_samples,
     region_nodes,
-    topk_sparsify,
 )
 from ensograph.grid import ONI_BOX, node_coords
 from ensograph.train import train
@@ -45,8 +43,7 @@ samples = make_samples(cube, nodes, config.window, config.horizon)
 result = train(config, TrainConfig(epochs=6, seed=0), samples)
 print(f"trained {config.layers}-layer model on {len(samples)} windows\n")
 
-a = learn_adjacency(result.params["e1"], result.params["e2"], config.graph.alpha)
-a = topk_sparsify(a, config.graph.topk).data
+a = kept_adjacency(result.params["e1"].data, result.params["e2"].data, config.graph)
 
 print(f"adjacency: {np.count_nonzero(a)} directed edges over {len(nodes)} cells")
 print(f"weight range ({a[a > 0].min():.4f}, {a.max():.4f}), "

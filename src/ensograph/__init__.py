@@ -20,7 +20,7 @@ from .cube import (
     split_by_years,
 )
 from .errors import EnsographError, NumericalError, ValidationError
-from .graph import GraphLearnConfig, correlation_graph, export_edges, learn_adjacency, topk_sparsify
+from .graph import GraphLearnConfig, correlation_graph, export_edges, kept_adjacency
 from .grid import ONI_BOX, GridSpec, RegionBox, node_weights, region_nodes
 from .indices import IndexSeries, area_mean, oni, running_mean
 from .samples import SampleSet, make_samples
@@ -78,7 +78,7 @@ __all__ = [
     "grad_check",
     "hop_matrices",
     "init_params",
-    "learn_adjacency",
+    "kept_adjacency",
     "load_checkpoint",
     "load_cube",
     "make_samples",
@@ -92,5 +92,4 @@ __all__ = [
     "save_cube",
     "split_by_years",
     "table_from_forecasts",
-    "topk_sparsify",
 ]

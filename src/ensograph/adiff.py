@@ -7,6 +7,12 @@ every path and releasing each interior node once its rule has run.
 float32 is the working precision; build float64 tensors for
 verification-grade finite-difference checks.
 
+The generic ops are matmul (with an optional bias), mul, tanh and
+reduce_sum. The model's stages, its learned graph and the MAE loss are
+tape nodes of their own, built in their modules on _from_op with the
+private rules below (the pieced GEMM, the weight and bias gradients and
+the time slices).
+
 One rule accumulates gradients: a tensor's first gradient is kept by
 reference, and each later one replaces it with a new sum, so no gradient
 array is written after it is made. The loss is seeded the same way.
@@ -102,38 +108,33 @@ def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-# ---------------------------------------------------------------- binary ops
+# ---------------------------------------------------------------- elementwise
 
-def _binary(a, b, fwd, bwd_a, bwd_b):
+def mul(a, b):
+    """a * b with numpy broadcasting; a scalar operand takes the other's dtype."""
     if not isinstance(a, Tensor) and isinstance(b, Tensor):
         a = as_tensor(a, like=b)
     else:
         a = as_tensor(a)
     b = as_tensor(b, like=a)
     try:
-        data = fwd(a.data, b.data)
+        data = np.multiply(a.data, b.data)
     except ValueError as exc:
         raise ValueError(f"shapes {a.data.shape} and {b.data.shape} do not broadcast") from exc
 
     def _bw(g):
         if a.requires_grad:
-            _accum(a, _sum_to_shape(bwd_a(g, a.data, b.data), a.data.shape))
+            _accum(a, _sum_to_shape(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accum(b, _sum_to_shape(bwd_b(g, a.data, b.data), b.data.shape))
+            _accum(b, _sum_to_shape(g * a.data, b.data.shape))
 
     return _from_op(data, (a, b), _bw)
 
 
-def add(a, b):
-    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a, b):
-    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
-
-
-def mul(a, b):
-    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+def tanh(x):
+    x = as_tensor(x)
+    y = np.tanh(x.data)
+    return _from_op(y, (x,), lambda g: _accum(x, g * (1.0 - y * y)))
 
 
 # Longest contraction one gradient GEMM runs. OpenBLAS 0.3.31 gives [130, L] @ [L, 130]
@@ -218,19 +219,6 @@ def matmul(a, b, bias=None):
     return _from_op(data, (a, b) if bias is None else (a, b, bias), _bw)
 
 
-# ----------------------------------------------------------------- unary ops
-
-def tanh(x):
-    x = as_tensor(x)
-    y = np.tanh(x.data)
-    return _from_op(y, (x,), lambda g: _accum(x, g * (1.0 - y * y)))
-
-
-def abs_(x):
-    x = as_tensor(x)
-    return _from_op(np.abs(x.data), (x,), lambda g: _accum(x, g * np.sign(x.data)))
-
-
 # ------------------------------------------------------------ time slices
 
 def _time_slices(x: np.ndarray, starts: range, length: int):
@@ -293,30 +281,18 @@ def _norm_axes(axes, ndim):
     return axes
 
 
-def _reduce(x, axes, mean):
+def reduce_sum(x, axes=None):
+    """x summed over axes (every axis when None)."""
     x = as_tensor(x)
     axes = _norm_axes(axes, x.ndim)
-    count = int(np.prod([x.data.shape[a] for a in axes]))
-    data = x.data.sum(axis=axes)
-    if mean:
-        data = data / count
 
     def _bw(g):
         ge = g
         for a in sorted(axes):
             ge = np.expand_dims(ge, a)
-        ge = np.broadcast_to(ge, x.data.shape)
-        _accum(x, ge / count if mean else ge)
+        _accum(x, np.broadcast_to(ge, x.data.shape))
 
-    return _from_op(np.asarray(data), (x,), _bw)
-
-
-def reduce_sum(x, axes=None):
-    return _reduce(x, axes, mean=False)
-
-
-def reduce_mean(x, axes=None):
-    return _reduce(x, axes, mean=True)
+    return _from_op(np.asarray(x.data.sum(axis=axes)), (x,), _bw)
 
 
 # ----------------------------------------------------------------- backward

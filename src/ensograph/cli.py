@@ -14,10 +14,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .adiff import Tensor
 from .cube import anomalies, climatology, load_cube, save_cube, split_by_years
 from .errors import NumericalError, ValidationError
-from .graph import export_edges, learn_adjacency, topk_sparsify
+from .graph import export_edges, kept_adjacency
 from .grid import ONI_BOX, region_nodes
 from .indices import oni
 from .months import format_ym, parse_ym
@@ -245,10 +244,8 @@ def cmd_eval(args) -> int:
 
 def cmd_graph_export(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    e1 = Tensor(ckpt.params["e1"].data)
-    e2 = Tensor(ckpt.params["e2"].data)
-    a = topk_sparsify(learn_adjacency(e1, e2, ckpt.config.graph.alpha), ckpt.config.graph.topk)
-    n = export_edges(a.data, ckpt.grid, ckpt.nodes, args.out)
+    a = kept_adjacency(ckpt.params["e1"].data, ckpt.params["e2"].data, ckpt.config.graph)
+    n = export_edges(a, ckpt.grid, ckpt.nodes, args.out)
     print(f"wrote {n} edges to {args.out}")
     return 0
 

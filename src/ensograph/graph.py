@@ -3,13 +3,13 @@
 The learned construction follows A = relu(tanh(alpha * (E1 E2^T - E2 E1^T))).
 The pre-activation is antisymmetric, so the diagonal is exactly zero and at
 most one direction of each node pair survives the relu; weights land in
-[0, 1). Rows are then sparsified to the top-k entries and normalized to
-D^-1 (A + I) for propagation. learn_adjacency and topk_sparsify are tape
-nodes of their own (graph-export runs them); the model's graph is
-propagation_matrices, one node over the same code that also normalizes
-both edge directions and scales them for mix-hop propagation; it reuses
-the last graph it built while the embeddings' bytes are unchanged.
-Gradients flow back into the embeddings through retained entries only.
+[0, 1). Rows are then sparsified to the top-k entries (kept_adjacency, plain
+numpy, which graph-export writes out) and normalized to D^-1 (A + I) for
+propagation. The model's graph is propagation_matrices, one tape node over
+the same code that also normalizes both edge directions and scales them for
+mix-hop propagation; it reuses the last graph it built while the
+embeddings' bytes are unchanged. Gradients flow back into the embeddings
+through retained entries only.
 """
 
 from __future__ import annotations
@@ -44,7 +44,12 @@ class GraphLearnConfig:
 
 
 def _adjacency(e1: np.ndarray, e2: np.ndarray, alpha: float):
-    """The learned adjacency of learn_adjacency, with its tanh output y and float alpha."""
+    """The learned adjacency relu(tanh(alpha * (E1 E2^T - E2 E1^T))), with its tanh output y and float alpha.
+
+    tanh rounds to exactly 1.0 once alpha times the score passes the float
+    saturation point, so saturated entries are nudged down to the largest
+    representable value below 1 to keep the half-open range honest.
+    """
     if e1.shape != e2.shape or e1.ndim != 2:
         raise ValueError(f"embeddings must share shape [N, d], got {e1.shape} and {e2.shape}")
     m = adiff._product(e1, e2.T)
@@ -56,7 +61,12 @@ def _adjacency(e1: np.ndarray, e2: np.ndarray, alpha: float):
 
 
 def _adjacency_backward(g: np.ndarray, y: np.ndarray, scale, e1: Tensor, e2: Tensor):
-    """Accumulate the embeddings' gradients from g, the adjacency's gradient."""
+    """Accumulate the embeddings' gradients from g, the adjacency's gradient.
+
+    The backward treats the nudge below 1 as the identity: with y the tanh
+    output, the score gradient is G = alpha * g * (y > 0) * (1 - y^2), and
+    e1 takes (G - G^T) @ e2, e2 takes (G - G^T)^T @ e1.
+    """
     gs = g * (y > 0) * (1.0 - y * y) * scale
     gm = gs - gs.T
     if e1.requires_grad:
@@ -65,25 +75,17 @@ def _adjacency_backward(g: np.ndarray, y: np.ndarray, scale, e1: Tensor, e2: Ten
         adiff._accum(e2, adiff._pieced_matmul(gm.T, e1.data))
 
 
-def learn_adjacency(e1: Tensor, e2: Tensor, alpha: float) -> Tensor:
-    """Adjacency from two node embedding tables, as one tape node.
-
-    The antisymmetric score matrix guarantees a zero diagonal and at most
-    one live direction per node pair; relu(tanh(.)) keeps weights in [0, 1).
-    tanh rounds to exactly 1.0 once alpha times the score passes the float
-    saturation point, so saturated entries are nudged down to the largest
-    representable value below 1 to keep the half-open range honest. The
-    backward treats the nudge as the identity: with y the tanh output, the
-    score gradient is G = alpha * g * (y > 0) * (1 - y^2), and e1 takes
-    (G - G^T) @ e2, e2 takes (G - G^T)^T @ e1.
-    """
-    e1, e2 = as_tensor(e1), as_tensor(e2)
-    out, y, scale = _adjacency(e1.data, e2.data, alpha)
-    return adiff._from_op(out, (e1, e2), lambda g: _adjacency_backward(g, y, scale, e1, e2))
-
-
 def _topk_mask(a: np.ndarray, k: int):
-    """The 0/1 mask, in a's dtype, of each row's k kept entries; None when k >= n keeps them all."""
+    """The 0/1 mask, in a's dtype, of each row's k kept entries; None when k >= n keeps them all.
+
+    Ties break toward the lower column index, so on finite input the kept
+    entries are a stable descending argsort's first k columns. Each row's
+    threshold, its k-th largest entry, comes from one np.partition, and
+    the entries at or above it are kept. When some row keeps more than k,
+    its entries equal to the threshold are thinned, lowest columns first,
+    to the k - (entries above it) that fit. The count is per row: a NaN
+    row keeps fewer than k and would hide a tied row's excess in a total.
+    """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
     n = a.shape[0]
@@ -100,22 +102,23 @@ def _topk_mask(a: np.ndarray, k: int):
     return mask.astype(a.dtype)
 
 
-def topk_sparsify(a: Tensor, k: int) -> Tensor:
-    """Keep the k largest entries of each row, zeroing the rest.
+def _kept(e1: np.ndarray, e2: np.ndarray, config: GraphLearnConfig):
+    """kept_adjacency, with the top-k mask (None when every entry is kept), the tanh output y and float alpha."""
+    adj, y, scale = _adjacency(e1, e2, config.alpha)
+    mask = _topk_mask(adj, config.topk)
+    return (adj if mask is None else np.multiply(adj, mask)), mask, y, scale
 
-    Ties break toward the lower column index, so on finite input the kept
-    entries are a stable descending argsort's first k columns. Each row's
-    threshold, its k-th largest entry, comes from one np.partition, and
-    the entries at or above it are kept. When some row keeps more than k,
-    its entries equal to the threshold are thinned, lowest columns first,
-    to the k - (entries above it) that fit. The count is per row: a NaN
-    row keeps fewer than k and would hide a tied row's excess in a total.
-    The mask is a constant, so gradients flow only through the retained
-    entries.
+
+def kept_adjacency(e1: np.ndarray, e2: np.ndarray, config: GraphLearnConfig) -> np.ndarray:
+    """The learned adjacency of two [N, d] embedding tables, sparsified to each row's top-k entries.
+
+    The model's graph (propagation_matrices) normalizes this matrix, so an
+    exported graph is the one the model propagates by. Weights lie in
+    [0, 1), the diagonal is zero and at most one direction of each node
+    pair is live; each row keeps its config.topk largest entries, ties
+    going to the lower column.
     """
-    a = as_tensor(a)
-    mask = _topk_mask(a.data, k)
-    return a if mask is None else adiff.mul(a, Tensor(mask))
+    return _kept(e1, e2, config)[0]
 
 
 def _normalized(a: np.ndarray, eye: np.ndarray):
@@ -137,10 +140,9 @@ def propagation_matrices(e1: Tensor, e2: Tensor, config: GraphLearnConfig, beta:
     """The matrices mix-hop propagates by along both edge directions, [2, N, N], as one tape node.
 
     Entry 0 is (1 - beta) * D^-1 (A + I) and entry 1 the same of A^T, for
-    A = topk_sparsify(learn_adjacency(e1, e2, alpha), topk) and D the row
-    sums of the matrix plus I, with the bytes of that chain of ops. A
-    non-finite row sum (a NaN embedding gives one) raises NumericalError
-    before anything is scaled; a finite A is row-stochastic after
+    A = kept_adjacency(e1, e2, config) and D the row sums of the matrix
+    plus I. A non-finite row sum (a NaN embedding gives one) raises
+    NumericalError before anything is scaled; a finite A is row-stochastic after
     normalization by construction. The backward runs each direction's
     normalization rule, sums the two (the second transposed), masks the
     sum to the kept entries and runs the adjacency rule once.
@@ -154,12 +156,10 @@ def propagation_matrices(e1: Tensor, e2: Tensor, config: GraphLearnConfig, beta:
     key = (e1.data.dtype, e2.data.dtype, e1.shape, e2.shape, e1.data.tobytes(), e2.data.tobytes(), config, beta)
     if (memo := _memo) is None or memo[0] != key:
         _memo = memo = None  # the old graph goes before the new one is built
-        adj, y, scale = _adjacency(e1.data, e2.data, config.alpha)
-        mask = _topk_mask(adj, config.topk)
-        kept = adj if mask is None else np.multiply(adj, mask)
-        keep = adj.dtype.type(1.0 - beta)
-        hops = np.empty((2,) + adj.shape, dtype=adj.dtype)
-        eye = np.eye(adj.shape[0], dtype=adj.dtype)
+        kept, mask, y, scale = _kept(e1.data, e2.data, config)
+        keep = kept.dtype.type(1.0 - beta)
+        hops = np.empty((2,) + kept.shape, dtype=kept.dtype)
+        eye = np.eye(kept.shape[0], dtype=kept.dtype)
         factors = []
         for d, a in enumerate((kept, kept.T)):
             out, s = _normalized(a, eye)
@@ -211,7 +211,7 @@ def export_edges(a, grid: GridSpec, nodes: list[NodeId], path) -> int:
     Columns are src_lat,src_lon,dst_lat,dst_lon,weight with weights at six
     significant digits. Returns the number of edges written.
     """
-    weights = a.data if isinstance(a, Tensor) else np.asarray(a)
+    weights = np.asarray(a)
     n = len(nodes)
     if weights.shape != (n, n):
         raise ValueError(f"adjacency {weights.shape} does not match {n} nodes")

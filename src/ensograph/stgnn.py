@@ -26,7 +26,11 @@ slices on the channel axis with one rule (adiff._time_slices), so every
 stage is convolutional in time: a sequence of T >= w consecutive months
 holds its P = T - w + 1 windows, and one pass over it gives each window's
 forecast (row b*P + p for the window ending at month p + w - 1 of batch row
-b) with the bytes a forward of that window alone would give.
+b). That forecast agrees with a forward of the window alone to rounding, not
+always to the byte: OpenBLAS picks the kernel of the head's [M, 64] @ [64, H]
+product by its row count M, so a run's rows can round differently from the
+lone window's (by up to 9e-8 at the gate config, for a training step's runs
+of 10 months at horizon 4 and a 66-month run at horizon 7).
 
 Temporal receptive field is 1 + sum(dilation_l * (K - 1)); configs whose
 receptive field exceeds the window are rejected outright.

@@ -47,9 +47,9 @@ from .stgnn import ModelConfig, ModelParams, forward, init_params
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 5.0
 # Most windows one run of a step holds. A gate-config forward and backward over
-# 32 windows took 43-52 ms as 32 single windows, 35 ms as 4 runs of 8 and 32-34 ms
-# as 1 run of 32 (one BLAS thread, 2-vCPU Xeon); 8 keeps most of that saving
-# while a step still mixes four independently shuffled blocks.
+# 32 windows took 20.7-21.1 ms as 32 single windows, 14.6-14.7 ms as 4 runs of 8
+# and 13.8-14.1 ms as 1 run of 32 (one BLAS thread, unpinned, 2-vCPU Xeon); 8 keeps
+# most of that saving while a step still mixes four independently shuffled blocks.
 RUN_WINDOWS = 8
 
 
@@ -102,10 +102,17 @@ class TrainResult:
 
 
 def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over every element."""
+    """Mean absolute error over every element, as one tape node.
+
+    pred takes the gradient sign(pred - target) / count; the target is data
+    and takes none.
+    """
     if pred.shape != target.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    return adiff.reduce_mean(adiff.abs_(adiff.sub(pred, target)))
+    diff = np.subtract(pred.data, target.data)
+    count = diff.size
+    loss = np.asarray(np.abs(diff).sum() / count)
+    return adiff._from_op(loss, (pred,), lambda g: adiff._accum(pred, np.sign(diff) * (g / count)))
 
 
 @dataclass

@@ -38,6 +38,12 @@ def count_graph_builds(monkeypatch):
     return builds
 
 
+def shared_add(a, b):
+    """a + b, two tensors of one shape, as a tape node that hands its one gradient array to
+    both operands, so that two tensors share a gradient buffer."""
+    return adiff._from_op(a.data + b.data, (a, b), lambda g: (adiff._accum(a, g), adiff._accum(b, g)))
+
+
 # The gradient rules that per-slice products, batched hop-state products and flat
 # Adam buffers replaced, kept as byte references for the rules that replaced them.
 

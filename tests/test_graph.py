@@ -9,15 +9,29 @@ from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum
 from ensograph.errors import NumericalError, ValidationError
 from ensograph.graph import (
     GraphLearnConfig,
+    _adjacency,
+    _adjacency_backward,
     _normalized,
     _normalized_backward,
+    _topk_mask,
     correlation_graph,
     export_edges,
-    learn_adjacency,
+    kept_adjacency,
     propagation_matrices,
-    topk_sparsify,
 )
-from helpers import count_graph_builds, random_anoms, small_grid
+from helpers import count_graph_builds, random_anoms, shared_add, small_grid
+
+
+def learn_adjacency(e1, e2, alpha):
+    """The learned adjacency as a tape node, from the rule and gradient rule propagation_matrices runs."""
+    out, y, scale = _adjacency(e1.data, e2.data, alpha)
+    return adiff._from_op(out, (e1, e2), lambda g: _adjacency_backward(g, y, scale, e1, e2))
+
+
+def topk_sparsify(a, k):
+    """Each row's top-k entries of a as a tape node: a times the mask propagation_matrices keeps."""
+    mask = _topk_mask(a.data, k)
+    return a if mask is None else mul(a, Tensor(mask))
 
 
 def normalize(a):
@@ -33,9 +47,9 @@ def _embeddings(rng, n, d):
 
 
 def test_two_node_adjacency_hand_value():
-    e1 = Tensor(np.array([[1.0], [0.0]]))
-    e2 = Tensor(np.array([[0.0], [1.0]]))
-    a = learn_adjacency(e1, e2, alpha=1.0).data
+    e1 = np.array([[1.0], [0.0]])
+    e2 = np.array([[0.0], [1.0]])
+    a = kept_adjacency(e1, e2, GraphLearnConfig(embed_dim=1, alpha=1.0, topk=2))
     # score matrix [[0, 1], [-1, 0]]: relu(tanh(.)) keeps only the 0->1 edge
     assert abs(a[0, 1] - math.tanh(1.0)) < 1e-12
     assert a[1, 0] == 0.0
@@ -47,11 +61,14 @@ def test_adjacency_invariants_over_random_embeddings():
     for _ in range(50):
         n, d = int(rng.integers(2, 25)), int(rng.integers(1, 6))
         e1, e2 = _embeddings(rng, n, d)
-        a = learn_adjacency(e1, e2, alpha=float(rng.uniform(0.5, 5.0))).data
+        k = int(rng.integers(1, n + 1))
+        config = GraphLearnConfig(embed_dim=d, alpha=float(rng.uniform(0.5, 5.0)), topk=k)
+        a = kept_adjacency(e1.data, e2.data, config)
         assert np.all(a >= 0.0)
         assert np.all(a < 1.0)
         assert np.all(np.diag(a) == 0.0)
         assert np.all(a * a.T == 0.0)  # at most one direction per pair
+        assert np.all(np.count_nonzero(a, axis=1) <= k)
 
 
 def test_alpha_sharpens_toward_binary():
@@ -198,9 +215,10 @@ def test_full_graph_pipeline_is_differentiable():
 
 
 def _op_chain_matrices(e1, e2, config, beta):
-    """The hop-matrix pair as the adjacency, top-k, transpose, normalization and scaling ops build it."""
+    """The kept adjacency and the hop-matrix pair as the adjacency, top-k, transpose, normalization
+    and scaling nodes build them."""
     a = topk_sparsify(learn_adjacency(e1, e2, config.alpha), config.topk)
-    return [mul(normalize(x), 1.0 - beta) for x in (a, _transposed(a))]
+    return a, [mul(normalize(x), 1.0 - beta) for x in (a, _transposed(a))]
 
 
 # (n, embed_dim, alpha, topk, beta): the tiny model's graph (most of a row
@@ -222,8 +240,10 @@ def test_propagation_matrices_and_their_gradients_have_the_bytes_of_the_op_chain
         backward(reduce_sum(mul(hops, probe)))
         grads = [e1.grad, e2.grad]
         e1.zero_grad(), e2.zero_grad()
-        chain = _op_chain_matrices(e1, e2, config, beta)
-        backward(adiff.add(reduce_sum(mul(chain[0], probe[0])), reduce_sum(mul(chain[1], probe[1]))))
+        a, chain = _op_chain_matrices(e1, e2, config, beta)
+        # graph-export writes the matrix the model normalizes
+        assert kept_adjacency(e1.data, e2.data, config).tobytes() == a.data.tobytes()
+        backward(shared_add(reduce_sum(mul(chain[0], probe[0])), reduce_sum(mul(chain[1], probe[1]))))
         for direction, m in enumerate(chain):
             assert hops.data[direction].tobytes() == m.data.tobytes(), (n, direction)
         for got, want in zip(grads, (e1.grad, e2.grad)):

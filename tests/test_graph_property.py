@@ -2,7 +2,7 @@
 descending argsort keeps, and a NaN embedding still stops the forward at
 mix-hop propagation.
 
-The argsort reference stays here, since topk_sparsify no longer sorts.
+The argsort reference stays here, since graph._topk_mask does not sort.
 Examples are derandomized with a fixed count, so the suite stays
 deterministic.
 """
@@ -10,9 +10,9 @@ deterministic.
 import numpy as np
 import pytest
 
-from ensograph.adiff import Tensor, backward, reduce_sum
+from ensograph.adiff import Tensor
 from ensograph.errors import NumericalError
-from ensograph.graph import GraphLearnConfig, topk_sparsify
+from ensograph.graph import GraphLearnConfig, _topk_mask
 from ensograph.stgnn import forward, init_params
 from helpers import tiny_config
 
@@ -27,13 +27,6 @@ def _topk_by_stable_argsort(a, k):
     mask = np.zeros(a.shape, dtype=bool)
     mask[np.arange(a.shape[0])[:, None], np.argsort(-a, axis=1, kind="stable")[:, :k]] = True
     return mask
-
-
-def _topk_selection(a, k):
-    # the top-k node multiplies by its mask, so the gradient of its sum is the mask
-    t = Tensor(a, requires_grad=True)
-    backward(reduce_sum(topk_sparsify(t, k)))
-    return t.grad != 0
 
 
 @st.composite
@@ -62,10 +55,11 @@ def _tied_matrices(draw):
 def test_topk_selection_matches_a_stable_argsort(case):
     # every finite row keeps what the argsort keeps, whatever NaN rows sit beside it
     a, k, finite = case
-    got, want = _topk_selection(a, k), _topk_by_stable_argsort(a, k)
-    np.testing.assert_array_equal(got[finite], want[finite])
-    out = topk_sparsify(Tensor(a), k).data
-    np.testing.assert_array_equal(out[finite].view(np.uint8), (a * want)[finite].view(np.uint8))
+    mask, want = _topk_mask(a, k), _topk_by_stable_argsort(a, k)
+    assert mask.dtype == a.dtype
+    np.testing.assert_array_equal(mask[finite] != 0, want[finite])
+    # the kept adjacency is a times the mask, with a's bytes on every kept entry
+    np.testing.assert_array_equal(np.multiply(a, mask)[finite].view(np.uint8), (a * want)[finite].view(np.uint8))
 
 
 @settings(PROFILE, max_examples=60)

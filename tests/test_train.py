@@ -199,6 +199,30 @@ def test_loss_hand_values():
     assert abs(mae_loss(pred, target).item() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mae_loss_has_the_bytes_of_the_sub_abs_mean_chain(dtype):
+    # the gate config's step shape: [32 windows, 4 leads, 130 nodes]
+    rng = np.random.default_rng(21)
+    p, t = (rng.standard_normal((32, 4, 130)).astype(dtype) for _ in "pt")
+    t[0, 0, :5] = p[0, 0, :5]  # zero differences take a zero gradient
+    pred = Tensor(p, requires_grad=True)
+    loss = mae_loss(pred, Tensor(t))
+    d = np.subtract(p, t)
+    want = np.asarray(np.abs(d).sum(axis=(0, 1, 2)) / d.size)
+    assert loss.data.dtype == dtype and loss.data.tobytes() == want.tobytes()
+    adiff.backward(loss)
+    seed = np.broadcast_to(np.ones((1, 1, 1), dtype), d.shape)
+    assert pred.grad.tobytes() == ((seed / d.size) * np.sign(d)).tobytes()
+
+
+def test_mae_loss_subgradient_at_zero_is_zero_and_the_target_takes_none():
+    pred = Tensor(np.array([0.0, -1.5, 2.0]), requires_grad=True)
+    target = Tensor(np.zeros(3), requires_grad=True)
+    adiff.backward(mae_loss(pred, target))
+    np.testing.assert_array_equal(pred.grad, [0.0, -1.0 / 3, 1.0 / 3])
+    np.testing.assert_array_equal(target.grad, np.zeros(3))
+
+
 def test_loss_shape_mismatch():
     with pytest.raises(ValueError):
         mae_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
