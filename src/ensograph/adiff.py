@@ -144,14 +144,14 @@ _PIECE = 256
 
 
 def _pieced_matmul(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """x [.., m, k] @ y [k, n] summed one GEMM per _PIECE of the contraction, in order,
-    so its bytes do not depend on the BLAS thread count. A stack of x's gives the
-    stack of products, each with the pieces and bytes of its own 2-D call. Given out,
-    and scratch when k runs past one piece (both [.., m, n]), it writes them and
-    allocates no array."""
-    out = np.matmul(x[..., :_PIECE], y[:_PIECE], out=out)
+    """x [.., m, k] @ y [.., k, n] summed one GEMM per _PIECE of the contraction, in
+    order, so its bytes do not depend on the BLAS thread count. Stacks of x's, of y's
+    or of both (broadcast as np.matmul does) give the stack of products, each with the
+    pieces and bytes of its own 2-D call. Given out, and scratch when k runs past one
+    piece (both [.., m, n]), it writes them and allocates no array."""
+    out = np.matmul(x[..., :_PIECE], y[..., :_PIECE, :], out=out)
     for lo in range(_PIECE, x.shape[-1], _PIECE):
-        out += np.matmul(x[..., lo:lo + _PIECE], y[lo:lo + _PIECE], out=scratch)
+        out += np.matmul(x[..., lo:lo + _PIECE], y[..., lo:lo + _PIECE, :], out=scratch)
     return out
 
 

@@ -59,6 +59,11 @@ class _BaseCube:
         self._check_values()
 
     def _check_values(self):
+        # min and max read NaN when any value is NaN and an infinity when one is
+        # infinite, so when both are finite every value is: two reductions and no
+        # whole-cube temporary; otherwise the missing flags are read cell by cell
+        if np.isfinite(self.values.min()) and np.isfinite(self.values.max()):
+            return
         if not np.all(np.isfinite(self.values) | self.missing):
             raise ValidationError("non-finite value without missing flag")
 
@@ -87,8 +92,7 @@ class SstCube(_BaseCube):
 
     def _check_values(self):
         # when every value, flagged or not, is a plausible temperature, no check
-        # below can fail, and two reductions make no whole-cube temporary; min and
-        # max read NaN when one is present, so NaN fails this test as infinities do
+        # below can fail; NaN fails this test as infinities do (see _BaseCube)
         if SST_MIN <= self.values.min() and self.values.max() <= SST_MAX:
             return
         super()._check_values()

@@ -13,9 +13,10 @@ applies a gated dilated temporal convolution (temporal_block: one weight
 whose first half of output columns is the tanh filter and second half the
 sigmoid gate; valid-only, so time shrinks and no padding leaks), and a
 mix-hop graph convolution over the learned graph (mixhop_conv: the block
-output and its hops along both edge directions, each state projected by
-its own block of one weight and the terms summed, plus a residual add of
-the layer input's trailing months). The head takes every layer's output:
+output and its hops along both edge directions, the two directions
+propagated as one [2, N, N] stack, each state projected by its own block
+of one weight and the terms summed, plus a residual add of the layer
+input's trailing months). The head takes every layer's output:
 a skip projection per layer, a time convolution of length L, the time axis
 a window of w months leaves at that layer; the relu'd skip sum feeds two
 projections that emit one channel per lead, [N, B, P, H], returned as
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -263,63 +263,6 @@ def temporal_block(x, w, b, dilation: int) -> Tensor:
     return adiff._from_op((f * s).reshape(cols.shape[:-1] + (c_out,)), (x, w, b), _bw)
 
 
-# Multiply-adds of one hop GEMM, [N, N] @ [N, B*T*C], from which mixhop_conv runs
-# the second edge direction's chain on the worker thread: 2^26, about 67M. Every hop
-# of the 130-node gate config stays on the calling thread: a training step's
-# 130^2 * 576 (9.7M), the 66-month eval forward's 17.6M and the 95-window validation
-# forward's 26.0M. A 1-degree box (561 nodes) trains on the worker (181M). Timed as a
-# whole-model forward and MAE backward of 4 runs of 10 months at one BLAS thread on a
-# 2-vCPU Xeon VM, with the worker forced on and off in 8 alternating rounds of 10 calls,
-# the worker won 2 to 4 of 8 rounds up to N = 350 (70.6M), with medians within 8%, and
-# 7 or 8 of 8 from N = 400 (92M: 79 against 106 ms) to N = 561 (123 against 143 ms). A
-# hand-off costs about 0.1 ms, and the worker gains only while the VM's second core is
-# free. In 20 alternating benchmark pairs, train-gate op_s was 0.1-4.7% lower with every
-# gate-config hop on the calling thread than with each on the worker (20/20); eval-record
-# came out even over 15, the worker 9% ahead in the one batch that found the second vCPU free.
-_THREAD_MIN = 1 << 26
-_worker = None  # (pid, executor) of the process's one hop worker thread
-
-
-def _hop_worker():
-    """The executor of the hop worker thread, made on first use and made again in a
-    forked child, where the copied executor's thread is gone and would never run a job."""
-    global _worker
-    if _worker is None or _worker[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor  # here, so importing the package starts nothing
-
-        _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="ensograph-hops"))
-    return _worker[1]
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-def _both(here, there, madds: int):
-    """Run here() on this thread while there() runs on the hop worker, and return here()'s value
-    once both are done, on every path. Below _THREAD_MIN multiply-adds, or in a process that may
-    run on one CPU only, both run here, in that order."""
-    if madds < _THREAD_MIN or _cpus() < 2:
-        out = here()
-        there()
-        return out
-    # the worker pops there() from the list, so this thread holds the last reference to it and
-    # frees the arrays it closes over; freed from the worker, they grew the main heap from 40
-    # to 62 MB over 120 eval passes
-    todo = [there]
-    job = _hop_worker().submit(lambda: todo.pop()())
-    try:
-        out = here()
-    finally:
-        error = job.exception()  # waits for the worker even when here() raised
-    if error is not None:
-        raise error
-    return out
-
-
 def _projected(out, states, blocks, first: int):
     """out plus states[j] @ blocks[first + j] for each j, on [rows, C] views, added in order;
     a C past adiff._PIECE is summed in pieces."""
@@ -328,52 +271,6 @@ def _projected(out, states, blocks, first: int):
     for j in range(len(states)):
         out += product(states[j].reshape(-1, C), blocks[first + j])
     return out
-
-
-def _hop_chain(m, kept, prev, hopped, scratch):
-    """One direction's hops, written in place: hopped[0] = m @ prev + kept, hopped[j] = m @ hopped[j-1] + kept.
-
-    Given scratch, an array of one hop's shape, each m @ state is summed over
-    pieces of the node axis (adiff._pieced_matmul), so its bytes do not depend
-    on the BLAS thread count above adiff._PIECE nodes; without it, one GEMM.
-    """
-    for j in range(len(hopped)):
-        s = hopped[j]
-        if scratch is None:
-            np.matmul(m, prev, out=s)
-        else:
-            adiff._pieced_matmul(m, prev, s, scratch)
-        s += kept
-        prev = s
-
-
-def _hop_chain_grad(mt, gs, states, beta, gm, with_h: bool, work, term_work):
-    """One direction's hop-chain backward, written in place, allocating no array.
-
-    gs[j] enters as g @ W^T for hop j + 1 and becomes that hop's state gradient
-    G = g @ W^T + mt @ G', G' the next hop's. gm, when given, receives
-    sum_j G_j+1 @ S_j^T, each term added in turn from the last hop. With with_h,
-    gs[-1] leaves holding this direction's share of h's gradient,
-    beta * sum_j G_j + mt @ G_1. work and term_work are the out/scratch pairs
-    adiff._pieced_matmul writes for the [N, B*T*C] and the [N, N] products.
-    """
-    after = None
-    for j in reversed(range(len(gs))):
-        if after is not None:
-            gs[j] += adiff._pieced_matmul(mt, after, *work)
-        if gm is not None:
-            if after is None:
-                adiff._pieced_matmul(gs[j], states[j].T, gm, term_work[1])
-            else:
-                gm += adiff._pieced_matmul(gs[j], states[j].T, *term_work)
-        after = gs[j]
-    if with_h:
-        tail = adiff._pieced_matmul(mt, after, *work)
-        total = gs[-1]
-        for gj in gs[-2::-1]:
-            total += gj
-        total *= beta
-        total += tail
 
 
 def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor:
@@ -388,30 +285,18 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
     the channel axis. residual, when given, is a node-major [N, B, T_in, C_out]
     tensor whose trailing T months are added last.
 
-    One tape node. Each hop is a GEMM on [N, B*T*C] views, summed over
-    pieces of the node axis above adiff._PIECE nodes, and each projection
-    term a GEMM on [N*B*T, C] views. The backward walks each hop
-    chain in reverse: hop j's state gradient G_j is its projection term
-    g @ W_j^T plus m^T @ G_j+1; h takes g @ W_0^T and, per direction,
-    beta * sum_j G_j + m^T @ G_1; m takes sum_j G_j @ S_j-1^T and W_s takes
-    S_s^T @ g, the 2*depth hop states' as one stack of products over their
-    [2*depth, N*B*T, C] block, each with the pieces and bytes of its own
-    product. Every gradient GEMM is adiff._pieced_matmul, so the long
-    contractions of w (over N*B*T) and of m (over B*T*C) keep their bytes
-    whatever the BLAS thread count.
-
-    The two directions' chains are independent. From _THREAD_MIN multiply-adds
-    per hop GEMM, and when the process may use more than one CPU, the second
-    direction's chain (forward m @ S plus the kept term; backward
-    m^T @ G, G_j @ S_j-1^T and h's share) runs on one worker thread while the
-    calling thread runs the first direction and every projection. At 2^26 that
-    is a 1-degree box's training step (561 nodes, 4 runs of 10 months: 181M
-    per hop, 123 against 143 ms a step with and without the worker) and no
-    hop of the 130-node gate config, whose largest, the 95-window validation
-    forward's, is 26.0M. The worker only writes arrays the calling thread
-    made, and every sum is taken in the same order either way, so no output
-    or gradient byte depends on where the chain ran; each GEMM still runs on
-    OPENBLAS_NUM_THREADS threads.
+    One tape node, on the calling thread. The two directions propagate as one
+    stack: hop j is one product of hops with the [2, N, B*T*C] states of hop
+    j-1 (h's [N, B*T*C] view, broadcast, for hop 1), and each step of the
+    backward one product over both directions. The backward walks the hops in
+    reverse: hop j's state gradient G_j is its projection term g @ W_j^T plus
+    m^T @ G_j+1; h takes g @ W_0^T and, per direction, beta * sum_j G_j +
+    m^T @ G_1; m takes sum_j G_j @ S_j-1^T, added in turn from the last hop,
+    and W_s takes S_s^T @ g. Each projection term is a GEMM on [N*B*T, C]
+    views, and every other product adiff._pieced_matmul, each item of a stack
+    with the pieces and bytes of its own 2-D call, so the contractions over N
+    (the hops), N*B*T (w) and B*T*C (m) keep their bytes whatever the BLAS
+    thread count.
     """
     h, w, b = adiff.as_tensor(h), adiff.as_tensor(w), adiff.as_tensor(b)
     hops = adiff.as_tensor(hops) if depth else None
@@ -420,21 +305,18 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
         raise ValueError(f"mix-hop weight {w.shape} does not hold {2 * depth + 1} blocks of {C} rows")
     blocks = w.data.reshape(2 * depth + 1, C, -1)  # blocks[s] = W_s
     flat = h.data.reshape(N, -1)  # [N, B*T*C]: the hops mix the node axis
-    # per direction, hops 1..depth as [N, B*T*C]; one block fragments the heap less than 2*depth
-    hopped = np.empty((2 if depth else 0, depth) + flat.shape, flat.dtype)
+    pieced = N > adiff._PIECE  # a product over the node axis sums its pieces through scratch
+    # hopped[d, j] is direction d's hop j + 1; one block fragments the heap less than 2*depth
+    hopped = np.empty((2, depth) + flat.shape, flat.dtype)
     if depth:
         kept = flat * beta
-        # per direction, the scratch of its pieced hops, made here so the worker allocates nothing
-        pieces = np.empty((2,) + flat.shape, flat.dtype) if N > adiff._PIECE else (None, None)
-
-        def here():  # the first direction's hops, then the projections of h and of those hops
-            _hop_chain(hops.data[0], kept, flat, hopped[0], pieces[0])
-            return _projected(adiff._product(flat.reshape(-1, C), blocks[0]), hopped[0], blocks, 1)
-
-        out = _both(here, lambda: _hop_chain(hops.data[1], kept, flat, hopped[1], pieces[1]), N * flat.size)
-        out = _projected(out, hopped[1], blocks, 1 + depth)
-    else:
-        out = adiff._product(flat.reshape(-1, C), blocks[0])
+        scratch = np.empty((2,) + flat.shape, flat.dtype) if pieced else None
+        prev = flat
+        for j in range(depth):
+            prev = adiff._pieced_matmul(hops.data, prev, hopped[:, j], scratch)
+            prev += kept
+    states = hopped.reshape((2 * depth,) + flat.shape)  # the hop states, in their blocks' order
+    out = _projected(adiff._product(flat.reshape(-1, C), blocks[0]), states, blocks, 1)
     out += b.data
     c_out = out.shape[-1]
     out = out.reshape(h.shape[:-1] + (c_out,))
@@ -449,47 +331,48 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
 
     def _bw(g):
         g2 = g.reshape(-1, c_out)
-
-        def proj(s, into=None):  # g @ W_s^T, the gradient state s takes through its projection term
-            return adiff._pieced_matmul(g2, blocks[s].T, into).reshape(N, -1)
-
         # h's and m's gradients outlive this node, so they are made first, below the scratch
-        gh = proj(0) if h.requires_grad else None
-        chains = [[flat] + [hopped[d, j] for j in range(depth)] for d in range(len(hopped))]
-        walk = bool(chains) and (h.requires_grad or hops.requires_grad)
-        gm = np.empty_like(hops.data) if walk and hops.requires_grad else None
-        # per direction, one block: the hops' state gradients, then the out/scratch pair of m^T @ G
-        width = flat.shape[1]
-        work = np.empty((len(chains) if walk else 0, depth + 1 + (N > adiff._PIECE)) + flat.shape, flat.dtype)
-        terms = np.empty((len(chains), 2, N, N), flat.dtype) if gm is not None else None
-        gs = [[proj(1 + d * depth + j, work[d, j].reshape(-1, C)) for j in range(depth)] for d in range(len(work))]
-
-        def chain(d):  # direction d's chain backward, over arrays made on this thread
-            pair = (work[d, depth], work[d, depth + 1] if N > adiff._PIECE else None)
-            term_pair = None if gm is None else (terms[d, 0], terms[d, 1] if width > adiff._PIECE else None)
-            return lambda: _hop_chain_grad(hops.data[d].T, gs[d], chains[d], beta,
-                                           None if gm is None else gm[d], h.requires_grad, pair, term_pair)
-
-        def here():  # the first direction, then every weight block's gradient
-            if walk:
-                chain(0)()
-            if w.requires_grad:  # W_0's gradient, then every hop state's in one stack of products
-                gw = np.empty((2 * depth + 1, C, c_out), flat.dtype)
-                adiff._pieced_matmul(flat.reshape(-1, C).T, g2, gw[0])
-                if depth:
-                    adiff._pieced_matmul(np.swapaxes(hopped.reshape(2 * depth, -1, C), 1, 2), g2, gw[1:])
-                return gw.reshape(-1, c_out)
-
-        gw = _both(here, chain(1), N * flat.size) if walk else here()
-        if gh is not None:
-            for d in range(len(gs)):
-                gh += gs[d][-1]
+        gh = adiff._pieced_matmul(g2, blocks[0].T).reshape(N, -1) if h.requires_grad else None
+        gm = np.empty_like(hops.data) if depth and hops.requires_grad else None
+        if depth and (gh is not None or gm is not None):
+            # one block: per direction the hops' state gradients, then the out/scratch pair of m^T @ G
+            work = np.empty((2, depth + 1 + pieced) + flat.shape, flat.dtype)
+            gs, pair = work[:, :depth], (work[:, depth], work[:, depth + 1] if pieced else None)
+            # every hop's projection term g @ W_j^T, in one stack of products
+            adiff._pieced_matmul(g2, np.swapaxes(blocks[1:].reshape(2, depth, C, c_out), 2, 3),
+                                 gs.reshape(2, depth, -1, C))
+            mt = np.swapaxes(hops.data, 1, 2)
+            if gm is not None:  # the out/scratch pair of G_j @ S_j-1^T
+                terms = np.empty((2, 2, N, N), flat.dtype)
+                term_pair = (terms[0], terms[1] if flat.shape[1] > adiff._PIECE else None)
+            for j in reversed(range(depth)):
+                if j < depth - 1:
+                    gs[:, j] += adiff._pieced_matmul(mt, gs[:, j + 1], *pair)
+                if gm is not None:
+                    st = np.swapaxes(hopped[:, j - 1] if j else flat, -1, -2)
+                    if j == depth - 1:
+                        adiff._pieced_matmul(gs[:, j], st, gm, term_pair[1])
+                    else:
+                        gm += adiff._pieced_matmul(gs[:, j], st, *term_pair)
+            if gh is not None:  # per direction, h's share beta * sum_j G_j + m^T @ G_1
+                tail = adiff._pieced_matmul(mt, gs[:, 0], *pair)
+                total = gs[:, -1]
+                for j in reversed(range(depth - 1)):
+                    total += gs[:, j]
+                total *= beta
+                total += tail
+                gh += total[0]
+                gh += total[1]
         if gm is not None:
             adiff._accum(hops, gm)
         if h.requires_grad:
             adiff._accum(h, gh.reshape(h.shape))
-        if gw is not None:
-            adiff._accum(w, gw)
+        if w.requires_grad:  # W_0's gradient, then every hop state's in one stack of products
+            gw = np.empty((2 * depth + 1, C, c_out), flat.dtype)
+            adiff._pieced_matmul(flat.reshape(-1, C).T, g2, gw[0])
+            if depth:
+                adiff._pieced_matmul(np.swapaxes(states.reshape(2 * depth, -1, C), 1, 2), g2, gw[1:])
+            adiff._accum(w, gw.reshape(-1, c_out))
         if b.requires_grad:
             adiff._accum(b, adiff._bias_grad(g2))
         if residual is not None and residual.requires_grad:

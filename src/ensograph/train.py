@@ -8,13 +8,11 @@ clipped gradients into a second buffer, checks it once and runs one
 adam_step over the whole buffers, with the bytes of the per-tensor update.
 A NaN or an infinity in a gradient stops training with the tensor's name,
 the epoch and the step. The parameters a run returns stay views of its
-buffer. Everything runs in float32, and a (config, seed, data) triple
-reproduces the same parameters bit for bit, whether or not mix-hop's
-worker thread runs: it takes hop GEMMs from stgnn._THREAD_MIN multiply-adds,
-as a 561-node training step has, and no hop of the 130-node gate config's
-steps or validation forwards. Inputs are scaled by one global
-standard deviation measured on the training inputs; that scale travels
-with the checkpoint.
+buffer. Everything runs in float32 on the calling thread, whose GEMMs take
+OPENBLAS_NUM_THREADS threads, and a (config, seed, data) triple reproduces
+the same parameters bit for bit, under one BLAS thread and under two. Inputs
+are scaled by one global standard deviation measured on the training inputs;
+that scale travels with the checkpoint.
 
 Training, validation and evaluation share one forward path: the model reads
 runs of consecutive months (samples.run_inputs) and returns the forecast of

@@ -44,8 +44,9 @@ def shared_add(a, b):
     return adiff._from_op(a.data + b.data, (a, b), lambda g: (adiff._accum(a, g), adiff._accum(b, g)))
 
 
-# The gradient rules that per-slice products, batched hop-state products and flat
-# Adam buffers replaced, kept as byte references for the rules that replaced them.
+# The gradient rules that per-slice products, batched hop-state products, stacked edge
+# directions and flat Adam buffers replaced, kept as byte references for the rules that
+# replaced them.
 
 def zeros_plus_adds(x, starts, length, joined):
     """x's gradient from the joined gradient of its time slices [.., length, len(starts)*C]: the
@@ -73,6 +74,62 @@ def per_state_weight_grads(states, g2):
             total += x[:, lo:lo + piece] @ g2[lo:lo + piece]
         grads.append(total)
     return np.concatenate(grads, axis=0)
+
+
+def per_direction_mixhop(h, hops, beta, depth, w, b, residual=None):
+    """stgnn.mixhop_conv as one tape node over the same parents that runs each edge
+    direction's hops as its own chain of 2-D GEMMs, summed in mixhop_conv's order: every
+    hop, projection and gradient product is a 2-D adiff._pieced_matmul call."""
+    N, C = h.shape[0], h.shape[-1]
+    blocks = w.data.reshape(2 * depth + 1, C, -1)
+    flat = h.data.reshape(N, -1)
+    chains = []  # per direction, [h, hop 1, .., hop depth] as [N, B*T*C]
+    for m in hops.data[:2 if depth else 0]:
+        states = [flat]
+        for _ in range(depth):
+            s = adiff._pieced_matmul(m, states[-1])
+            s += flat * beta
+            states.append(s)
+        chains.append(states)
+    hop_states = [s for states in chains for s in states[1:]]
+    out = adiff._product(flat.reshape(-1, C), blocks[0])
+    for s, block in zip(hop_states, blocks[1:]):
+        out += adiff._pieced_matmul(s.reshape(-1, C), block)
+    out += b.data
+    out = out.reshape(h.shape[:-1] + (-1,))
+    parents = (h, w, b) + ((hops,) if depth else ())
+    if residual is not None:
+        T, T_in = h.shape[2], residual.shape[2]
+        out += residual.data[:, :, T_in - T:]
+        parents += (residual,)
+
+    def _bw(g):
+        g2 = g.reshape(-1, out.shape[-1])
+        gh = adiff._pieced_matmul(g2, blocks[0].T).reshape(N, -1)
+        gm = []
+        for d, (m, states) in enumerate(zip(hops.data, chains)):
+            gs = [adiff._pieced_matmul(g2, blocks[1 + d * depth + j].T).reshape(N, -1) for j in range(depth)]
+            for j in reversed(range(depth)):
+                if j < depth - 1:
+                    gs[j] = gs[j] + adiff._pieced_matmul(m.T, gs[j + 1])
+                term = adiff._pieced_matmul(gs[j], states[j].T)
+                gm_d = term if j == depth - 1 else gm_d + term
+            total = gs[-1].copy()
+            for gj in gs[-2::-1]:
+                total += gj
+            total *= beta
+            total += adiff._pieced_matmul(m.T, gs[0])
+            gh += total
+            gm.append(gm_d)
+        if depth:
+            adiff._accum(hops, np.stack(gm))
+        adiff._accum(h, gh.reshape(h.shape))
+        adiff._accum(w, per_state_weight_grads([flat] + hop_states, g2))
+        adiff._accum(b, adiff._bias_grad(g2))
+        if residual is not None:
+            adiff._accum(residual, zeros_plus_adds(residual.data, range(T_in - T, T_in - T + 1), T, g))
+
+    return adiff._from_op(out, parents, _bw)
 
 
 def per_tensor_step(params, grads, state, t, config, max_norm):

@@ -384,6 +384,23 @@ def test_stacked_pieced_matmul_has_the_bytes_of_each_2d_call(k):
         assert out[s].tobytes() == _pieced_matmul(x[s], y).tobytes(), s
 
 
+@pytest.mark.parametrize("k", [30, 256, 280, 600])
+@pytest.mark.parametrize("stacked", ["both", "x", "y"])
+def test_pieced_matmul_over_stacked_operands_has_the_bytes_of_each_2d_call(k, stacked):
+    # mix-hop propagates both edge directions as one stack: [2, N, N] hop matrices (or
+    # their transposed views) with [2, N, L] states, or with one [N, L] state broadcast,
+    # and [2, N, L] state gradients with one transposed [L, N] state, into given out/scratch
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((2, k, 6)).astype(np.float32).swapaxes(1, 2)  # [2, 6, k], transposed views
+    y = rng.standard_normal((2, k, 5)).astype(np.float32)
+    x, y = (x, y) if stacked == "both" else (x, y[0]) if stacked == "x" else (x[0], y)
+    out, scratch = np.empty((2, 6, 5), np.float32), np.empty((2, 6, 5), np.float32)
+    assert _pieced_matmul(x, y, out, scratch) is out
+    for s in range(2):
+        want = _pieced_matmul(x[s] if x.ndim == 3 else x, y[s] if y.ndim == 3 else y)
+        assert out[s].tobytes() == want.tobytes(), s
+
+
 def test_relu_subgradient_at_zero_is_zero():
     # the head's two relus, at pre-activations of exactly 0: zero skip and end1
     # weights and biases make both hidden layers 0, so no gradient passes either

@@ -84,6 +84,18 @@ def test_non_finite_value_is_reported_before_an_out_of_range_one(non_finite):
         SstCube(g, (1950, 1), values, np.zeros(values.shape, dtype=bool))
 
 
+@pytest.mark.parametrize("non_finite", [np.nan, np.inf, -np.inf])
+def test_anomaly_cube_rejects_a_non_finite_live_cell_and_keeps_a_missing_one(non_finite):
+    g = small_grid()
+    values = np.random.default_rng(12).standard_normal((3, g.n_lat, g.n_lon)).astype(np.float32)
+    missing = np.zeros(values.shape, dtype=bool)
+    values[1, 2, 0] = non_finite
+    with pytest.raises(ValidationError, match="^non-finite value without missing flag$"):
+        AnomalyCube(g, (1950, 1), values, missing)
+    missing[1, 2, 0] = True
+    AnomalyCube(g, (1950, 1), values, missing)
+
+
 def test_month_bookkeeping():
     cube = random_sst(np.random.default_rng(0), n_time=14, start=(1999, 11))
     assert cube.month_of(0) == (1999, 11)

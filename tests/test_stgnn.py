@@ -1,14 +1,20 @@
+import hashlib
 import json
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ensograph import adiff
+from ensograph import adiff, stgnn, synth
 from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum
 from ensograph.cli import main
+from ensograph.cube import split_by_years
 from ensograph.errors import NumericalError, ValidationError
 from ensograph.graph import GraphLearnConfig
-from ensograph.grid import GridSpec
+from ensograph.grid import ONI_BOX, GridSpec, region_nodes
+from ensograph.samples import make_samples
 from ensograph.stgnn import (
     ModelConfig,
     ModelParams,
@@ -23,12 +29,14 @@ from ensograph.stgnn import (
     save_checkpoint,
     temporal_block,
 )
-from ensograph.train import mae_loss
+from ensograph.train import TrainConfig, mae_loss, train
 from helpers import (
     count_graph_builds,
     output_at_one_and_two_blas_threads,
+    per_direction_mixhop,
     per_state_weight_grads,
     poisoned_checkpoint,
+    python_output,
     tiny_config,
     zeros_plus_adds,
 )
@@ -532,6 +540,149 @@ def test_mixhop_gradient_bytes_do_not_depend_on_blas_threads():
     assert not differ, f"mix-hop gradient bytes differ between 1 and 2 BLAS threads at B*T = {differ}"
 
 
+@pytest.mark.parametrize("N, runs, months, depth", [
+    (130, 4, 9, 2),   # a training step's first layer: 4 runs of 10 months
+    (130, 1, 65, 2),  # an eval run's first layer: 66 months
+    (300, 4, 9, 2),   # every hop summed over pieces of the node axis
+    (300, 1, 65, 2),
+    (130, 4, 9, 0),
+    (130, 4, 9, 1),
+    (130, 4, 9, 3),
+    (300, 4, 9, 3),
+])
+def test_mixhop_conv_has_the_bytes_of_one_chain_per_direction(N, runs, months, depth):
+    # the output and every gradient against each direction's hops as their own chain of 2-D GEMMs
+    rng = np.random.default_rng(43)
+    arrays = [t.data for t in _mixhop_operands(rng, depth, np.float32, N=N, B=runs, T=months, C=16, C_out=16)]
+    arrays.append(rng.standard_normal((N, runs, months + 1, 16)).astype(np.float32))
+    probe = Tensor(rng.standard_normal((N, runs, months, 16)).astype(np.float32))
+    results = []
+    for op in (mixhop_conv, per_direction_mixhop):
+        h, hops, w, b, residual = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(h, hops, 0.05, depth, w, b, residual)
+        backward(reduce_sum(mul(out, probe)))
+        results.append([out.data] + [t.grad for t in (h, hops, w, b, residual)])
+    for name, got, want in zip(("output", "h", "hops", "w", "b", "residual"), *results):
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _traced_mixhop_peaks(N, depth, runs=4, months=9):
+    """Traced bytes a default-width float32 mix-hop forward allocates at N nodes, and its backward."""
+    rng = np.random.default_rng(44)
+    h, hops, w, b = _mixhop_operands(rng, depth, np.float32, N=N, B=runs, T=months, C=16, C_out=16)
+    g = rng.standard_normal((N, runs, months, 16)).astype(np.float32)
+    for t in (h, hops, w, b):
+        t.grad = None  # so each gradient is kept as it is made, not added to zeros
+    tracemalloc.start()
+    try:
+        out = mixhop_conv(h, hops, 0.05, depth, w, b)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return forward_peak, backward_peak
+
+
+@pytest.mark.parametrize("N", [130, 300], ids=["one-piece", "pieced"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_mixhop_allocates_its_states_its_gradients_and_one_work_block(N, depth):
+    # numpy reports its buffers to tracemalloc. A hop state, like h, is N*B*T*C floats. The
+    # forward keeps 2*depth of them, beta*h and the output, with one projection term in
+    # flight, and above adiff._PIECE nodes the scratch of both directions' pieced hops. The
+    # backward makes the gradients of h, the hop stack, w and b, one block of 2*(depth + 1)
+    # states (2*(depth + 2) when pieced) for the hops' state gradients and the out/scratch
+    # pair of m^T @ G, and one of four [N, N] arrays for the out/scratch pair of the graph
+    # gradient's terms, and nothing else
+    pieced = N > adiff._PIECE
+    state, square = 4 * N * 4 * 9 * 16, 4 * N * N
+    forward_peak, backward_peak = _traced_mixhop_peaks(N, depth)
+    assert forward_peak <= state * (2 * depth + 3 + 2 * pieced) + (16 << 10)
+    gradients = state + 2 * square + 4 * (2 * depth + 1) * 16 * 16 + 4 * 16
+    assert backward_peak <= gradients + state * 2 * (depth + 1 + pieced) + 4 * square + (16 << 10)
+
+
+def _mixhop_gradients(rng_seed: int, N: int):
+    """Gradients of h, hops, w and b of a float64 depth-2 mix-hop at N nodes."""
+    rng = np.random.default_rng(rng_seed)
+    h, hops, w, b = _mixhop_operands(rng, 2, N=N, B=3, T=2, C=4, C_out=4)
+    probe = Tensor(rng.standard_normal((N, 3, 2, 4)))
+    backward(reduce_sum(mul(mixhop_conv(h, hops, 0.05, 2, w, b), probe)))
+    return [t.grad for t in (h, hops, w, b)]
+
+
+def test_mixhop_sums_long_node_contractions_in_pieces(monkeypatch):
+    # at N = 300 every hop and each m^T @ G contracts over more than one piece, through scratch
+    pieced = _mixhop_gradients(7, 300)
+    monkeypatch.setattr(adiff, "_PIECE", 1 << 20)
+    whole = _mixhop_gradients(7, 300)
+    for got, want in zip(pieced, whole):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_mixhop_conv_on_several_threads_gives_each_the_bytes_of_one():
+    # four calling threads on two cores, each running its own mix-hops, switching often
+    rng = np.random.default_rng(8)
+    arrays = [t.data for t in _mixhop_operands(rng, 2, np.float32, N=40, B=6, T=3, C=8, C_out=8)]
+    arrays.append(rng.standard_normal((40, 6, 3, 8)).astype(np.float32))
+
+    def run():
+        h, hops, w, b = [Tensor(a.copy(), requires_grad=True) for a in arrays[:4]]
+        out = mixhop_conv(h, hops, 0.05, 2, w, b)
+        backward(reduce_sum(mul(out, Tensor(arrays[4]))))
+        return out.data.tobytes() + b"".join(t.grad.tobytes() for t in (h, hops, w, b))
+
+    want = run()
+    results = []
+    threads = [threading.Thread(target=lambda: results.extend(run() for _ in range(10))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 40 and all(r == want for r in results)
+
+
+def test_importing_the_package_starts_no_thread_and_no_executor():
+    script = (
+        "import importlib, pkgutil, sys, threading\n"
+        "import ensograph\n"
+        "for mod in pkgutil.iter_modules(ensograph.__path__):\n"
+        "    if mod.name != '__main__':\n"
+        "        importlib.import_module('ensograph.' + mod.name)\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    assert python_output(script) == ["1 False"]
+
+
+def test_training_steps_and_eval_forwards_start_no_thread():
+    # a gate-config training step and eval forward, and the same at 561 nodes (a 1-degree
+    # box, 181M multiply-adds a training hop)
+    script = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from ensograph.adiff import Tensor, backward\n"
+        "from ensograph.stgnn import ModelConfig, ModelParams, forward, init_params\n"
+        "from ensograph.train import mae_loss\n"
+        "for n in (130, 561):\n"
+        "    cfg = ModelConfig(n_nodes=n, horizon=4)\n"
+        "    params = init_params(cfg)\n"
+        "    pred = forward(params, cfg, Tensor(np.ones((4, 1, n, 10), np.float32)))\n"
+        "    backward(mae_loss(pred, Tensor(np.zeros(pred.shape, np.float32))))\n"
+        "    detached = ModelParams({k: Tensor(t.data) for k, t in params.items()})\n"
+        "    forward(detached, cfg, Tensor(np.ones((1, 1, n, 66), np.float32)))\n"
+        "print(threading.active_count())\n"
+    )
+    assert python_output(script) == ["1"]
+
+
 def test_hop_matrix_rejects_nan_adjacency():
     # a NaN in either embedding table makes the adjacency's rows NaN
     cfg = tiny_config()
@@ -582,35 +733,23 @@ def test_forward_rejects_bad_input_shape():
         forward(params, cfg, Tensor(np.zeros((2, 2, cfg.n_nodes, cfg.window), dtype=np.float32)))
 
 
-@pytest.mark.parametrize("cfg", [
-    ModelConfig(n_nodes=130, horizon=4),
-    tiny_config(kernel_size=3, dilations=(1, 1), window=6),  # skips read 4 and 2 positions
-    tiny_config(kernel_size=3, dilations=(1, 2), window=8),  # 6 and 2, through a dilation of 2
-], ids=["gate", "k3-d11-w6", "k3-d12-w8"])
-def test_forward_on_a_sequence_gives_every_window_its_own_bytes(cfg):
-    params = init_params(cfg, seed=14)
-    B, P = 2, 9
-    x = np.random.default_rng(15).standard_normal(
-        (B, 1, cfg.n_nodes, cfg.window + P - 1)).astype(np.float32)
-    out = forward(params, cfg, Tensor(x)).data
-    assert out.shape == (B * P, cfg.horizon, cfg.n_nodes)
-    for b in range(B):
-        for p in range(P):
-            alone = forward(params, cfg, Tensor(np.ascontiguousarray(x[b:b + 1, :, :, p:p + cfg.window])))
-            np.testing.assert_array_equal(out[b * P + p].view(np.uint32), alone.data[0].view(np.uint32))
-
-
-@pytest.mark.parametrize("runs, months, horizon", [(4, 10, 4), (1, 66, 7)], ids=["train-step", "eval-run"])
-def test_forward_on_a_run_matches_each_lone_window_to_rounding(runs, months, horizon):
-    # a training step's runs and an eval run at the gate config: OpenBLAS picks the head's
-    # [M, 64] @ [64, H] kernel by its row count M, so these runs' rows need not keep the bytes
+@pytest.mark.parametrize("cfg, runs, months", [
+    (ModelConfig(n_nodes=130, horizon=4), 4, 10),
+    (ModelConfig(n_nodes=130, horizon=7), 1, 66),
+    (ModelConfig(n_nodes=130, horizon=4), 2, 11),
+    (tiny_config(kernel_size=3, dilations=(1, 1), window=6), 2, 14),  # skips read 4 and 2 positions
+    (tiny_config(kernel_size=3, dilations=(1, 2), window=8), 2, 16),  # 6 and 2, through a dilation of 2
+], ids=["train-step", "eval-run", "gate", "k3-d11-w6", "k3-d12-w8"])
+def test_forward_on_a_run_matches_each_lone_window_to_rounding(cfg, runs, months):
+    # a training step's runs and an eval run at the gate config, and runs of 9 windows at the
+    # gate config and through longer kernels and dilations: OpenBLAS picks the head's
+    # [M, 64] @ [64, H] kernel by its row count M, so a run's rows need not keep the bytes
     # of a lone window's forward
-    cfg = ModelConfig(n_nodes=130, horizon=horizon)
     params = init_params(cfg, seed=14)
     x = np.random.default_rng(15).standard_normal((runs, 1, cfg.n_nodes, months)).astype(np.float32)
     out = forward(params, cfg, Tensor(x)).data
     P = months - cfg.window + 1
-    assert out.shape == (runs * P, horizon, cfg.n_nodes)
+    assert out.shape == (runs * P, cfg.horizon, cfg.n_nodes)
     for b in range(runs):
         for p in range(P):
             alone = forward(params, cfg, Tensor(np.ascontiguousarray(x[b:b + 1, :, :, p:p + cfg.window])))
@@ -795,6 +934,42 @@ def test_model_gradient_and_eval_bytes_do_not_depend_on_blas_threads():
     assert len(runs[0]) == 2 * len(param_shapes(ModelConfig(n_nodes=130, horizon=4))) + 1
     differ = [one.rsplit(" ", 1)[0] for one, two in zip(*runs) if one != two]
     assert not differ, f"bytes differ between 1 and 2 BLAS threads at {differ}"
+
+
+def _gate_fingerprints() -> dict[str, str]:
+    """Hashes of gate-config forwards, of every parameter gradient at batch 31 (single
+    windows) and 32 (4 runs of 8), of the parameters and losses after 2 epochs at both
+    batch sizes, and of a detached 66-month horizon-7 forward."""
+    def digest(arrays):
+        return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+    rng = np.random.default_rng(0)
+    cfg = ModelConfig(n_nodes=130, horizon=4)
+    out = {}
+    for rows, months in ((31, 3), (4, 10)):
+        params = init_params(cfg, seed=1)
+        pred = forward(params, cfg, Tensor(rng.standard_normal((rows, 1, 130, months)).astype(np.float32)))
+        out[f"forward {rows}x{months}"] = digest([pred.data])
+        backward(mae_loss(pred, Tensor(rng.standard_normal(pred.shape).astype(np.float32))))
+        out[f"gradients {rows}x{months}"] = digest([t.grad for _, t in params.items()])
+    cfg7 = ModelConfig(n_nodes=130, horizon=7)
+    detached = ModelParams({n: Tensor(t.data) for n, t in init_params(cfg7, seed=2).items()})
+    x = rng.standard_normal((1, 1, 130, 66)).astype(np.float32)
+    out["eval forward"] = digest([forward(detached, cfg7, Tensor(x)).data])
+    data, _ = synth.generate(synth.SynthConfig(seed=0))
+    nodes = region_nodes(data.grid, ONI_BOX)
+    windows = make_samples(split_by_years(data, (1900, 1979)), nodes, cfg.window, cfg.horizon)
+    for batch in (31, 32):
+        result = train(cfg, TrainConfig(epochs=2, batch_size=batch), windows)
+        out[f"parameters batch {batch}"] = digest([t.data for _, t in result.params.items()])
+        out[f"losses batch {batch}"] = repr((result.history.train_loss, result.history.val_loss))
+    return out
+
+
+def test_stacked_edge_directions_keep_the_gate_configs_bytes(monkeypatch):
+    stacked = _gate_fingerprints()
+    monkeypatch.setattr(stgnn, "mixhop_conv", per_direction_mixhop)
+    assert _gate_fingerprints() == stacked
 
 
 # Hashes the output and every parameter gradient of one default-width forward and
