@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import sys
 import threading
 import tracemalloc
@@ -662,25 +663,70 @@ def test_importing_the_package_starts_no_thread_and_no_executor():
     assert python_output(script) == ["1 False"]
 
 
-def test_training_steps_and_eval_forwards_start_no_thread():
-    # a gate-config training step and eval forward, and the same at 561 nodes (a 1-degree
-    # box, 181M multiply-adds a training hop)
-    script = (
-        "import threading\n"
-        "import numpy as np\n"
-        "from ensograph.adiff import Tensor, backward\n"
-        "from ensograph.stgnn import ModelConfig, ModelParams, forward, init_params\n"
-        "from ensograph.train import mae_loss\n"
-        "for n in (130, 561):\n"
-        "    cfg = ModelConfig(n_nodes=n, horizon=4)\n"
-        "    params = init_params(cfg)\n"
-        "    pred = forward(params, cfg, Tensor(np.ones((4, 1, n, 10), np.float32)))\n"
-        "    backward(mae_loss(pred, Tensor(np.zeros(pred.shape, np.float32))))\n"
-        "    detached = ModelParams({k: Tensor(t.data) for k, t in params.items()})\n"
-        "    forward(detached, cfg, Tensor(np.ones((1, 1, n, 66), np.float32)))\n"
-        "print(threading.active_count())\n"
+_THREAD_PRELUDE = (
+    "import os, threading\n"
+    "import numpy as np\n"
+    "from ensograph.adiff import Tensor, backward\n"
+    "from ensograph.graph import GraphLearnConfig\n"
+    "from ensograph.stgnn import ModelConfig, ModelParams, forward, init_params\n"
+    "from ensograph.train import mae_loss\n"
+    "started = []\n"
+    "thread_start = threading.Thread.start\n"
+    "threading.Thread.start = lambda self: (started.append(self.name), thread_start(self))[1]\n"
+    "def step(cfg, rows=4, months=10):\n"
+    "    params = init_params(cfg, seed=1)\n"
+    "    pred = forward(params, cfg, Tensor(np.ones((rows, 1, cfg.n_nodes, months), np.float32)))\n"
+    "    backward(mae_loss(pred, Tensor(np.zeros(pred.shape, np.float32))))\n"
+    "    return params\n"
+    "def eval_forward(params, cfg, months):\n"
+    "    detached = ModelParams({k: Tensor(t.data) for k, t in params.items()})\n"
+    "    forward(detached, cfg, Tensor(np.ones((1, 1, cfg.n_nodes, months), np.float32)))\n"
+)
+
+
+def _threads_after(body: str) -> list[str]:
+    """The live thread count and the names of every thread started, after `body` runs in a fresh process."""
+    return python_output(_THREAD_PRELUDE + body + "print(threading.active_count(), started)\n")
+
+
+def test_a_one_degree_training_step_starts_no_thread():
+    # 561 nodes (a 1-degree box), 4 runs of 10 months: 181M multiply-adds a training hop
+    assert _threads_after("step(ModelConfig(n_nodes=561, horizon=4))\n") == ["1 []"]
+
+
+def test_a_process_on_one_cpu_starts_no_thread():
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no sched_setaffinity on this platform")
+    body = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\nstep(ModelConfig(n_nodes=130, horizon=4))\n"
+    assert _threads_after(body) == ["1 []"]
+
+
+def test_gate_config_steps_and_eval_forwards_start_no_thread():
+    # a training step (4 runs of 10 months), the 95-window validation forward (97 months)
+    # and a horizon-7 eval forward (66 months), the largest hops the gate config runs
+    body = (
+        "cfg = ModelConfig(n_nodes=130, horizon=4)\n"
+        "eval_forward(step(cfg), cfg, 97)\n"
+        "cfg7 = ModelConfig(n_nodes=130, horizon=7)\n"
+        "eval_forward(init_params(cfg7, seed=2), cfg7, 66)\n"
     )
-    assert python_output(script) == ["1"]
+    assert _threads_after(body) == ["1 []"]
+
+
+def test_small_hops_start_no_thread():
+    cfg = tiny_config()
+    body = f"cfg = {cfg!r}\nstep(cfg, rows=2, months=cfg.window)\n"
+    assert _threads_after(body) == ["1 []"]
+
+
+def test_repeated_steps_leave_only_the_main_thread():
+    body = (
+        f"cfg = {tiny_config()!r}\n"
+        "for _ in range(3):\n"
+        "    step(cfg, rows=2, months=cfg.window)\n"
+        "print([t.name for t in threading.enumerate()])\n"
+    )
+    assert _threads_after(body) == ["['MainThread']", "1 []"]
 
 
 def test_hop_matrix_rejects_nan_adjacency():
