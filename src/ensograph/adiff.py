@@ -139,16 +139,18 @@ def tanh(x):
 
 # Longest contraction one gradient GEMM runs. OpenBLAS 0.3.31 gives [130, L] @ [L, 130]
 # float32 bytes that differ between one and two threads at every L = 16 (mod 32)
-# from 464 up, and the same bytes at every L up to 256.
+# from 464 up, and the same bytes at every L up to 256. The pieces fix float32 bytes
+# only: float64 [2, 130, L] @ [2, L, 130] differs between one and two threads at every
+# L from 64 to 256, so float64 results agree across thread counts to rounding.
 _PIECE = 256
 
 
 def _pieced_matmul(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """x [.., m, k] @ y [.., k, n] summed one GEMM per _PIECE of the contraction, in
-    order, so its bytes do not depend on the BLAS thread count. Stacks of x's, of y's
-    or of both (broadcast as np.matmul does) give the stack of products, each with the
-    pieces and bytes of its own 2-D call. Given out, and scratch when k runs past one
-    piece (both [.., m, n]), it writes them and allocates no array."""
+    order, so its float32 bytes do not depend on the BLAS thread count. Stacks of x's,
+    of y's or of both (broadcast as np.matmul does) give the stack of products, each
+    with the pieces and bytes of its own 2-D call. Given out, and scratch when k runs
+    past one piece (both [.., m, n]), it writes them and allocates no array."""
     out = np.matmul(x[..., :_PIECE], y[..., :_PIECE, :], out=out)
     for lo in range(_PIECE, x.shape[-1], _PIECE):
         out += np.matmul(x[..., lo:lo + _PIECE], y[..., lo:lo + _PIECE, :], out=scratch)
@@ -159,7 +161,7 @@ def _product(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """a2 [m, k] @ b2 [k, n], the forward product of every learned op. A length-1
     contraction is the outer product a2 * b2: each output is the one product a GEMM
     would give, without a GEMM's set-up. One longer than _PIECE is summed in pieces
-    (_pieced_matmul), so no forward's bytes depend on the BLAS thread count."""
+    (_pieced_matmul), so no float32 forward's bytes depend on the BLAS thread count."""
     k = a2.shape[1]
     return a2 * b2 if k == 1 else a2 @ b2 if k <= _PIECE else _pieced_matmul(a2, b2)
 

@@ -57,15 +57,14 @@ def make_samples(anoms: AnomalyCube, nodes: list[NodeId], window: int, horizon: 
     With no missing data the sample count is T - window - horizon + 1.
     """
     series, bad = node_series(anoms, nodes, window, horizon)
-    blocks = np.lib.stride_tricks.sliding_window_view(series, window + horizon, axis=0)  # [S, N, span]
-    kept = np.ascontiguousarray(blocks.transpose(0, 2, 1)[~bad])  # [S, span, N]
+    starts = np.flatnonzero(~bad)  # the first month of every kept window
     start_months = [m for m, dropped in zip(month_range(anoms.start, len(bad)), bad) if not dropped]
     return SampleSet(
         node_ids=list(nodes),
         window=window,
         horizon=horizon,
-        inputs=kept[:, :window, :].copy(),
-        node_targets=kept[:, window:, :].copy(),
+        inputs=series[starts[:, None] + np.arange(window)],  # [S, w, N]
+        node_targets=series[starts[:, None] + window + np.arange(horizon)],  # [S, H, N]
         start_months=start_months,
         n_dropped=int(bad.sum()),
     )

@@ -295,8 +295,10 @@ def mixhop_conv(h, hops, beta: float, depth: int, w, b, residual=None) -> Tensor
     and W_s takes S_s^T @ g. Each projection term is a GEMM on [N*B*T, C]
     views, and every other product adiff._pieced_matmul, each item of a stack
     with the pieces and bytes of its own 2-D call, so the contractions over N
-    (the hops), N*B*T (w) and B*T*C (m) keep their bytes whatever the BLAS
-    thread count.
+    (the hops), N*B*T (w) and B*T*C (m) keep their float32 bytes whatever the
+    BLAS thread count. Float64 GEMMs round with the thread count even within
+    one piece, so in float64 m's gradient agrees across thread counts to
+    rounding only.
     """
     h, w, b = adiff.as_tensor(h), adiff.as_tensor(w), adiff.as_tensor(b)
     hops = adiff.as_tensor(hops) if depth else None
@@ -415,6 +417,7 @@ def head(outputs, skips, end1, end2, windows: int) -> Tensor:
         s += b.data
         hidden = s if hidden is None else np.add(hidden, s, out=hidden)
         joined.append((x2, unslice))
+    del s  # the last layer's skip product is summed into hidden: free it before end1's product
     np.maximum(hidden, 0, out=hidden)
     _linear_checks(hidden.shape[1], w1, b1, "end1")
     e = adiff._product(hidden, w1.data)
@@ -427,13 +430,17 @@ def head(outputs, skips, end1, end2, windows: int) -> Tensor:
 
     def _bw(g):
         g2 = np.reshape(np.transpose(g, (2, 0, 1)), (-1, H))  # [N*B*P, H]
-        ge = adiff._pieced_matmul(g2, w2.data.T) * (e > 0)
-        gs = adiff._pieced_matmul(ge, w1.data.T) * (hidden > 0)
+        ge = adiff._pieced_matmul(g2, w2.data.T)
+        ge *= e > 0
+        # end2's and end1's weight and bias gradients first, so ge goes before the skips' products
         for (w, b), (x2, gy) in (((w2, b2), (e, g2)), ((w1, b1), (hidden, ge))):
             if w.requires_grad:
                 adiff._accum(w, adiff._weight_grad(x2, gy, N))
             if b.requires_grad:
                 adiff._accum(b, adiff._bias_grad(gy))
+        gs = adiff._pieced_matmul(ge, w1.data.T)
+        del ge, gy  # the loop's last gy is ge
+        gs *= hidden > 0
         for h, (w, b), (x2, unslice) in zip(outputs, skips, joined):
             if w.requires_grad:
                 adiff._accum(w, adiff._weight_grad(x2, gs, N))

@@ -12,7 +12,11 @@ buffer. Everything runs in float32 on the calling thread, whose GEMMs take
 OPENBLAS_NUM_THREADS threads, and a (config, seed, data) triple reproduces
 the same parameters bit for bit, under one BLAS thread and under two. Inputs
 are scaled by one global standard deviation measured on the training inputs;
-that scale travels with the checkpoint.
+that scale travels with the checkpoint. Training holds no copy of its sample
+set: each step, and each validation run, divides the windows it gathers by
+the scale and casts them and their targets to float32, which has the bytes
+of gathering from a scaled float32 copy, so its memory grows with the step,
+not with the sample set.
 
 Training, validation and evaluation share one forward path: the model reads
 runs of consecutive months (samples.run_inputs) and returns the forecast of
@@ -222,14 +226,21 @@ def run_windows(batch_size: int) -> int:
     return max(p for p in range(1, RUN_WINDOWS + 1) if batch_size % p == 0)
 
 
-def _eval_loss(params, config, inputs, targets, start_months) -> float:
+def _scaled_runs(inputs: np.ndarray, firsts, length: int, scale: np.float32) -> np.ndarray:
+    """run_inputs of inputs divided by scale, in float32: elementwise, so the bytes of
+    run_inputs on the scaled float32 copy of inputs, which is never made."""
+    return (run_inputs(inputs, firsts, length) / scale).astype(np.float32, copy=False)
+
+
+def _eval_loss(params, config, inputs, targets, start_months, scale: np.float32) -> float:
     # detached copies share the buffers, so the validation forward builds no tape;
     # one forward per run of up to 256 windows; the first builds the learned graph, the rest reuse it
     detached = ModelParams({n: Tensor(t.data) for n, t in params.items()})
     total = 0.0
     for r in consecutive_runs(start_months, 256):
-        xb = Tensor(run_inputs(inputs, [r.start], len(r)))
-        total += mae_loss(forward(detached, config, xb), Tensor(targets[r.start:r.stop])).item() * len(r)
+        xb = Tensor(_scaled_runs(inputs, [r.start], len(r), scale))
+        yb = Tensor(targets[r.start:r.stop].astype(np.float32, copy=False))
+        total += mae_loss(forward(detached, config, xb), yb).item() * len(r)
     return total / inputs.shape[0]
 
 
@@ -265,8 +276,8 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
     scale = float(np.std(samples.inputs[:n_train].astype(np.float64)))
     if not np.isfinite(scale) or scale == 0.0:
         scale = 1.0
-    inputs = (samples.inputs / np.float32(scale)).astype(np.float32)
-    targets = samples.node_targets.astype(np.float32)
+    # each step scales and casts only the windows it gathers, so no copy of the sample set is made
+    scale32 = np.float32(scale)
 
     p = run_windows(tconfig.batch_size)
     runs_per_step = tconfig.batch_size // p
@@ -296,7 +307,8 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
         for lo in range(0, firsts.size, runs_per_step):
             first = firsts[lo: lo + runs_per_step]
             idx = (first[:, None] + np.arange(p)).ravel()
-            xb, yb = Tensor(run_inputs(inputs, first, p)), Tensor(targets[idx])
+            xb = Tensor(_scaled_runs(samples.inputs, first, p, scale32))
+            yb = Tensor(samples.node_targets[idx].astype(np.float32, copy=False))
             params.zero_grad()
             loss = mae_loss(forward(params, config, xb), yb)
             value = loss.item()
@@ -314,8 +326,8 @@ def train(config: ModelConfig, tconfig: TrainConfig, samples: SampleSet,
         history.train_loss.append(epoch_sum / epoch_count)
         if n_val:
             history.val_loss.append(
-                _eval_loss(params, config, inputs[n_train:], targets[n_train:],
-                           samples.start_months[n_train:])
+                _eval_loss(params, config, samples.inputs[n_train:], samples.node_targets[n_train:],
+                           samples.start_months[n_train:], scale32)
             )
         if log is not None:
             val = f" val={history.val_loss[-1]:.5f}" if n_val else ""

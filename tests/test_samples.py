@@ -46,20 +46,23 @@ def test_too_short_series_raises():
 
 def test_window_and_target_layout():
     rng = np.random.default_rng(4)
-    anoms = random_anoms(rng, n_time=12)
+    anoms = random_anoms(rng, n_time=40)
+    anoms.missing[20, 0, 0] = True
     nodes = _nodes(anoms.grid)
-    w, h = 3, 2
-    samples = make_samples(anoms, nodes, w, h)
     ii = np.array([i for i, _ in nodes])
     jj = np.array([j for _, j in nodes])
     series = anoms.values[:, ii, jj]  # [T, N]
-    assert samples.inputs.dtype == np.float32
-    assert samples.inputs.shape == (8, w, len(nodes))
-    assert samples.node_targets.shape == (8, h, len(nodes))
-    for s in range(len(samples)):
-        np.testing.assert_array_equal(samples.inputs[s], series[s:s + w])
-        np.testing.assert_array_equal(samples.node_targets[s], series[s + w:s + w + h])
-        assert samples.start_months[s] == anoms.month_of(s)
+    for w, h in ((3, 2), (3, 4), (1, 1), (5, 12)):
+        samples = make_samples(anoms, nodes, w, h)
+        starts = [s for s in range(40 - w - h + 1) if not s <= 20 < s + w + h]  # the windows clear of month 20
+        assert samples.inputs.dtype == samples.node_targets.dtype == np.float32
+        assert samples.inputs.shape == (len(starts), w, len(nodes))
+        assert samples.node_targets.shape == (len(starts), h, len(nodes))
+        assert samples.inputs.flags.c_contiguous and samples.node_targets.flags.c_contiguous
+        for k, s in enumerate(starts):
+            assert samples.inputs[k].tobytes() == series[s:s + w].tobytes()
+            assert samples.node_targets[k].tobytes() == series[s + w:s + w + h].tobytes()
+            assert samples.start_months[k] == anoms.month_of(s)
 
 
 def test_windows_touching_missing_are_dropped():

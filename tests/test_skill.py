@@ -306,7 +306,8 @@ def test_validation_loss_builds_no_tape(monkeypatch):
     anoms.missing[9] = True  # drops the windows that touch month 9
     samples = make_samples(anoms, [(0, j) for j in range(5)], config.window, config.horizon)
     outputs = _record_forward(monkeypatch, train)
-    loss = train._eval_loss(params, config, samples.inputs, samples.node_targets, samples.start_months)
+    loss = train._eval_loss(params, config, samples.inputs, samples.node_targets, samples.start_months,
+                            np.float32(1.0))
     # one forward per run of consecutive windows, on either side of the gap
     assert [out.shape[0] for out in outputs] == [5, 6]
     assert not any(out.requires_grad for out in outputs)
@@ -342,7 +343,7 @@ def test_validation_loss_builds_the_graph_once_with_per_run_bytes(monkeypatch):
     anoms = random_anoms(np.random.default_rng(12), small_grid(n_lat=1, n_lon=5), n_time=30)
     anoms.missing[9] = True  # two runs of windows, on either side of the gap
     samples = make_samples(anoms, [(0, j) for j in range(5)], config.window, config.horizon)
-    args = (params, config, samples.inputs, samples.node_targets, samples.start_months)
+    args = (params, config, samples.inputs, samples.node_targets, samples.start_months, np.float32(1.0))
     builds = count_graph_builds(monkeypatch)
     hoisted = train._eval_loss(*args)
     assert len(builds) == 1

@@ -982,6 +982,49 @@ def test_model_gradient_and_eval_bytes_do_not_depend_on_blas_threads():
     assert not differ, f"bytes differ between 1 and 2 BLAS threads at {differ}"
 
 
+# Every float64 parameter gradient of a gate-config forward and backward at batch 31
+# (single windows) and 4 runs of 10 months, as hex, and the figures of a float64
+# grad_check of the 5-node model of release-gate check 1.
+FLOAT64_GRADIENTS = r"""
+import numpy as np
+from ensograph.adiff import Tensor, backward, grad_check, mul, reduce_sum
+from ensograph.graph import GraphLearnConfig
+from ensograph.stgnn import ModelConfig, forward, init_params
+rng = np.random.default_rng(0)
+cfg = ModelConfig(n_nodes=130, horizon=4)
+for rows, months in ((31, 3), (4, 10)):
+    params = init_params(cfg, seed=1, dtype=np.float64)
+    x = rng.standard_normal((rows, 1, 130, months))
+    probe = rng.standard_normal((rows * (months - 2), 4, 130))
+    backward(reduce_sum(mul(forward(params, cfg, Tensor(x)), probe)))
+    for name, t in params.items():
+        print("gradient", rows, months, name, t.grad.tobytes().hex())
+tiny = ModelConfig(n_nodes=5, horizon=2, residual_channels=4, conv_channels=4, skip_channels=4, end_channels=8,
+                   graph=GraphLearnConfig(embed_dim=3, alpha=3.0, topk=3))
+params = init_params(tiny, dtype=np.float64)
+x, probe = rng.standard_normal((2, 1, 5, 3)), rng.standard_normal((2, 2, 5))
+loss = lambda: reduce_sum(mul(forward(params, tiny, Tensor(x)), probe))
+for r in grad_check(loss, dict(params.items()), h=1e-5, tol=1e-4):
+    print("check", r.name, repr(r.max_rel_err))
+"""
+
+
+def test_float64_gradients_agree_across_blas_threads_to_rounding():
+    # float64 GEMMs round with the thread count even within one piece (the embeddings'
+    # gradients differ by about 4e-16), so float64 keeps agreement, not bytes
+    runs = output_at_one_and_two_blas_threads(FLOAT64_GRADIENTS)
+    n_tensors = len(param_shapes(ModelConfig(n_nodes=130, horizon=4)))
+    assert len(runs[0]) == len(runs[1]) == 3 * n_tensors  # two gate-config backwards, then the check
+    for one, two in zip(*runs):
+        (what, a), (also, b) = one.rsplit(" ", 1), two.rsplit(" ", 1)
+        assert what == also
+        if what.startswith("check"):
+            assert a == b, what
+        else:
+            a, b = np.frombuffer(bytes.fromhex(a)), np.frombuffer(bytes.fromhex(b))
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), what
+
+
 def _gate_fingerprints() -> dict[str, str]:
     """Hashes of gate-config forwards, of every parameter gradient at batch 31 (single
     windows) and 32 (4 runs of 8), of the parameters and losses after 2 epochs at both

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 import warnings
 
@@ -9,7 +10,7 @@ from ensograph import adiff
 from ensograph import train as train_module
 from ensograph.adiff import Tensor
 from ensograph.errors import NumericalError
-from ensograph.samples import SampleSet, make_samples, run_inputs
+from ensograph.samples import SampleSet, consecutive_runs, make_samples, run_inputs
 from ensograph.stgnn import forward, init_params, load_checkpoint, save_checkpoint
 from ensograph.train import (
     AdamState,
@@ -397,6 +398,58 @@ def test_constant_inputs_fall_back_to_unit_scale():
     samples.inputs[:] = 0.0
     result = train(cfg, TrainConfig(epochs=1, batch_size=16, val_fraction=0.0), samples)
     assert result.input_scale == 1.0
+
+
+def test_training_holds_no_copy_of_its_sample_set(monkeypatch):
+    # a step holds the parameters, Adam's moments and one step's runs, not a scaled or cast copy of every window
+    cfg = tiny_config(n_nodes=5)
+    samples = _sample_set(np.random.default_rng(11), 4000, cfg)
+    held, real_adam = [], train_module.adam_step
+    monkeypatch.setattr(train_module, "adam_step",
+                        lambda *a: held.append(tracemalloc.get_traced_memory()[0]) or real_adam(*a))
+    consecutive_runs(samples.start_months, 1)  # fills the months module's bounded cache of month pairs
+    tracemalloc.start()
+    try:
+        train(cfg, TrainConfig(epochs=2, batch_size=32), samples)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2 * 113  # 3600 training windows: 450 blocks of 8, 4 a step
+    assert max(held) < samples.inputs.nbytes, f"{max(held)} bytes held at a step"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_steps_and_validation_see_the_bytes_of_the_scaled_float32_sample_set(monkeypatch, dtype):
+    cfg = tiny_config(n_nodes=4)
+    rng = np.random.default_rng(12)
+    series = 3.0 * rng.standard_normal((63, 4))  # float64 values that float32 cannot hold
+    inputs = np.lib.stride_tricks.sliding_window_view(series, cfg.window, axis=0).transpose(0, 2, 1)
+    samples = SampleSet(node_ids=[(0, i) for i in range(4)], window=cfg.window, horizon=cfg.horizon,
+                        inputs=inputs.astype(dtype), node_targets=rng.standard_normal((61, 2, 4)).astype(dtype),
+                        start_months=[(1950 + s // 12, s % 12 + 1) for s in range(61)])
+    gathered, xs, ys = [], [], []
+    real_run_inputs = train_module.run_inputs
+    monkeypatch.setattr(train_module, "run_inputs",
+                        lambda arr, firsts, length: gathered.append((arr, firsts, length))
+                        or real_run_inputs(arr, firsts, length))
+    monkeypatch.setattr(train_module, "forward", lambda params, config, x: xs.append(x.data)
+                        or forward(params, config, x))
+    monkeypatch.setattr(train_module, "mae_loss", lambda pred, target: ys.append(target.data)
+                        or mae_loss(pred, target))
+    result = train(cfg, TrainConfig(epochs=2, batch_size=16, val_fraction=0.2), samples)
+
+    # the bytes of gathering from a scaled float32 copy of the inputs and a float32 copy of the targets
+    scaled = (samples.inputs / np.float32(result.input_scale)).astype(np.float32)
+    targets = samples.node_targets.astype(np.float32)
+    assert len(gathered) == len(xs) == len(ys)
+    offsets = []
+    for (arr, firsts, length), x, y in zip(gathered, xs, ys):
+        offset = len(samples) - arr.shape[0]  # 0 for a step, 49 for a validation run
+        idx = offset + (np.asarray(firsts)[:, None] + np.arange(length)).ravel()
+        assert x.dtype == y.dtype == np.float32
+        assert x.tobytes() == run_inputs(scaled[offset:], firsts, length).tobytes()
+        assert y.tobytes() == targets[idx].tobytes()
+        offsets.append(offset)
+    assert offsets == ([0] * 3 + [49]) * 2  # 49 training windows: 6 blocks of 8, 2 a step; then validation
 
 
 # ------------------------------------------------------------- month runs
